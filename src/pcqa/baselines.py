@@ -84,17 +84,18 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex | None = None,
     return normals, degenerate
 
 
-def _directional_sq(points_from, points_to, matches, mode, normals_to=None,
-                    normals_from=None):
-    """Squared per-point error from each `points_from` row to its match."""
-    errors = points_from - points_to[matches]
-    if mode == "point":
-        return (errors * errors).sum(axis=1)
-    if normals_to is not None:
-        normals = normals_to[matches]
-    else:
-        normals = normals_from
-    return (errors * normals).sum(axis=1) ** 2
+def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
+                    plane_normals: np.ndarray | None = None) -> dict:
+    """Per-point squared (forward, backward) errors over one match pair:
+    "p2po" always, "p2pl" when reference `plane_normals` are given."""
+    fwd_matches, bwd_matches = matches
+    fwd_err = dist.positions - ref.positions[fwd_matches]
+    bwd_err = ref.positions - dist.positions[bwd_matches]
+    squared = {"p2po": ((fwd_err * fwd_err).sum(axis=1), (bwd_err * bwd_err).sum(axis=1))}
+    if plane_normals is not None:
+        squared["p2pl"] = ((fwd_err * plane_normals[fwd_matches]).sum(axis=1) ** 2,
+                           (bwd_err * plane_normals).sum(axis=1) ** 2)
+    return squared
 
 
 def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
@@ -121,16 +122,9 @@ def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
     if mode == "plane" and ref_normals is None:
         ref_normals = ref.normals if ref.has_normals \
             else estimate_normals(ref, ref_index, k=normals_k)[0]
-
-    fwd_sq = _directional_sq(
-        dist.positions, ref.positions, ref_index.nearest(dist.positions),
-        mode, normals_to=ref_normals,
-    )
-    bwd_matches = dist_index.nearest(ref.positions)
-    bwd_sq = _directional_sq(
-        ref.positions, dist.positions, bwd_matches,
-        mode, normals_from=ref_normals,
-    )
+    matches = (ref_index.nearest(dist.positions), dist_index.nearest(ref.positions))
+    squared = _squared_errors(ref, dist, matches, ref_normals if mode == "plane" else None)
+    fwd_sq, bwd_sq = squared["p2po" if mode == "point" else "p2pl"]
     reduce = np.mean if agg == "mse" else np.max
     return ErrorPair(forward=float(reduce(fwd_sq)), backward=float(reduce(bwd_sq)))
 
@@ -161,6 +155,25 @@ def _channel_psnr(mse: np.ndarray) -> np.ndarray:
     return out
 
 
+def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
+    if not (ref.has_colors and dist.has_colors):
+        raise DomainError("psnr_yuv requires colors on both clouds")
+    ref_yuv = to_yuv(ref.colors / 255.0) * 255.0
+    dist_yuv = to_yuv(dist.colors / 255.0) * 255.0
+
+    def direction(from_yuv, to_yuv_values, matches):
+        diff = from_yuv - to_yuv_values[matches]
+        mse = (diff * diff).mean(axis=0)
+        return combine_channel_psnr(*_channel_psnr(mse))
+
+    forward = direction(dist_yuv, ref_yuv, matches[0])
+    backward = direction(ref_yuv, dist_yuv, matches[1])
+    return BaselineResult(
+        metric="psnr-yuv", value=min(forward, backward),
+        forward_db=forward, backward_db=backward,
+    )
+
+
 def psnr_yuv(ref: PointCloud, dist: PointCloud, *,
              ref_index: SpatialIndex | None = None,
              dist_index: SpatialIndex | None = None) -> BaselineResult:
@@ -170,30 +183,17 @@ def psnr_yuv(ref: PointCloud, dist: PointCloud, *,
     luma weighting; the reported value is the worse direction. Identical
     clouds give +inf.
     """
-    if not (ref.has_colors and dist.has_colors):
-        raise DomainError("psnr_yuv requires colors on both clouds")
     ref_index = ref_index or SpatialIndex(ref)
     dist_index = dist_index or SpatialIndex(dist)
-    ref_yuv = to_yuv(ref.colors / 255.0) * 255.0
-    dist_yuv = to_yuv(dist.colors / 255.0) * 255.0
-
-    def direction(from_yuv, to_yuv_values, matches):
-        diff = from_yuv - to_yuv_values[matches]
-        mse = (diff * diff).mean(axis=0)
-        return combine_channel_psnr(*_channel_psnr(mse))
-
-    forward = direction(dist_yuv, ref_yuv, ref_index.nearest(dist.positions))
-    backward = direction(ref_yuv, dist_yuv, dist_index.nearest(ref.positions))
-    return BaselineResult(
-        metric="psnr-yuv", value=min(forward, backward),
-        forward_db=forward, backward_db=backward,
-    )
+    return _color_psnr(ref, dist, (ref_index.nearest(dist.positions),
+                                   dist_index.nearest(ref.positions)))
 
 
 def run_baselines(ref: PointCloud, dist: PointCloud,
                   metrics=METRIC_IDS, *, normals_k: int = 12
                   ) -> dict[str, BaselineResult]:
-    """Compute the requested baseline metrics, sharing matches and normals.
+    """Compute the requested baseline metrics from one pair of nearest-match
+    arrays, with reference normals estimated at most once.
 
     Geometry PSNRs use the peak of the merged bounding box of both clouds,
     which keeps the reported value symmetric under swapping the inputs.
@@ -204,44 +204,29 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
     ref_index = SpatialIndex(ref)
-    dist_index = SpatialIndex(dist)
+    matches = (ref_index.nearest(dist.positions),
+               SpatialIndex(dist).nearest(ref.positions))
     box = merged_bounding_box(bounding_box(ref), bounding_box(dist))
     results: dict[str, BaselineResult] = {}
 
     geometry = [m for m in metrics if m != "psnr-yuv"]
-    if geometry:
-        fwd_matches = ref_index.nearest(dist.positions)
-        bwd_matches = dist_index.nearest(ref.positions)
-        fwd_err = dist.positions - ref.positions[fwd_matches]
-        bwd_err = ref.positions - dist.positions[bwd_matches]
-        need_plane = any(m.endswith("p2pl") for m in geometry)
-        if need_plane:
-            ref_normals = ref.normals if ref.has_normals \
-                else estimate_normals(ref, ref_index, k=normals_k)[0]
-        sq = {
-            "p2po": ((fwd_err * fwd_err).sum(axis=1),
-                     (bwd_err * bwd_err).sum(axis=1)),
-        }
-        if need_plane:
-            sq["p2pl"] = (
-                (fwd_err * ref_normals[fwd_matches]).sum(axis=1) ** 2,
-                (bwd_err * ref_normals).sum(axis=1) ** 2,
-            )
-        for metric in geometry:
-            agg, mode = metric.split("-", 1)
-            reduce = np.mean if agg == "m" else np.max
-            fwd_sq, bwd_sq = sq[mode]
-            pair = ErrorPair(forward=float(reduce(fwd_sq)),
-                             backward=float(reduce(bwd_sq)))
-            results[metric] = BaselineResult(
-                metric=metric,
-                value=geometry_psnr(pair.symmetric, box),
-                forward_db=geometry_psnr(pair.forward, box),
-                backward_db=geometry_psnr(pair.backward, box),
-            )
+    ref_normals = None
+    if any(m.endswith("p2pl") for m in geometry):
+        ref_normals = ref.normals if ref.has_normals \
+            else estimate_normals(ref, ref_index, k=normals_k)[0]
+    squared = _squared_errors(ref, dist, matches, ref_normals) if geometry else {}
+    for metric in geometry:
+        agg, kind = metric.split("-", 1)
+        reduce = np.mean if agg == "m" else np.max
+        fwd_sq, bwd_sq = squared[kind]
+        pair = ErrorPair(forward=float(reduce(fwd_sq)), backward=float(reduce(bwd_sq)))
+        results[metric] = BaselineResult(
+            metric=metric,
+            value=geometry_psnr(pair.symmetric, box),
+            forward_db=geometry_psnr(pair.forward, box),
+            backward_db=geometry_psnr(pair.backward, box),
+        )
 
     if "psnr-yuv" in metrics:
-        results["psnr-yuv"] = psnr_yuv(
-            ref, dist, ref_index=ref_index, dist_index=dist_index
-        )
+        results["psnr-yuv"] = _color_psnr(ref, dist, matches)
     return {m: results[m] for m in metrics}

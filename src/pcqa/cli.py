@@ -171,8 +171,10 @@ def _load_score_reports(directory: str):
     for path in sorted(root.glob("*.json")):
         try:
             body = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(body, dict):
+            raise ParseError(f"{path}: a score report must be a JSON object")
         scores = body.get("scores")
         if not isinstance(scores, dict):
             continue
@@ -185,7 +187,10 @@ def _load_score_reports(directory: str):
                 )
             # Canonical reports store non-finite values as the strings
             # "inf"/"-inf"/"nan", which float() parses directly.
-            bucket[metric] = float(value)
+            try:
+                bucket[metric] = float(value)
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: score '{metric}' is not a number") from None
     return table
 
 
@@ -364,10 +369,7 @@ def main(argv=None) -> int:
         for w in caught:
             _diag({"warning": w.category.__name__, "message": str(w.message)})
         return code
-    except (ParseError, ValidationError) as exc:
-        _diag({"error": type(exc).__name__, "message": str(exc)})
-        return 2
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         _diag({"error": type(exc).__name__, "message": str(exc)})
         return 2
     except DomainError as exc:

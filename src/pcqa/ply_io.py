@@ -10,6 +10,10 @@ parsed for stride and discarded; elements after the vertex block are ignored.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import warnings
+
 import numpy as np
 
 from .cloud import PointCloud
@@ -174,7 +178,22 @@ def load_ply(path: str) -> PointCloud:
 
 def _read_ascii_rows(path, body, count, width, header_lines):
     """Parse `count` whitespace-separated numeric rows of at least `width`
-    columns from the ASCII body. Returns a (count, width) float64 array."""
+    columns from the ASCII body. Returns a (count, width) float64 array.
+    Plain numeric text, which np.loadtxt splits and parses exactly as the
+    per-line loop does, is read in one step; anything else, and any read
+    that fails or comes up short, goes through the loop."""
+    if not body.translate(None, b"0123456789+-.eE \t\n"):
+        with warnings.catch_warnings(), contextlib.suppress(ValueError):
+            warnings.simplefilter("ignore")  # blank lines and empty bodies warn
+            table = np.loadtxt(io.BytesIO(body), comments=None,
+                               usecols=range(width), max_rows=count, ndmin=2)
+            if len(table) == count:
+                return table
+    return _read_ascii_lines(path, body, count, width, header_lines)
+
+
+def _read_ascii_lines(path, body, count, width, header_lines):
+    """The per-line reference parser behind `_read_ascii_rows`."""
     text = body.decode("ascii", errors="replace")
     out = np.empty((count, width), dtype=np.float64)
     row = 0
@@ -254,13 +273,6 @@ def save_ply(cloud: PointCloud, path: str, format: str = "binary",
                     record[name] = cloud.normals[:, axis]
             handle.write(record.tobytes())
         else:
-            rows = []
-            for i in range(cloud.count):
-                parts = ["%.9g" % v for v in cloud.positions[i]]
-                if cloud.has_colors:
-                    parts += ["%d" % v for v in cloud.colors[i]]
-                if cloud.has_normals:
-                    parts += ["%.9g" % v for v in cloud.normals[i]]
-                rows.append(" ".join(parts))
-            if rows:
-                handle.write(("\n".join(rows) + "\n").encode("ascii"))
+            table = np.column_stack(
+                [a for a in (cloud.positions, cloud.colors, cloud.normals) if a is not None])
+            np.savetxt(handle, table, fmt=["%d" if c == "u1" else "%.9g" for _, c in fields])

@@ -3,7 +3,8 @@
 A thin layer over scipy's cKDTree. Query results are made fully
 deterministic and brute-force-exact: candidates are re-measured with the
 same float64 arithmetic a naive scan would use, and distance ties are
-broken by ascending point index.
+broken by ascending point index. Bulk queries run on every core; each
+row is answered alone, so results do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -97,15 +98,15 @@ class SpatialIndex:
         return idx[keep], d[keep]
 
     def nearest(self, queries) -> np.ndarray:
-        """Vectorized nearest-neighbor index for each query row.
+        """Vectorized nearest-neighbor index for each query row, on every core.
 
         Distance ties are resolved toward the smaller point index, matching
-        knn(q, 1) for every row.
+        knn(q, 1) for every row whatever the core count.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if self.count == 1:
             return np.zeros(queries.shape[0], dtype=np.intp)
-        dist, idx = self._tree.query(queries, k=2)
+        dist, idx = self._tree.query(queries, k=2, workers=-1)
         out = idx[:, 0].astype(np.intp)
         ties = dist[:, 0] == dist[:, 1]
         for row in np.nonzero(ties)[0]:
@@ -113,15 +114,15 @@ class SpatialIndex:
         return out
 
     def query_array(self, queries, k: int):
-        """Bulk k-NN over many query rows, returned as (dist, idx) matrices.
+        """Bulk k-NN over many query rows on every core, as (dist, idx) matrices.
 
         Tie order within equal distances follows the tree's traversal, not
-        the index-ordered rule; intended for graph construction where any
-        deterministic choice is acceptable.
+        the index-ordered rule, whatever the core count; intended for graph
+        construction where any deterministic choice is acceptable.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         kk = min(int(k), self.count)
-        dist, idx = self._tree.query(queries, k=kk)
+        dist, idx = self._tree.query(queries, k=kk, workers=-1)
         if kk == 1:
             dist = dist[:, None]
             idx = idx[:, None]

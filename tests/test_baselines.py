@@ -8,9 +8,11 @@ from pcqa import (
     ErrorPair,
     METRIC_IDS,
     PointCloud,
+    SpatialIndex,
     bounding_box,
     estimate_normals,
     geometry_psnr,
+    merged_bounding_box,
     p2_errors,
     psnr_yuv,
     run_baselines,
@@ -255,3 +257,44 @@ def test_estimated_sphere_normals_point_along_the_radius():
     assert not degenerate.any()
     alignment = np.abs(np.sum(normals * points, axis=1))
     assert alignment.min() >= 0.99
+
+
+def lattice_pair(seed=23):
+    """Integer-lattice clouds with duplicate points, so nearest-match
+    distances tie."""
+    rng = np.random.default_rng(seed)
+    ref_pos = rng.integers(0, 8, (600, 3)).astype(float)
+    dist_pos = np.vstack([ref_pos[:300], rng.integers(0, 8, (250, 3))]).astype(float)
+    ref = PointCloud(positions=ref_pos,
+                     colors=rng.integers(0, 256, (600, 3)).astype(float))
+    dist = PointCloud(positions=dist_pos,
+                      colors=rng.integers(0, 256, (550, 3)).astype(float))
+    return ref, dist
+
+
+class TestSharedMatches:
+    def test_all_metrics_make_one_match_per_direction(self, monkeypatch):
+        calls = []
+        original = SpatialIndex.nearest
+
+        def counting(self, queries):
+            calls.append(len(queries))
+            return original(self, queries)
+
+        monkeypatch.setattr(SpatialIndex, "nearest", counting)
+        ref, dist = lattice_pair()
+        run_baselines(ref, dist)
+        assert sorted(calls) == [dist.count, ref.count]
+
+    def test_standalone_functions_equal_run_baselines_under_ties(self):
+        ref, dist = lattice_pair()
+        results = run_baselines(ref, dist)
+        box = merged_bounding_box(bounding_box(ref), bounding_box(dist))
+        for metric in ("m-p2po", "m-p2pl", "h-p2po", "h-p2pl"):
+            agg, kind = metric.split("-")
+            pair = p2_errors(ref, dist, "point" if kind == "p2po" else "plane",
+                             "mse" if agg == "m" else "hausdorff")
+            assert results[metric].forward_db == geometry_psnr(pair.forward, box)
+            assert results[metric].backward_db == geometry_psnr(pair.backward, box)
+            assert results[metric].value == geometry_psnr(pair.symmetric, box)
+        assert results["psnr-yuv"] == psnr_yuv(ref, dist)

@@ -252,6 +252,23 @@ class TestEval:
         assert code == 3
         assert "scores" in last_stderr_json(err)["message"]
 
+    @pytest.mark.parametrize("payload", [
+        json.dumps({"content": "eel", "distortion": "cn_1",
+                    "scores": {"graphsim": "abc"}}).encode(),
+        json.dumps([{"scores": {"graphsim": 0.5}}]).encode(),
+        b'{"scores": {"graphsim": 0.5}, "content": "\xff"}',
+    ], ids=["non-numeric-score", "top-level-list", "not-utf8"])
+    def test_malformed_report_exits_2_naming_the_file(self, capsys, tmp_path,
+                                                       payload):
+        scores_dir, mos_csv = self.build_corpus(tmp_path)
+        bad = tmp_path / "scores" / "zz_bad.json"
+        bad.write_bytes(payload)
+        code, _, err = run(capsys, "eval", scores_dir, mos_csv)
+        assert code == 2
+        diag = last_stderr_json(err)
+        assert diag["error"] == "ParseError"
+        assert str(bad) in diag["message"]
+
 
 class TestScoreColorSpaces:
     def test_gcm_and_rgb_both_produce_valid_reports(self, capsys, ply_pair):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcqa import ParseError, PointCloud, TruncationError, ValidationError, load_ply, save_ply
+from pcqa import ply_io
 
 from helpers import random_cloud, write_ascii_ply
 
@@ -212,3 +213,64 @@ def test_vertex_must_be_first_element(tmp_path):
     )
     with pytest.raises(ParseError):
         load_ply(path)
+
+
+_XYZ = "property float x\nproperty float y\nproperty float z\n"
+_RGB = "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+_NXYZ = "property float nx\nproperty float ny\nproperty float nz\n"
+
+# name -> (vertex count, vertex properties, trailing header lines, body,
+# whether the body is plain numeric text that skips the per-line loop)
+ASCII_BODIES = {
+    "colors-and-normals": (2, _XYZ + _RGB + _NXYZ, "",
+                           "0.5 -1.25 3 10 20 30 0 0 1\n1e-3 2 -4.5 255 0 7 0 1 0\n", True),
+    "extra-numeric-tokens": (2, _XYZ, "", "1 2 3 4 5\n4 5 6 7\n", True),
+    "extra-word-tokens": (2, _XYZ, "", "1 2 3 foo\n4 5 6 bar baz\n", False),
+    "blank-lines": (2, _XYZ, "", "\n  \n1 2 3\n\t\n\n4\t5  6\n\n", True),
+    "second-element": (3, _XYZ, "element face 1\nproperty list uchar int vertex_indices\n",
+                       "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", True),
+    "exponent-and-negative-zero": (2, _XYZ, "", "1e5 -0 .5\n-1.5E-3 +2 0\n", True),
+    "underscore-digits": (1, _XYZ, "", "1_0 2 3\n", False),
+    "nan-color": (1, _XYZ + _RGB, "", "1 2 3 nan 0 0\n", False),
+    "nan-coordinate": (1, _XYZ, "", "nan 2 3\n", False),
+    "crlf-line-ends": (2, _XYZ, "", "1 2 3\r\n4 5 6\r\n", False),
+    "short-row": (2, _XYZ, "", "1 2 3\n4 5\n", True),
+    "garbled-token": (2, _XYZ, "", "1 2 3\n4 x 6\n", False),
+    "garbled-number": (2, _XYZ, "", "1 2 3\n4 5. .6.\n", True),
+    "double-sign": (1, _XYZ, "", "1 --2 3\n", True),
+    "truncated-body": (3, _XYZ, "", "1 2 3\n4 5 6\n", True),
+    "empty-body": (2, _XYZ, "", "", True),
+    "no-vertices": (0, _XYZ, "", "", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASCII_BODIES))
+def test_ascii_fast_path_reads_as_the_loop(tmp_path, monkeypatch, name):
+    count, props, trailer, body, plain = ASCII_BODIES[name]
+    path = tmp_path / f"{name}.ply"
+    path.write_bytes(
+        f"ply\nformat ascii 1.0\nelement vertex {count}\n{props}{trailer}end_header\n{body}"
+        .encode("ascii"))
+
+    def outcome():
+        try:
+            cloud = load_ply(path)
+        except (ParseError, ValidationError) as exc:
+            return type(exc), str(exc)
+        return tuple(None if a is None else a.view(np.uint64).tobytes()
+                     for a in (cloud.positions, cloud.colors, cloud.normals))
+
+    loop = ply_io._read_ascii_lines
+    loop_calls = []
+
+    def counted_loop(*args):
+        loop_calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(ply_io, "_read_ascii_lines", counted_loop)
+    fast = outcome()
+    monkeypatch.setattr(ply_io, "_read_ascii_rows", loop)
+    assert fast == outcome()
+    # Plain text that reads cleanly never reaches the loop; anything else does.
+    failed = isinstance(fast[0], type)
+    assert bool(loop_calls) == (failed or not plain)

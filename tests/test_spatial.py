@@ -136,3 +136,15 @@ def test_match_points_range_for_unequal_sizes():
     matches = match_points(source, SpatialIndex(target))
     assert matches.shape == (100,)
     assert matches.min() >= 0 and matches.max() < 50
+
+
+def test_bulk_nearest_against_scan_on_a_lattice():
+    # 6000 rows over 1000 lattice sites: duplicates and equidistant
+    # neighbours everywhere, so the (distance, index) rule decides.
+    rng = np.random.default_rng(29)
+    pts = rng.integers(0, 10, (6000, 3)).astype(float)
+    queries = np.vstack([rng.integers(-1, 11, (5000, 3)).astype(float),
+                         rng.integers(0, 20, (1000, 3)) / 2.0])
+    got = SpatialIndex(pts).nearest(queries)
+    for row in rng.choice(len(queries), 150, replace=False):
+        assert got[row] == brute_knn(pts, queries[row], 1)[0][0]
