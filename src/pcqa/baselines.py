@@ -43,7 +43,6 @@ class BaselineResult:
     value: float
     forward_db: float
     backward_db: float
-    symmetric: bool = True
 
 
 def estimate_normals(cloud: PointCloud, index: SpatialIndex | None = None,

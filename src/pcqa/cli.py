@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -84,7 +83,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = _score_config(args)
     ref = load_ply(args.reference)
     dist = load_ply(args.distorted)
-    result = graphsim(ref, dist, config, jobs=args.jobs)
+    result = graphsim(ref, dist, config)
     report = result.to_report(config)
     report.update(
         command="score",
@@ -186,8 +185,11 @@ def _load_score_reports(directory: str):
                     f"{path}: duplicate score for metric '{metric}' at key {key}"
                 )
             # Canonical reports store non-finite values as the strings
-            # "inf"/"-inf"/"nan", which float() parses directly.
+            # "inf"/"-inf"/"nan", which float() parses directly. A JSON
+            # boolean is not a score, though float(True) reads 1.0.
             try:
+                if isinstance(value, bool):
+                    raise TypeError
                 bucket[metric] = float(value)
             except (TypeError, ValueError):
                 raise ParseError(f"{path}: score '{metric}' is not a number") from None
@@ -310,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--tau-scope", choices=("union", "per-side"), default="union")
     score.add_argument("--normals-k", type=int, default=12)
     score.add_argument("--seed", type=int, default=0)
-    score.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for per-keypoint scoring")
     score.add_argument("--content", default="")
     score.add_argument("--distortion", default="")
     score.add_argument("--output", default=None)

@@ -43,23 +43,6 @@ def edge_weight(distance, params: GraphParams):
     return float(w) if np.isscalar(distance) or w.ndim == 0 else w
 
 
-def mixed_edge_weight(geom_distance, color_distance, geom_variance: float,
-                      color_variance: float, cutoff: float):
-    """Average of a geometry and a color Gaussian kernel, gated on geometry.
-
-    (exp(-dg^2/geom_variance) + exp(-dc^2/color_variance)) / 2 when the
-    geometric distance is within the cutoff, else 0. Inputs are expected in
-    normalized units ([0, 1] coordinate and color scales).
-    """
-    if geom_variance <= 0 or color_variance <= 0:
-        raise DomainError("mixed edge weight requires positive variances")
-    dg = np.asarray(geom_distance, dtype=np.float64)
-    dc = np.asarray(color_distance, dtype=np.float64)
-    w = 0.5 * (np.exp(-(dg * dg) / geom_variance) + np.exp(-(dc * dc) / color_variance))
-    w = np.where(dg <= cutoff, w, 0.0)
-    return float(w) if w.ndim == 0 else w
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedNeighborhood:
     """Neighbors of one center point, with precomputed distances and weights.
@@ -111,43 +94,6 @@ class SignalAttribute:
         return int(self.values.shape[1])
 
 
-def _signal_values(signal) -> np.ndarray:
-    return signal.values if isinstance(signal, SignalAttribute) else np.asarray(signal)
-
-
 def degree(neighborhood: WeightedNeighborhood) -> float:
     """Sum of incident edge weights; 0 for an isolated center."""
     return float(neighborhood.weights.sum())
-
-
-def graph_gradient(neighborhood: WeightedNeighborhood, signal,
-                   center_value=None) -> np.ndarray:
-    """Per-channel color-gradient sum: sum_j sqrt(w_j) * (f_j - f_center).
-
-    With a constant signal the gradient is exactly zero. `center_value`
-    overrides the center signal lookup; required when the center is not a
-    member of the signal's cloud.
-    """
-    values = _signal_values(signal)
-    if center_value is None:
-        if neighborhood.center_index < 0:
-            raise DomainError("center is not in this cloud; pass center_value")
-        center_value = values[neighborhood.center_index]
-    if neighborhood.size == 0:
-        return np.zeros(values.shape[1], dtype=np.float64)
-    diffs = values[neighborhood.indices] - np.asarray(center_value, dtype=np.float64)
-    return (np.sqrt(neighborhood.weights)[:, None] * diffs).sum(axis=0)
-
-
-def laplacian_apply(neighborhood: WeightedNeighborhood, signal,
-                    center_value=None) -> np.ndarray:
-    """Combinatorial Laplacian row at the center: sum_j w_j * (f_center - f_j)."""
-    values = _signal_values(signal)
-    if center_value is None:
-        if neighborhood.center_index < 0:
-            raise DomainError("center is not in this cloud; pass center_value")
-        center_value = values[neighborhood.center_index]
-    if neighborhood.size == 0:
-        return np.zeros(values.shape[1], dtype=np.float64)
-    diffs = np.asarray(center_value, dtype=np.float64) - values[neighborhood.indices]
-    return (neighborhood.weights[:, None] * diffs).sum(axis=0)

@@ -20,7 +20,6 @@ increasing local color/geometry disagreement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,13 +29,7 @@ from .baselines import estimate_normals
 from .cloud import PointCloud, bounding_box
 from .colorspace import ColorSpaceConfig, decompose
 from .errors import DomainError
-from .graph import (
-    GraphParams,
-    SignalAttribute,
-    WeightedNeighborhood,
-    edge_weight,
-    mixed_edge_weight,
-)
+from .graph import GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
 from .resample import KeypointSet, ResampleConfig, resample
 from .spatial import SpatialIndex
 
@@ -78,9 +71,6 @@ class GraphSimConfig:
     tau_scope
         "union": the cutoff rule pools both clusters' distances;
         "per-side": the rule runs per cluster and the larger cutoff wins.
-    mixed_graph_weights
-        Experimental: blend a color kernel into the edge weights
-        (normalized coordinates and colors; requires colored clouds).
     """
 
     neighborhood_fraction: float = 0.1
@@ -95,9 +85,6 @@ class GraphSimConfig:
     resample: ResampleConfig = field(default_factory=ResampleConfig)
     tau_scope: str = "union"
     normals_k: int = 12
-    mixed_graph_weights: bool = False
-    mixed_geom_variance: float | None = None
-    mixed_color_variance: float | None = None
 
     def __post_init__(self):
         if not 0 < self.neighborhood_fraction:
@@ -146,7 +133,6 @@ class GraphSimConfig:
             "resample": self.resample.to_dict(),
             "tau_scope": self.tau_scope,
             "normals_k": self.normals_k,
-            "mixed_graph_weights": self.mixed_graph_weights,
         }
 
 
@@ -275,37 +261,14 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
     params = GraphParams.from_cutoff(cutoff)
 
-    if config.mixed_graph_weights:
-        if not (ref.has_colors and dist.has_colors):
-            raise DomainError("mixed graph weights require colored clouds")
-        scale = max(bounding_box(ref).max_extent, 1e-30)
-        geom_var = config.mixed_geom_variance
-        if geom_var is None:
-            geom_var = max((cutoff / scale) ** 2 / 2.0, np.finfo(np.float64).tiny)
-        color_var = config.mixed_color_variance
-        if color_var is None:
-            color_var = geom_var
-        center_rgb = ref.colors[center_index] / 255.0
-
-        def build_side(cloud, idx, d, center_idx):
-            keep = d <= cutoff
-            idx, d = idx[keep], d[keep]
-            col_d = np.linalg.norm(cloud.colors[idx] / 255.0 - center_rgb, axis=1)
-            w = mixed_edge_weight(d / scale, col_d, geom_var, color_var,
-                                  cutoff / scale if scale > 0 else 0.0)
-            return WeightedNeighborhood(
-                center_index=center_idx, indices=idx,
-                positions=cloud.positions[idx], distances=d, weights=np.asarray(w),
-            )
-    else:
-        def build_side(cloud, idx, d, center_idx):
-            keep = d <= cutoff
-            idx, d = idx[keep], d[keep]
-            return WeightedNeighborhood(
-                center_index=center_idx, indices=idx,
-                positions=cloud.positions[idx], distances=d,
-                weights=edge_weight(d, params),
-            )
+    def build_side(cloud, idx, d, center_idx):
+        keep = d <= cutoff
+        idx, d = idx[keep], d[keep]
+        return WeightedNeighborhood(
+            center_index=center_idx, indices=idx,
+            positions=cloud.positions[idx], distances=d,
+            weights=edge_weight(d, params),
+        )
 
     return LocalGraphPair(
         center_index=center_index,
@@ -472,16 +435,12 @@ def _prepare_signals(ref, dist, config, ref_index, dist_index):
 
 def graphsim(ref: PointCloud, dist: PointCloud,
              config: GraphSimConfig | None = None, *,
-             keypoints: KeypointSet | np.ndarray | None = None,
-             jobs: int = 1) -> SimilarityScore:
+             keypoints: KeypointSet | np.ndarray | None = None) -> SimilarityScore:
     """Score a distorted cloud against its reference.
 
     keypoints
         Optional preselected reference keypoint indices (bypasses the
         resampling stage; useful for fixed-keypoint comparisons).
-    jobs
-        Worker threads for per-keypoint scoring; results are identical
-        for any job count.
     """
     config = config or GraphSimConfig()
     if ref.count == 0 or dist.count == 0:
@@ -501,47 +460,34 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     graph_config = replace(config, channel_pooling="weighted-average") if mixed \
         else config
 
-    def worker(center_index: int):
-        pair = build_local_graph_pair(
-            int(center_index), ref, dist, graph_config,
-            ref_index=ref_index, dist_index=dist_index, radius=radius,
-        )
-        if pair.ref_cluster_size == 0:
-            return "skipped", None, None
-        if pair.dist_cluster_size == 0 or pair.ref.size == 0 or pair.dist.size == 0:
-            return "empty", 0.0, None
-        kind_scores = []
-        channels = {}
-        for kind, rs, ds, weights in signals:
-            gs = score_graph(pair, rs, ds, graph_config, channel_weights=weights)
-            kind_scores.append(gs.pooled)
-            for label, value in zip(rs.labels, gs.per_channel):
-                channels[f"{kind}:{label}"] = value
-        pooled = float(np.mean(kind_scores)) if mixed else kind_scores[0]
-        return "scored", pooled, channels
-
-    indices = [int(i) for i in keypoints.indices]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, indices))
-    else:
-        results = [worker(i) for i in indices]
-
     per_graph = []
     graph_keypoints = []
     channel_sums: dict[str, float] = {}
     channel_counts: dict[str, int] = {}
     empty = skipped = 0
-    for center_index, (status, pooled, channels) in zip(indices, results):
-        if status == "skipped":
+    for center_index in map(int, keypoints.indices):
+        pair = build_local_graph_pair(
+            center_index, ref, dist, graph_config,
+            ref_index=ref_index, dist_index=dist_index, radius=radius,
+        )
+        if pair.ref_cluster_size == 0:
             skipped += 1
             continue
-        if status == "empty":
+        if pair.dist_cluster_size == 0 or pair.ref.size == 0 or pair.dist.size == 0:
             empty += 1
+            pooled = 0.0
         else:
+            kind_scores = []
+            channels = {}  # one value per label, even for a kind listed twice
+            for kind, rs, ds, weights in signals:
+                gs = score_graph(pair, rs, ds, graph_config, channel_weights=weights)
+                kind_scores.append(gs.pooled)
+                for label, value in zip(rs.labels, gs.per_channel):
+                    channels[f"{kind}:{label}"] = value
             for label, value in channels.items():
                 channel_sums[label] = channel_sums.get(label, 0.0) + float(value)
                 channel_counts[label] = channel_counts.get(label, 0) + 1
+            pooled = float(np.mean(kind_scores)) if mixed else kind_scores[0]
         per_graph.append(pooled)
         graph_keypoints.append(center_index)
 

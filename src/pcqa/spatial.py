@@ -127,8 +127,3 @@ class SpatialIndex:
             dist = dist[:, None]
             idx = idx[:, None]
         return dist, idx
-
-
-def match_points(source: PointCloud, target_index: SpatialIndex) -> np.ndarray:
-    """Index of the nearest target point for every source point."""
-    return target_index.nearest(source.positions)

@@ -4,8 +4,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# One profile for every run: the same examples on every machine, and no
+# per-example deadline on shared or slow runners.
+settings.register_profile("pcqa", derandomize=True, deadline=None)
+settings.load_profile("pcqa")
 
 
 @pytest.fixture

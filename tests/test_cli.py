@@ -257,7 +257,9 @@ class TestEval:
                     "scores": {"graphsim": "abc"}}).encode(),
         json.dumps([{"scores": {"graphsim": 0.5}}]).encode(),
         b'{"scores": {"graphsim": 0.5}, "content": "\xff"}',
-    ], ids=["non-numeric-score", "top-level-list", "not-utf8"])
+        json.dumps({"content": "eel", "distortion": "cn_1",
+                    "scores": {"graphsim": True}}).encode(),
+    ], ids=["non-numeric-score", "top-level-list", "not-utf8", "bool-score"])
     def test_malformed_report_exits_2_naming_the_file(self, capsys, tmp_path,
                                                        payload):
         scores_dir, mos_csv = self.build_corpus(tmp_path)

@@ -11,7 +11,8 @@ from pcqa import (
     WeightedNeighborhood,
     edge_weight,
 )
-from pcqa.graph import degree, graph_gradient, laplacian_apply, mixed_edge_weight
+from pcqa.graph import degree
+from pcqa.graphsim import gradient_moments
 
 
 def ring_neighborhood(n=8, radius=1.0, weights=None, center_index=0):
@@ -50,16 +51,6 @@ def test_edge_weight_values():
     assert arr[2] == 0.0 and arr[0] == 1.0
 
 
-def test_mixed_edge_weight_is_gated_mean():
-    w = mixed_edge_weight(0.0, 0.0, 1.0, 1.0, cutoff=1.0)
-    assert w == 1.0
-    w = mixed_edge_weight(2.0, 0.0, 1.0, 1.0, cutoff=1.0)
-    assert w == 0.0  # geometric gate
-    w = mixed_edge_weight(1.0, 0.5, 2.0, 2.0, cutoff=1.0)
-    expected = 0.5 * (math.exp(-1.0 / 2.0) + math.exp(-0.25 / 2.0))
-    assert w == pytest.approx(expected, rel=1e-12)
-
-
 def test_degree_is_weight_sum():
     nbhd = ring_neighborhood(6, weights=[0.5, 1, 1, 0.25, 0, 0.25])
     assert degree(nbhd) == pytest.approx(3.0)
@@ -74,40 +65,15 @@ def test_signal_attribute_shapes():
         SignalAttribute(np.full((2, 1), np.nan), kind="color")
 
 
-def test_gradient_matches_loop():
-    rng = np.random.default_rng(3)
-    nbhd = ring_neighborhood(5, weights=rng.uniform(0.1, 1, 5))
-    values = rng.normal(size=(6, 2))
-    signal = SignalAttribute(values, kind="color")
-    got = graph_gradient(nbhd, signal)
-    center = values[0]
-    expected = sum(
-        math.sqrt(w) * (values[i] - center)
-        for w, i in zip(nbhd.weights, nbhd.indices)
-    )
-    assert np.allclose(got, expected, rtol=1e-12)
-
-
 def test_gradient_needs_center_value_when_off_cloud():
     nbhd = ring_neighborhood(4, center_index=-1)
-    values = np.ones((5, 1))
-    with pytest.raises(DomainError):
-        graph_gradient(nbhd, SignalAttribute(values, kind="color"))
-    out = graph_gradient(nbhd, SignalAttribute(values, kind="color"), center_value=[1.0])
-    assert np.array_equal(out, [0.0])
-
-
-def test_laplacian_apply_matches_loop():
-    rng = np.random.default_rng(4)
-    nbhd = ring_neighborhood(7, weights=rng.uniform(0, 1, 7))
-    values = rng.normal(size=(8, 3))
-    signal = SignalAttribute(values, kind="coordinate")
-    got = laplacian_apply(nbhd, signal)
-    center = values[0]
-    expected = sum(
-        w * (center - values[i]) for w, i in zip(nbhd.weights, nbhd.indices)
-    )
-    assert np.allclose(got, expected, rtol=1e-12)
+    signal = SignalAttribute(np.ones((5, 1)), kind="color")
+    order = np.arange(4)
+    with pytest.raises(DomainError, match="center_value"):
+        gradient_moments(nbhd, signal, order)
+    out = gradient_moments(nbhd, signal, order, center_value=[1.0])
+    assert np.array_equal(out.mass, [0.0])
+    assert np.array_equal(out.matched, np.zeros((4, 1)))
 
 
 def test_empty_neighborhood_gives_zeros():
@@ -118,6 +84,4 @@ def test_empty_neighborhood_gives_zeros():
         distances=np.empty(0),
         weights=np.empty(0),
     )
-    signal = SignalAttribute(np.ones((1, 2)), kind="color")
-    assert np.array_equal(graph_gradient(empty, signal), [0.0, 0.0])
     assert degree(empty) == 0.0

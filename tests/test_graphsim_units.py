@@ -333,28 +333,6 @@ def test_color_signal_requires_colors():
         graphsim(ref, ref)
 
 
-def test_mixed_graph_weights_require_colors():
-    ref = random_cloud(100, seed=11, colored=False)
-    config = GraphSimConfig(mixed_graph_weights=True, signal_kind="coordinate")
-    with pytest.raises(DomainError):
-        graphsim(ref, ref, config)
-
-
-def test_jobs_do_not_change_the_result():
-    ref = random_cloud(800, seed=12)
-    noisy = PointCloud(
-        positions=ref.positions + np.random.default_rng(1).normal(0, 0.01, (800, 3)),
-        colors=ref.colors,
-    )
-    from pcqa import ResampleConfig
-
-    config = GraphSimConfig(resample=ResampleConfig(count=8))
-    serial = graphsim(ref, noisy, config, jobs=1)
-    threaded = graphsim(ref, noisy, config, jobs=4)
-    assert serial.quality == threaded.quality
-    assert np.array_equal(serial.per_graph, threaded.per_graph)
-
-
 def test_point_order_of_distorted_cloud_is_irrelevant():
     ref = random_cloud(500, seed=13)
     noisy = PointCloud(

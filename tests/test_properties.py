@@ -1,0 +1,93 @@
+"""Property tests for the invariances the graph-similarity metric claims.
+
+Clouds are small (at most 400 points) and keypoints are fixed, so the
+resampling stage is bypassed and every example runs in milliseconds. The
+hypothesis profile loaded in conftest.py derandomizes the examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcqa import (
+    KINDS,
+    LEVEL_PRESETS,
+    DistortionSpec,
+    GraphSimConfig,
+    PointCloud,
+    apply_distortion,
+    graphsim,
+)
+from pcqa.graphsim import POOLING_PRESETS
+
+from helpers import smooth_cloud
+
+SIGNALS = ("color", "coordinate", "mixed")
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+sizes = st.integers(min_value=150, max_value=400)
+matching_ks = st.integers(min_value=1, max_value=60)
+
+
+def fixed_keypoints(n, seed, count=16):
+    return np.random.default_rng(seed).choice(n, size=count, replace=False)
+
+
+def config_for(preset, signal, matching_k):
+    # A quarter of the smallest extent keeps about 10-25 neighbours per
+    # keypoint in these uniform boxes, so most graphs are scored.
+    return GraphSimConfig.with_pooling_preset(
+        preset, signal_kind=signal, matching_k=matching_k,
+        neighborhood_fraction=0.25,
+    )
+
+
+@pytest.mark.parametrize("signal", SIGNALS)
+@pytest.mark.parametrize("preset", sorted(POOLING_PRESETS))
+@settings(max_examples=10)
+@given(seed=seeds, n=sizes, matching_k=matching_ks)
+def test_identity_scores_one(preset, signal, seed, n, matching_k):
+    cloud = smooth_cloud(n, seed=seed)
+    result = graphsim(cloud, cloud, config_for(preset, signal, matching_k),
+                      keypoints=fixed_keypoints(n, seed))
+    assert result.quality == pytest.approx(1.0, abs=1e-12)
+    assert result.empty_graphs == 0
+
+
+@pytest.mark.parametrize("preset", sorted(POOLING_PRESETS))
+@settings(max_examples=15)
+@given(seed=seeds, n=sizes, matching_k=matching_ks,
+       signal=st.sampled_from(SIGNALS), kind=st.sampled_from(KINDS),
+       level=st.integers(min_value=0, max_value=5))
+def test_noisy_pair_scores_in_unit_interval(preset, seed, n, matching_k, signal,
+                                            kind, level):
+    ref = smooth_cloud(n, seed=seed)
+    spec = DistortionSpec(kind=kind, level=LEVEL_PRESETS[kind][level], seed=seed)
+    dist = apply_distortion(ref, spec)
+    result = graphsim(ref, dist, config_for(preset, signal, matching_k),
+                      keypoints=fixed_keypoints(n, seed))
+    assert 0.0 <= result.quality <= 1.0
+
+
+@settings(max_examples=25)
+@given(seed=seeds, n=sizes, matching_k=matching_ks,
+       preset=st.sampled_from(sorted(POOLING_PRESETS)),
+       k=st.integers(min_value=-8, max_value=8))
+def test_power_of_two_scale_leaves_color_quality_unchanged(seed, n, matching_k,
+                                                           preset, k):
+    # Scaling by 2**k is exact in binary floating point, so every radius,
+    # cutoff and distance tie scales exactly and the weights do not move.
+    ref = smooth_cloud(n, seed=seed)
+    dist = apply_distortion(ref, DistortionSpec(kind="ggn", level=0.008, seed=seed))
+    config = config_for(preset, "color", matching_k)
+    keypoints = fixed_keypoints(n, seed)
+
+    def scaled(cloud):
+        return PointCloud(positions=cloud.positions * 2.0**k, colors=cloud.colors)
+
+    base = graphsim(ref, dist, config, keypoints=keypoints)
+    result = graphsim(scaled(ref), scaled(dist), config, keypoints=keypoints)
+    assert result.quality == pytest.approx(base.quality, abs=1e-12)
+    assert result.empty_graphs == base.empty_graphs
+    assert result.skipped_keypoints == base.skipped_keypoints

@@ -111,29 +111,26 @@ def test_query_array_shapes():
 
 
 def test_match_points_identity_on_distinct_cloud():
-    from pcqa.spatial import match_points
     cloud = random_cloud(120, seed=3)
-    matches = match_points(cloud, SpatialIndex(cloud))
+    matches = SpatialIndex(cloud).nearest(cloud.positions)
     assert np.array_equal(matches, np.arange(120))
 
 
 def test_match_points_survives_small_translation():
-    from pcqa.spatial import match_points
     cloud = random_cloud(100, seed=4, span=100.0)
     spacing = min(
         SpatialIndex(cloud).knn(cloud.positions[i], 2)[1][1] for i in range(100)
     )
     shift = 0.25 * spacing
     moved = PointCloud(positions=cloud.positions + shift / np.sqrt(3.0))
-    matches = match_points(moved, SpatialIndex(cloud))
+    matches = SpatialIndex(cloud).nearest(moved.positions)
     assert np.array_equal(matches, np.arange(100))
 
 
 def test_match_points_range_for_unequal_sizes():
-    from pcqa.spatial import match_points
     source = random_cloud(100, seed=5)
     target = random_cloud(50, seed=6)
-    matches = match_points(source, SpatialIndex(target))
+    matches = SpatialIndex(target).nearest(source.positions)
     assert matches.shape == (100,)
     assert matches.min() >= 0 and matches.max() < 50
 
