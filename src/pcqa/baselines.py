@@ -83,6 +83,17 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex | None = None,
     return normals, degenerate
 
 
+def _match_pair(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex):
+    """The one pair of nearest-match arrays every baseline reads: forward
+    maps each distorted point to a reference point, backward the reverse."""
+    return ref_index.nearest(dist.positions), SpatialIndex(dist).nearest(ref.positions)
+
+
+def _cloud_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarray:
+    """Stored normals when the cloud has them, else the PCA estimate."""
+    return cloud.normals if cloud.has_normals else estimate_normals(cloud, index, k=k)[0]
+
+
 def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
                     plane_normals: np.ndarray | None = None) -> dict:
     """Per-point squared (forward, backward) errors over one match pair:
@@ -98,10 +109,7 @@ def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
 
 
 def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
-              agg: str = "mse", *, ref_index: SpatialIndex | None = None,
-              dist_index: SpatialIndex | None = None,
-              ref_normals: np.ndarray | None = None,
-              normals_k: int = 12) -> ErrorPair:
+              agg: str = "mse", *, normals_k: int = 12) -> ErrorPair:
     """Directional point-to-point or point-to-plane errors.
 
     mode "point" squares the Euclidean error to the nearest match;
@@ -116,13 +124,9 @@ def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
         raise DomainError(f"unknown aggregation '{agg}'")
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
-    ref_index = ref_index or SpatialIndex(ref)
-    dist_index = dist_index or SpatialIndex(dist)
-    if mode == "plane" and ref_normals is None:
-        ref_normals = ref.normals if ref.has_normals \
-            else estimate_normals(ref, ref_index, k=normals_k)[0]
-    matches = (ref_index.nearest(dist.positions), dist_index.nearest(ref.positions))
-    squared = _squared_errors(ref, dist, matches, ref_normals if mode == "plane" else None)
+    ref_index = SpatialIndex(ref)
+    ref_normals = _cloud_normals(ref, ref_index, normals_k) if mode == "plane" else None
+    squared = _squared_errors(ref, dist, _match_pair(ref, dist, ref_index), ref_normals)
     fwd_sq, bwd_sq = squared["p2po" if mode == "point" else "p2pl"]
     reduce = np.mean if agg == "mse" else np.max
     return ErrorPair(forward=float(reduce(fwd_sq)), backward=float(reduce(bwd_sq)))
@@ -173,19 +177,14 @@ def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
     )
 
 
-def psnr_yuv(ref: PointCloud, dist: PointCloud, *,
-             ref_index: SpatialIndex | None = None,
-             dist_index: SpatialIndex | None = None) -> BaselineResult:
+def psnr_yuv(ref: PointCloud, dist: PointCloud) -> BaselineResult:
     """Color PSNR over matched nearest-neighbor pairs in 0-255 YUV.
 
     Per direction, channel MSEs are converted to PSNR and combined with
     luma weighting; the reported value is the worse direction. Identical
     clouds give +inf.
     """
-    ref_index = ref_index or SpatialIndex(ref)
-    dist_index = dist_index or SpatialIndex(dist)
-    return _color_psnr(ref, dist, (ref_index.nearest(dist.positions),
-                                   dist_index.nearest(ref.positions)))
+    return _color_psnr(ref, dist, _match_pair(ref, dist, SpatialIndex(ref)))
 
 
 def run_baselines(ref: PointCloud, dist: PointCloud,
@@ -203,16 +202,14 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
     ref_index = SpatialIndex(ref)
-    matches = (ref_index.nearest(dist.positions),
-               SpatialIndex(dist).nearest(ref.positions))
+    matches = _match_pair(ref, dist, ref_index)
     box = merged_bounding_box(bounding_box(ref), bounding_box(dist))
     results: dict[str, BaselineResult] = {}
 
     geometry = [m for m in metrics if m != "psnr-yuv"]
     ref_normals = None
     if any(m.endswith("p2pl") for m in geometry):
-        ref_normals = ref.normals if ref.has_normals \
-            else estimate_normals(ref, ref_index, k=normals_k)[0]
+        ref_normals = _cloud_normals(ref, ref_index, normals_k)
     squared = _squared_errors(ref, dist, matches, ref_normals) if geometry else {}
     for metric in geometry:
         agg, kind = metric.split("-", 1)

@@ -46,17 +46,15 @@ def _diag(payload: dict) -> None:
 
 
 def _signal_kinds(raw: str):
-    alias = {"coord": "coordinate"}
-    kinds = tuple(alias.get(p.strip(), p.strip()) for p in raw.split(",") if p.strip())
+    kinds = tuple(p.strip() for p in raw.split(",") if p.strip())
     if not kinds:
         raise ValidationError("--signal must name at least one signal kind")
     return kinds[0] if len(kinds) == 1 else kinds
 
 
 def _score_config(args: argparse.Namespace) -> GraphSimConfig:
-    if args.pooling and (args.feature_pooling or args.channel_pooling):
-        raise ValidationError("--pooling conflicts with --feature-pooling/--channel-pooling")
-    kwargs = dict(
+    return GraphSimConfig.with_pooling_preset(
+        args.pooling,
         neighborhood_fraction=args.theta_fraction,
         matching_k=args.matching_k,
         color_space=ColorSpaceConfig(space=args.color_space),
@@ -68,15 +66,10 @@ def _score_config(args: argparse.Namespace) -> GraphSimConfig:
             ratio=args.beta_ratio,
             filter_length=args.filter_length,
             graph_k=args.graph_k,
-            method="high-pass" if args.resample_method == "highpass" else args.resample_method,
+            method=args.resample_method,
             seed=args.seed,
         ),
     )
-    if args.pooling:
-        return GraphSimConfig.with_pooling_preset(args.pooling, **kwargs)
-    kwargs["feature_pooling"] = args.feature_pooling or "multiply"
-    kwargs["channel_pooling"] = args.channel_pooling or "weighted-average"
-    return GraphSimConfig(**kwargs)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -303,12 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keypoint budget as a fraction of the reference size")
     score.add_argument("--beta", type=int, default=None, help="explicit keypoint count")
     score.add_argument("--resample", dest="resample_method",
-                       choices=("highpass", "high-pass", "random"), default="high-pass",
+                       choices=("high-pass", "random"), default="high-pass",
                        help="keypoint selection method")
-    score.add_argument("--pooling", choices=sorted(POOLING_PRESETS), default=None,
-                       help="pooling preset (overrides the two pooling flags)")
-    score.add_argument("--feature-pooling", choices=("multiply", "average"), default=None)
-    score.add_argument("--channel-pooling", choices=("weighted-average", "multiply"), default=None)
+    score.add_argument("--pooling", choices=sorted(POOLING_PRESETS), default="c2",
+                       help="feature/channel pooling preset")
     score.add_argument("--tau-scope", choices=("union", "per-side"), default="union")
     score.add_argument("--normals-k", type=int, default=12)
     score.add_argument("--seed", type=int, default=0)

@@ -46,25 +46,17 @@ CHANNEL_LABELS = {
 
 @dataclass(frozen=True)
 class ColorSpaceConfig:
-    """Channel decomposition choice plus per-channel pooling weights."""
+    """Channel decomposition choice; the space fixes the pooling weights."""
 
     space: str = "gcm"
-    weights: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         if self.space not in SPACES:
             raise DomainError(f"unknown color space '{self.space}'")
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            if len(w) != 3 or any(v < 0 for v in w) or sum(w) <= 0:
-                raise DomainError("channel weights must be 3 non-negative values "
-                                  "with a positive sum")
-            object.__setattr__(self, "weights", w)
 
     @property
     def resolved_weights(self) -> tuple[float, float, float]:
-        return self.weights if self.weights is not None \
-            else DEFAULT_CHANNEL_WEIGHTS[self.space]
+        return DEFAULT_CHANNEL_WEIGHTS[self.space]
 
     @property
     def labels(self) -> tuple[str, str, str]:

@@ -54,6 +54,8 @@ class DistortionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown distortion kind '{self.kind}'")
+        if not math.isfinite(self.level):
+            raise DomainError(f"{self.kind} level must be finite, got {self.level}")
         if self.kind == "ot":
             if self.level != int(self.level) or not 1 <= self.level <= 16:
                 raise DomainError(

@@ -89,10 +89,6 @@ class SignalAttribute:
         elif len(self.labels) != values.shape[1]:
             raise ValidationError("one label per channel required")
 
-    @property
-    def channel_count(self) -> int:
-        return int(self.values.shape[1])
-
 
 def degree(neighborhood: WeightedNeighborhood) -> float:
     """Sum of incident edge weights; 0 for an isolated center."""

@@ -11,7 +11,7 @@ of keypoints sampled from the reference geometry:
    graphs (total gradient mass, mean, and the covariance of the matched
    gradient sequences), each folded into a bounded similarity ratio;
 4. the three feature similarities are pooled per channel, channels are
-   pooled with configurable weights, and graphs are averaged into the
+   pooled with per-color-space weights, and graphs are averaged into the
    final quality score.
 
 The score is 1.0 for identical clouds and decreases toward 0 with
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .baselines import estimate_normals
+from .baselines import _cloud_normals
 from .cloud import PointCloud, bounding_box
 from .colorspace import ColorSpaceConfig, decompose
 from .errors import DomainError
@@ -422,12 +422,10 @@ def _prepare_signals(ref, dist, config, ref_index, dist_index):
             ds = SignalAttribute(dist.positions, kind="coordinate", labels=("x", "y", "z"))
             weights = np.ones(3)
         else:
-            rn = ref.normals if ref.has_normals \
-                else estimate_normals(ref, ref_index, k=config.normals_k)[0]
-            dn = dist.normals if dist.has_normals \
-                else estimate_normals(dist, dist_index, k=config.normals_k)[0]
-            rs = SignalAttribute(rn, kind="normal", labels=("nx", "ny", "nz"))
-            ds = SignalAttribute(dn, kind="normal", labels=("nx", "ny", "nz"))
+            rs = SignalAttribute(_cloud_normals(ref, ref_index, config.normals_k),
+                                 kind="normal", labels=("nx", "ny", "nz"))
+            ds = SignalAttribute(_cloud_normals(dist, dist_index, config.normals_k),
+                                 kind="normal", labels=("nx", "ny", "nz"))
             weights = np.ones(3)
         out.append((kind, rs, ds, weights))
     return out

@@ -40,49 +40,51 @@ class MosTable:
 def load_mos_csv(path: str) -> MosTable:
     """Load a MOS table.
 
-    Raises SchemaError when a required column is missing, ParseError for a
-    non-numeric or non-finite mos value (naming the 1-based file row), and
-    DuplicateKeyError for a repeated (content, distortion) key.
+    Raises ParseError for a file that is not UTF-8 text and for a
+    non-numeric or non-finite mos value (naming the 1-based file row),
+    SchemaError when a required column is missing, and DuplicateKeyError
+    for a repeated (content, distortion) key.
     """
     path = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        columns = [c.strip().lower() for c in header]
-        missing = [c for c in _REQUIRED if c not in columns]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-        idx = {c: columns.index(c) for c in _REQUIRED}
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            records = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    if not records:
+        raise SchemaError(f"{path}: empty file, expected a header row")
+    columns = [c.strip().lower() for c in records[0]]
+    missing = [c for c in _REQUIRED if c not in columns]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+    idx = {c: columns.index(c) for c in _REQUIRED}
 
-        rows: list[MosRow] = []
-        seen: set[tuple[str, str]] = set()
-        for rowno, record in enumerate(reader, start=2):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if len(record) < len(columns):
-                raise ParseError(
-                    f"{path}: row {rowno}: expected {len(columns)} fields, "
-                    f"found {len(record)}"
-                )
-            content = record[idx["content"]].strip()
-            distortion = record[idx["distortion"]].strip()
-            raw = record[idx["mos"]].strip()
-            try:
-                mos = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {rowno}: non-numeric mos '{raw}'"
-                ) from None
-            if not math.isfinite(mos):
-                raise ParseError(f"{path}: row {rowno}: non-finite mos '{raw}'")
-            key = (content, distortion)
-            if key in seen:
-                raise DuplicateKeyError(
-                    f"{path}: row {rowno}: duplicate key {key!r}"
-                )
-            seen.add(key)
-            rows.append(MosRow(content=content, distortion=distortion, mos=mos))
+    rows: list[MosRow] = []
+    seen: set[tuple[str, str]] = set()
+    for rowno, record in enumerate(records[1:], start=2):
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        if len(record) < len(columns):
+            raise ParseError(
+                f"{path}: row {rowno}: expected {len(columns)} fields, "
+                f"found {len(record)}"
+            )
+        content = record[idx["content"]].strip()
+        distortion = record[idx["distortion"]].strip()
+        raw = record[idx["mos"]].strip()
+        try:
+            mos = float(raw)
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {rowno}: non-numeric mos '{raw}'"
+            ) from None
+        if not math.isfinite(mos):
+            raise ParseError(f"{path}: row {rowno}: non-finite mos '{raw}'")
+        key = (content, distortion)
+        if key in seen:
+            raise DuplicateKeyError(
+                f"{path}: row {rowno}: duplicate key {key!r}"
+            )
+        seen.add(key)
+        rows.append(MosRow(content=content, distortion=distortion, mos=mos))
     return MosTable(rows=tuple(rows))

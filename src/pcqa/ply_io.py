@@ -222,39 +222,32 @@ def _read_ascii_lines(path, body, count, width, header_lines):
     return out
 
 
-def save_ply(cloud: PointCloud, path: str, format: str = "binary",
-             position_format: str = "double") -> None:
+def save_ply(cloud: PointCloud, path: str, format: str = "binary") -> None:
     """Write a PointCloud to `path`.
 
     format
         "binary" (little-endian) or "ascii".
-    position_format
-        "double" (default) stores coordinates and normals as 64-bit reals so
-        that a binary save -> load round trip is the identity on positions;
-        "float" stores 32-bit values for interop with older tooling.
 
-    Colors are written as uchar. ASCII output keeps 9 significant digits.
+    Coordinates and normals are stored as double, so a binary save -> load
+    round trip is the identity on positions. Colors are written as uchar.
+    ASCII output keeps 9 significant digits.
     """
     if format not in ("binary", "ascii"):
         raise ValueError(f"unknown PLY format '{format}'")
-    if position_format not in ("double", "float"):
-        raise ValueError(f"unknown position format '{position_format}'")
-    real = position_format
-    code = "f8" if real == "double" else "f4"
 
     header = ["ply"]
     header.append(
         "format ascii 1.0" if format == "ascii" else "format binary_little_endian 1.0"
     )
     header.append(f"element vertex {cloud.count}")
-    fields = [(name, code) for name in _COORD_NAMES]
-    header.extend(f"property {real} {name}" for name in _COORD_NAMES)
+    fields = [(name, "f8") for name in _COORD_NAMES]
+    header.extend(f"property double {name}" for name in _COORD_NAMES)
     if cloud.has_colors:
         fields += [(name, "u1") for name in ("red", "green", "blue")]
         header.extend(f"property uchar {name}" for name in ("red", "green", "blue"))
     if cloud.has_normals:
-        fields += [(name, code) for name in _NORMAL_NAMES]
-        header.extend(f"property {real} {name}" for name in _NORMAL_NAMES)
+        fields += [(name, "f8") for name in _NORMAL_NAMES]
+        header.extend(f"property double {name}" for name in _NORMAL_NAMES)
     header.append("end_header")
 
     with open(path, "wb") as handle:

@@ -39,10 +39,6 @@ class SpatialIndex:
     def count(self) -> int:
         return int(self._positions.shape[0])
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions
-
     def _exact_order(self, candidates: np.ndarray, query: np.ndarray):
         """Distances recomputed in plain numpy, sorted by (distance, index)."""
         dists = np.linalg.norm(self._positions[candidates] - query, axis=1)

@@ -68,15 +68,25 @@ class TestScore:
         assert body["distortion"] == "ggn_1"
         assert "graphsim" in body["scores"]
 
-    def test_coord_signal_alias(self, capsys, tmp_path):
+    def test_coordinate_signal(self, capsys, tmp_path):
         cloud = random_cloud(300, seed=2, colored=False)
         path = tmp_path / "plain.ply"
         save_ply(cloud, path)
         code, out, _ = run(capsys, "score", str(path), str(path),
-                           "--signal", "coord", "--beta", "4")
+                           "--signal", "coordinate", "--beta", "4")
         assert code == 0
         report = json.loads(out)
         assert report["config"]["signal_kind"] == ["coordinate"]
+
+    def test_coord_is_an_unknown_signal_kind(self, capsys, ply_pair):
+        ref, dist = ply_pair
+        code, out, err = run(capsys, "score", ref, dist, "--signal", "coord",
+                             "--beta", "4")
+        assert code == 3
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError"
+        assert "coord" in diag["message"]
 
     def test_missing_input_exits_2(self, capsys, tmp_path):
         ghost = str(tmp_path / "absent.ply")
@@ -94,12 +104,19 @@ class TestScore:
         assert code == 3
         assert last_stderr_json(err)["error"] == "DomainError"
 
-    def test_pooling_flag_conflict_exits_2(self, capsys, ply_pair):
+    @pytest.mark.parametrize("flag", [
+        ("--feature-pooling", "multiply"),
+        ("--channel-pooling", "multiply"),
+        ("--resample", "highpass"),
+    ], ids=["feature-pooling", "channel-pooling", "resample-highpass"])
+    def test_removed_spellings_exit_2(self, capsys, ply_pair, flag):
+        # --pooling c1-c4 names every pooling combination and --resample
+        # takes high-pass or random; no second spelling is accepted.
         ref, dist = ply_pair
-        code, _, err = run(capsys, "score", ref, dist,
-                           "--pooling", "c2", "--feature-pooling", "multiply")
-        assert code == 2
-        assert last_stderr_json(err)["error"] == "ValidationError"
+        with pytest.raises(SystemExit) as exc:
+            main(["score", ref, dist, *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestBaseline:
@@ -160,6 +177,20 @@ class TestDistort:
                            "--level", "3.5", "--output", str(tmp_path / "x.ply"))
         assert code == 3
         assert "depth" in last_stderr_json(err)["message"]
+
+    @pytest.mark.parametrize("kind", ["cn", "ggn", "ds", "ot"])
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_level_exits_3(self, capsys, ply_pair, tmp_path, kind, level):
+        ref, _ = ply_pair
+        target = tmp_path / "x.ply"
+        code, out, err = run(capsys, "distort", ref, "--kind", kind,
+                             f"--level={level}", "--output", str(target))
+        assert code == 3
+        assert out == ""
+        assert not target.exists()
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError"
+        assert "finite" in diag["message"]
 
 
 class TestResample:
@@ -270,6 +301,17 @@ class TestEval:
         diag = last_stderr_json(err)
         assert diag["error"] == "ParseError"
         assert str(bad) in diag["message"]
+
+    def test_mos_csv_not_utf8_exits_2_naming_the_file(self, capsys, tmp_path):
+        scores_dir, mos_csv = self.build_corpus(tmp_path)
+        with open(mos_csv, "ab") as handle:
+            handle.write("caf\u00e9,cn_1,3.0\n".encode("latin-1"))
+        code, out, err = run(capsys, "eval", scores_dir, mos_csv)
+        assert code == 2
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["error"] == "ParseError"
+        assert mos_csv in diag["message"]
 
 
 class TestScoreColorSpaces:

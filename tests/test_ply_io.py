@@ -196,14 +196,6 @@ def test_empty_cloud_round_trip(tmp_path):
     assert load_ply(path).count == 0
 
 
-def test_single_precision_save_loads(tmp_path):
-    cloud = random_cloud(50, seed=6)
-    path = tmp_path / "f32.ply"
-    save_ply(cloud, path, format="binary", position_format="float")
-    back = load_ply(path)
-    assert np.allclose(back.positions, cloud.positions, rtol=1e-6)
-
-
 def test_vertex_must_be_first_element(tmp_path):
     path = tmp_path / "face-first.ply"
     path.write_text(

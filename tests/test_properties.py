@@ -91,3 +91,32 @@ def test_power_of_two_scale_leaves_color_quality_unchanged(seed, n, matching_k,
     assert result.quality == pytest.approx(base.quality, abs=1e-12)
     assert result.empty_graphs == base.empty_graphs
     assert result.skipped_keypoints == base.skipped_keypoints
+
+
+@pytest.mark.parametrize("signal", SIGNALS)
+@pytest.mark.parametrize("preset", sorted(POOLING_PRESETS))
+@settings(max_examples=6)
+@given(seed=seeds, n=sizes, matching_k=matching_ks,
+       kind=st.sampled_from(("cn", "ggn", "ds")),
+       level=st.integers(min_value=0, max_value=5))
+def test_distorted_point_order_leaves_quality_bit_identical(preset, signal, seed, n,
+                                                            matching_k, kind, level):
+    # Continuous coordinates leave no distance ties, and every query orders
+    # its results by (distance, index), so each graph sees the same points
+    # in the same order whatever the storage order of the distorted cloud.
+    # (The lattice kind "ot" creates ties and is left out.)
+    ref = smooth_cloud(n, seed=seed)
+    spec = DistortionSpec(kind=kind, level=LEVEL_PRESETS[kind][level], seed=seed)
+    dist = apply_distortion(ref, spec)
+    order = np.random.default_rng(seed).permutation(dist.count)
+    shuffled = PointCloud(positions=dist.positions[order], colors=dist.colors[order])
+    config = config_for(preset, signal, matching_k)
+    keypoints = fixed_keypoints(n, seed)
+
+    base = graphsim(ref, dist, config, keypoints=keypoints)
+    result = graphsim(ref, shuffled, config, keypoints=keypoints)
+    assert result.quality == base.quality
+    assert np.array_equal(result.per_graph, base.per_graph)
+    assert result.per_channel_means == base.per_channel_means
+    assert result.empty_graphs == base.empty_graphs
+    assert result.skipped_keypoints == base.skipped_keypoints
