@@ -16,7 +16,6 @@ import numpy as np
 from .cloud import BoundingBox, PointCloud, bounding_box, merged_bounding_box
 from .colorspace import to_yuv
 from .errors import DomainError
-from .spatial import SpatialIndex
 
 METRIC_IDS = ("m-p2po", "m-p2pl", "h-p2po", "h-p2pl", "psnr-yuv")
 
@@ -45,14 +44,12 @@ class BaselineResult:
     backward_db: float
 
 
-def estimate_normals(cloud: PointCloud, index: SpatialIndex | None = None,
-                     k: int = 12):
+def estimate_normals(cloud: PointCloud, k: int = 12):
     """Per-point unit normals from local PCA.
 
     Parameters
     ----------
     cloud : PointCloud with at least k points.
-    index : optional prebuilt SpatialIndex over the cloud.
     k : neighborhood size (the point itself included).
 
     Returns
@@ -64,11 +61,12 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex | None = None,
         whose neighborhood had rank < 2 (collinear or coincident points);
         those fall back to +z.
     """
+    if k < 1:
+        raise DomainError(f"normal estimation needs k >= 1, got {k}")
     n = cloud.count
     if n < k:
         raise DomainError(f"normal estimation needs at least k={k} points, got {n}")
-    index = index or SpatialIndex(cloud)
-    _, idx = index.query_array(cloud.positions, k)
+    _, idx = cloud.spatial_index.query_array(cloud.positions, k)
     neighbors = cloud.positions[idx]
     centered = neighbors - neighbors.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
@@ -83,15 +81,16 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex | None = None,
     return normals, degenerate
 
 
-def _match_pair(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex):
+def _match_pair(ref: PointCloud, dist: PointCloud):
     """The one pair of nearest-match arrays every baseline reads: forward
     maps each distorted point to a reference point, backward the reverse."""
-    return ref_index.nearest(dist.positions), SpatialIndex(dist).nearest(ref.positions)
+    return (ref.spatial_index.nearest(dist.positions),
+            dist.spatial_index.nearest(ref.positions))
 
 
-def _cloud_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarray:
+def _cloud_normals(cloud: PointCloud, k: int) -> np.ndarray:
     """Stored normals when the cloud has them, else the PCA estimate."""
-    return cloud.normals if cloud.has_normals else estimate_normals(cloud, index, k=k)[0]
+    return cloud.normals if cloud.has_normals else estimate_normals(cloud, k=k)[0]
 
 
 def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
@@ -124,9 +123,8 @@ def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
         raise DomainError(f"unknown aggregation '{agg}'")
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
-    ref_index = SpatialIndex(ref)
-    ref_normals = _cloud_normals(ref, ref_index, normals_k) if mode == "plane" else None
-    squared = _squared_errors(ref, dist, _match_pair(ref, dist, ref_index), ref_normals)
+    ref_normals = _cloud_normals(ref, normals_k) if mode == "plane" else None
+    squared = _squared_errors(ref, dist, _match_pair(ref, dist), ref_normals)
     fwd_sq, bwd_sq = squared["p2po" if mode == "point" else "p2pl"]
     reduce = np.mean if agg == "mse" else np.max
     return ErrorPair(forward=float(reduce(fwd_sq)), backward=float(reduce(bwd_sq)))
@@ -184,7 +182,7 @@ def psnr_yuv(ref: PointCloud, dist: PointCloud) -> BaselineResult:
     luma weighting; the reported value is the worse direction. Identical
     clouds give +inf.
     """
-    return _color_psnr(ref, dist, _match_pair(ref, dist, SpatialIndex(ref)))
+    return _color_psnr(ref, dist, _match_pair(ref, dist))
 
 
 def run_baselines(ref: PointCloud, dist: PointCloud,
@@ -201,15 +199,14 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
         raise DomainError(f"unknown baseline metric(s): {', '.join(unknown)}")
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
-    ref_index = SpatialIndex(ref)
-    matches = _match_pair(ref, dist, ref_index)
+    matches = _match_pair(ref, dist)
     box = merged_bounding_box(bounding_box(ref), bounding_box(dist))
     results: dict[str, BaselineResult] = {}
 
     geometry = [m for m in metrics if m != "psnr-yuv"]
     ref_normals = None
     if any(m.endswith("p2pl") for m in geometry):
-        ref_normals = _cloud_normals(ref, ref_index, normals_k)
+        ref_normals = _cloud_normals(ref, normals_k)
     squared = _squared_errors(ref, dist, matches, ref_normals) if geometry else {}
     for metric in geometry:
         agg, kind = metric.split("-", 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,14 @@ class PointCloud:
     @property
     def has_normals(self) -> bool:
         return self.normals is not None
+
+    @functools.cached_property
+    def spatial_index(self):
+        """k-d tree over the positions, built on first use and kept for the
+        cloud's lifetime. Raises DomainError on an empty cloud."""
+        from .spatial import SpatialIndex  # spatial.py imports this module
+
+        return SpatialIndex(self)
 
 
 @dataclass(frozen=True, eq=False)

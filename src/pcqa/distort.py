@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +55,8 @@ class DistortionSpec:
             raise DomainError(f"unknown distortion kind '{self.kind}'")
         if not math.isfinite(self.level):
             raise DomainError(f"{self.kind} level must be finite, got {self.level}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "ot":
             if self.level != int(self.level) or not 1 <= self.level <= 16:
                 raise DomainError(
@@ -71,22 +72,8 @@ class DistortionSpec:
         return {"kind": self.kind, "level": self.level, "seed": self.seed}
 
 
-def apply_distortion(cloud: PointCloud,
-                     spec: DistortionSpec | Sequence[DistortionSpec]) -> PointCloud:
-    """Apply one spec, or a composite sequence in listed order."""
-    if isinstance(spec, DistortionSpec):
-        specs = [spec]
-    else:
-        specs = list(spec)
-        if not specs:
-            raise DomainError("empty distortion sequence")
-    out = cloud
-    for stage in specs:
-        out = _apply_one(out, stage)
-    return out
-
-
-def _apply_one(cloud: PointCloud, spec: DistortionSpec) -> PointCloud:
+def apply_distortion(cloud: PointCloud, spec: DistortionSpec) -> PointCloud:
+    """Apply one distortion spec to a non-empty cloud."""
     if cloud.count == 0:
         raise DomainError("cannot distort an empty cloud")
     rng = np.random.default_rng(spec.seed)

@@ -31,7 +31,6 @@ from .colorspace import ColorSpaceConfig, decompose
 from .errors import DomainError
 from .graph import GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
 from .resample import KeypointSet, ResampleConfig, resample
-from .spatial import SpatialIndex
 
 SIGNAL_KINDS = ("color", "coordinate", "normal")
 
@@ -91,6 +90,8 @@ class GraphSimConfig:
             raise DomainError("neighborhood_fraction must be positive")
         if self.matching_k < 1:
             raise DomainError(f"matching_k must be >= 1, got {self.matching_k}")
+        if self.normals_k < 1:
+            raise DomainError(f"normals_k must be >= 1, got {self.normals_k}")
         for name in ("t_mass", "t_mean", "t_cov"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
@@ -216,9 +217,9 @@ class SimilarityScore:
         return report
 
 
-def _cluster(index: SpatialIndex, center: np.ndarray, radius: float):
+def _cluster(cloud: PointCloud, center: np.ndarray, radius: float):
     """Radius query with points at the exact center position removed."""
-    idx, d = index.radius_query(center, radius)
+    idx, d = cloud.spatial_index.radius_query(center, radius)
     keep = d > 0.0
     return idx[keep], d[keep]
 
@@ -239,8 +240,6 @@ def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
 
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
                            config: GraphSimConfig | None = None, *,
-                           ref_index: SpatialIndex | None = None,
-                           dist_index: SpatialIndex | None = None,
                            radius: float | None = None) -> LocalGraphPair:
     """Build the local graph pair around one reference keypoint.
 
@@ -250,14 +249,12 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
     distances; the Gaussian variance is cutoff^2 / 2.
     """
     config = config or GraphSimConfig()
-    ref_index = ref_index or SpatialIndex(ref)
-    dist_index = dist_index or SpatialIndex(dist)
     if radius is None:
         radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     center = ref.positions[center_index]
 
-    r_idx, r_d = _cluster(ref_index, center, radius)
-    d_idx, d_d = _cluster(dist_index, center, radius)
+    r_idx, r_d = _cluster(ref, center, radius)
+    d_idx, d_d = _cluster(dist, center, radius)
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
     params = GraphParams.from_cutoff(cutoff)
 
@@ -407,7 +404,7 @@ def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
     )
 
 
-def _prepare_signals(ref, dist, config, ref_index, dist_index):
+def _prepare_signals(ref, dist, config):
     """Per-kind (kind, ref signal, dist signal, channel weights) tuples."""
     out = []
     for kind in config.signal_kinds:
@@ -422,9 +419,9 @@ def _prepare_signals(ref, dist, config, ref_index, dist_index):
             ds = SignalAttribute(dist.positions, kind="coordinate", labels=("x", "y", "z"))
             weights = np.ones(3)
         else:
-            rs = SignalAttribute(_cloud_normals(ref, ref_index, config.normals_k),
+            rs = SignalAttribute(_cloud_normals(ref, config.normals_k),
                                  kind="normal", labels=("nx", "ny", "nz"))
-            ds = SignalAttribute(_cloud_normals(dist, dist_index, config.normals_k),
+            ds = SignalAttribute(_cloud_normals(dist, config.normals_k),
                                  kind="normal", labels=("nx", "ny", "nz"))
             weights = np.ones(3)
         out.append((kind, rs, ds, weights))
@@ -443,12 +440,10 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     config = config or GraphSimConfig()
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
-    ref_index = SpatialIndex(ref)
-    dist_index = SpatialIndex(dist)
-    signals = _prepare_signals(ref, dist, config, ref_index, dist_index)
+    signals = _prepare_signals(ref, dist, config)
 
     if keypoints is None:
-        keypoints = resample(ref, ref_index, config.resample)
+        keypoints = resample(ref, config.resample)
     elif not isinstance(keypoints, KeypointSet):
         keypoints = np.asarray(keypoints, dtype=np.intp)
         keypoints = KeypointSet(indices=keypoints, scores=np.ones(keypoints.size))
@@ -465,8 +460,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     empty = skipped = 0
     for center_index in map(int, keypoints.indices):
         pair = build_local_graph_pair(
-            center_index, ref, dist, graph_config,
-            ref_index=ref_index, dist_index=dist_index, radius=radius,
+            center_index, ref, dist, graph_config, radius=radius,
         )
         if pair.ref_cluster_size == 0:
             skipped += 1

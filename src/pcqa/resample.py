@@ -19,7 +19,6 @@ from scipy.sparse import csr_matrix
 
 from .cloud import PointCloud
 from .errors import DegenerateCloudWarning, DomainError
-from .spatial import SpatialIndex
 
 METHODS = ("high-pass", "random")
 
@@ -63,6 +62,8 @@ class ResampleConfig:
             raise DomainError(f"graph_k must be >= 1, got {self.graph_k}")
         if self.method not in METHODS:
             raise DomainError(f"unknown resample method '{self.method}'")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_count(self, n: int) -> int:
         """Keypoint count for an n-point cloud; at least 1, at most n."""
@@ -109,8 +110,7 @@ class KeypointSet:
         return int(self.indices.size)
 
 
-def frequency_scores(cloud: PointCloud, index: SpatialIndex | None = None,
-                     config: ResampleConfig | None = None) -> np.ndarray:
+def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) -> np.ndarray:
     """High-frequency score per point (norm of the high-pass filtered position).
 
     Scores are non-negative, invariant under rigid translation, and scale
@@ -124,9 +124,8 @@ def frequency_scores(cloud: PointCloud, index: SpatialIndex | None = None,
             f"frequency scores need at least graph_k + 1 = {config.graph_k + 1} "
             f"points, got {n}"
         )
-    index = index or SpatialIndex(cloud)
     k = config.graph_k
-    dist, idx = index.query_array(cloud.positions, k + 1)
+    dist, idx = cloud.spatial_index.query_array(cloud.positions, k + 1)
 
     # Drop each point's own entry; if duplicates pushed it out of the k+1
     # results, drop the farthest column instead to keep k neighbors.
@@ -166,8 +165,7 @@ def frequency_scores(cloud: PointCloud, index: SpatialIndex | None = None,
     return scores
 
 
-def resample(cloud: PointCloud, index: SpatialIndex | None = None,
-             config: ResampleConfig | None = None) -> KeypointSet:
+def resample(cloud: PointCloud, config: ResampleConfig | None = None) -> KeypointSet:
     """Draw keypoints without replacement, seeded and reproducible.
 
     Under "high-pass", draw probability is proportional to the frequency
@@ -187,7 +185,7 @@ def resample(cloud: PointCloud, index: SpatialIndex | None = None,
         chosen = np.sort(rng.choice(n, size=beta, replace=False))
         return KeypointSet(indices=chosen, scores=np.ones(beta))
 
-    scores = frequency_scores(cloud, index, config)
+    scores = frequency_scores(cloud, config)
     total = scores.sum()
     positive = int(np.count_nonzero(scores))
     if total <= 0.0 or positive < beta:

@@ -119,6 +119,37 @@ class TestScore:
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("score", "{ref}", "{dist}", "--beta", "4"),
+    ("resample", "{ref}", "--count", "4", "--output", "{out}"),
+    ("distort", "{ref}", "--kind", "ggn", "--level", "0.01", "--output", "{out}"),
+], ids=["score", "resample", "distort"])
+def test_negative_seed_exits_3(capsys, ply_pair, tmp_path, argv):
+    ref, dist = ply_pair
+    argv = [a.format(ref=ref, dist=dist, out=tmp_path / "out") for a in argv]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    diag = last_stderr_json(err)
+    assert diag["error"] == "DomainError"
+    assert "seed" in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("baseline",),
+    ("score", "--signal", "normal", "--beta", "4"),
+], ids=["baseline", "score-normal"])
+def test_zero_normals_k_exits_3(capsys, ply_pair, argv):
+    ref, dist = ply_pair
+    command, *options = argv
+    code, out, err = run(capsys, command, ref, dist, *options, "--normals-k", "0")
+    assert code == 3
+    assert out == ""
+    diag = last_stderr_json(err)
+    assert diag["error"] == "DomainError"
+    assert ">= 1" in diag["message"]
+
+
 class TestBaseline:
     def test_identity_is_all_infinite(self, capsys, ply_pair):
         ref, _ = ply_pair

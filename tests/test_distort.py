@@ -192,23 +192,6 @@ class TestQuantize:
 
 
 class TestComposites:
-    def test_sequence_applies_in_order(self):
-        cloud = random_cloud(600, seed=16)
-        specs = [
-            DistortionSpec(kind="ds", level=0.5, seed=1),
-            DistortionSpec(kind="ggn", level=0.01, seed=2),
-        ]
-        combined = apply_distortion(cloud, specs)
-        stepwise = apply_distortion(
-            apply_distortion(cloud, specs[0]), specs[1])
-        assert np.array_equal(combined.positions, stepwise.positions)
-        assert np.array_equal(combined.colors, stepwise.colors)
-
-    def test_empty_sequence_rejected(self):
-        cloud = random_cloud(50, seed=17)
-        with pytest.raises(DomainError, match="empty"):
-            apply_distortion(cloud, [])
-
     def test_empty_cloud_rejected(self):
         empty = PointCloud(positions=np.empty((0, 3)))
         with pytest.raises(DomainError, match="empty"):

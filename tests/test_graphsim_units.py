@@ -277,6 +277,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         GraphSimConfig(matching_k=0)
     with pytest.raises(DomainError):
+        GraphSimConfig(normals_k=0)
+    with pytest.raises(DomainError):
         GraphSimConfig(t_mass=0.0)
     with pytest.raises(DomainError):
         GraphSimConfig(signal_kind="texture")

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from pcqa import DomainError, PointCloud, SpatialIndex
+from pcqa import (
+    DomainError,
+    GraphSimConfig,
+    PointCloud,
+    ResampleConfig,
+    SpatialIndex,
+    graphsim,
+    p2_errors,
+    psnr_yuv,
+    run_baselines,
+)
 
 from helpers import random_cloud
 from oracles import brute_knn, brute_radius
@@ -145,3 +155,46 @@ def test_bulk_nearest_against_scan_on_a_lattice():
     got = SpatialIndex(pts).nearest(queries)
     for row in rng.choice(len(queries), 150, replace=False):
         assert got[row] == brute_knn(pts, queries[row], 1)[0][0]
+
+
+class TestCloudOwnsItsTree:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = SpatialIndex.__init__
+
+        def counting(self, source):
+            calls.append(source)
+            original(self, source)
+
+        monkeypatch.setattr(SpatialIndex, "__init__", counting)
+        return calls
+
+    def test_every_stage_reuses_one_tree_per_cloud(self, builds):
+        ref = random_cloud(400, seed=7)
+        dist = PointCloud(
+            positions=ref.positions
+            + np.random.default_rng(8).normal(0, 0.05, ref.positions.shape),
+            colors=ref.colors,
+        )
+        config = GraphSimConfig(resample=ResampleConfig(count=8))
+        graphsim(ref, dist, config)
+        graphsim(ref, dist, config)
+        graphsim(ref, dist, GraphSimConfig(signal_kind="normal",
+                                           resample=ResampleConfig(count=8)))
+        run_baselines(ref, dist)
+        p2_errors(ref, dist, "plane")
+        psnr_yuv(ref, dist)
+        assert len(builds) == 2
+        assert ref.spatial_index is ref.spatial_index
+        assert dist.spatial_index is dist.spatial_index
+        assert ref.spatial_index is not dist.spatial_index
+
+    def test_self_comparison_builds_one_tree(self, builds):
+        cloud = random_cloud(300, seed=9)
+        graphsim(cloud, cloud, GraphSimConfig(resample=ResampleConfig(count=4)))
+        assert len(builds) == 1
+
+    def test_empty_cloud_has_no_tree(self):
+        with pytest.raises(DomainError):
+            PointCloud(positions=np.empty((0, 3))).spatial_index
