@@ -66,7 +66,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
     n = cloud.count
     if n < k:
         raise DomainError(f"normal estimation needs at least k={k} points, got {n}")
-    _, idx = cloud.spatial_index.query_array(cloud.positions, k)
+    _, idx = cloud.spatial_index.neighbors(k)
     neighbors = cloud.positions[idx]
     centered = neighbors - neighbors.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
@@ -121,6 +121,8 @@ def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
         raise DomainError(f"unknown error mode '{mode}'")
     if agg not in ("mse", "hausdorff"):
         raise DomainError(f"unknown aggregation '{agg}'")
+    if normals_k < 1:
+        raise DomainError(f"normals_k must be >= 1, got {normals_k}")
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
     ref_normals = _cloud_normals(ref, normals_k) if mode == "plane" else None
@@ -197,6 +199,8 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     unknown = [m for m in metrics if m not in METRIC_IDS]
     if unknown:
         raise DomainError(f"unknown baseline metric(s): {', '.join(unknown)}")
+    if normals_k < 1:
+        raise DomainError(f"normals_k must be >= 1, got {normals_k}")
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
     matches = _match_pair(ref, dist)

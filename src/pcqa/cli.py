@@ -92,6 +92,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+    if not metrics:
+        raise ValidationError("--metrics must name at least one baseline metric")
     ref = load_ply(args.reference)
     dist = load_ply(args.distorted)
     results = run_baselines(ref, dist, metrics, normals_k=args.normals_k)

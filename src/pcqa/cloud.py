@@ -11,7 +11,12 @@ from .errors import DomainError, ValidationError
 
 
 def _as_point_array(values, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
+    # Copy what the caller can still write to, so no point moves under the
+    # cloud's cached tree and neighbor table; fresh or frozen arrays are kept.
+    if (arr is values and arr.flags.writeable) or arr.base is not None \
+            or not arr.flags.c_contiguous:
+        arr = np.array(arr, order="C")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(f"{name} must be an (N, 3) array, got shape {arr.shape}")
     arr.setflags(write=False)

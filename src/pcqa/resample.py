@@ -125,17 +125,10 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
             f"points, got {n}"
         )
     k = config.graph_k
-    dist, idx = cloud.spatial_index.query_array(cloud.positions, k + 1)
-
-    # Drop each point's own entry; if duplicates pushed it out of the k+1
-    # results, drop the farthest column instead to keep k neighbors.
-    rows = np.arange(n)
-    self_mask = idx == rows[:, None]
-    has_self = self_mask.any(axis=1)
-    drop = np.where(has_self, self_mask.argmax(axis=1), k)
-    keep = np.arange(k + 1)[None, :] != drop[:, None]
-    d = dist[keep].reshape(n, k)
-    nbr = idx[keep].reshape(n, k)
+    # Column 0 is the point itself or a smaller-index duplicate with the same
+    # row; the filter is the same whichever copy is dropped.
+    dist, idx = cloud.spatial_index.neighbors(k + 1)
+    d, nbr = dist[:, 1:], idx[:, 1:]
 
     d2 = d * d
     local_var = d2.mean(axis=1)
@@ -145,7 +138,7 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
     w[flat] = 1.0
     row_sum = w.sum(axis=1)
     shift = csr_matrix(
-        ((w / row_sum[:, None]).ravel(), (np.repeat(rows, k), nbr.ravel())),
+        ((w / row_sum[:, None]).ravel(), (np.repeat(np.arange(n), k), nbr.ravel())),
         shape=(n, n),
     )
 
@@ -153,6 +146,8 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
     for _ in range(config.filter_length - 1):
         filtered = filtered - shift @ filtered
     scores = np.linalg.norm(filtered, axis=1)
+    if not np.isfinite(scores).all():
+        raise DomainError(f"high-pass filter overflowed at filter_length={config.filter_length}")
     # Coincident neighborhoods cancel only up to roundoff when the cloud
     # sits away from the origin; clamp that residue to an honest zero.
     noise_floor = np.finfo(np.float64).eps * float(np.abs(cloud.positions).max(initial=0.0))

@@ -1,13 +1,15 @@
 """Exact nearest-neighbor queries over fixed 3D point sets.
 
-A thin layer over scipy's cKDTree. Query results are made fully
-deterministic and brute-force-exact: candidates are re-measured with the
-same float64 arithmetic a naive scan would use, and distance ties are
-broken by ascending point index. Bulk queries run on every core; each
-row is answered alone, so results do not depend on the core count.
+A thin layer over scipy's cKDTree. Every query, single or bulk, orders
+neighbors by (distance, index) as a brute-force float64 scan does: where
+a distance tie could let the tree's order show, candidates are re-measured
+in plain numpy and sorted by that rule. Bulk queries run on every core;
+each row is answered alone, so results do not depend on the core count.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,6 +36,7 @@ class SpatialIndex:
             raise DomainError("cannot index an empty cloud")
         self._positions = positions
         self._tree = cKDTree(positions)
+        self._table = self._site_table = None
 
     @property
     def count(self) -> int:
@@ -94,32 +97,62 @@ class SpatialIndex:
         return idx[keep], d[keep]
 
     def nearest(self, queries) -> np.ndarray:
-        """Vectorized nearest-neighbor index for each query row, on every core.
-
-        Distance ties are resolved toward the smaller point index, matching
-        knn(q, 1) for every row whatever the core count.
-        """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self.count == 1:
-            return np.zeros(queries.shape[0], dtype=np.intp)
-        dist, idx = self._tree.query(queries, k=2, workers=-1)
-        out = idx[:, 0].astype(np.intp)
-        ties = dist[:, 0] == dist[:, 1]
-        for row in np.nonzero(ties)[0]:
-            out[row] = self.knn(queries[row], 1)[0][0]
-        return out
+        """Nearest point index per query row: column 0 of query_array(queries, 1)."""
+        return self.query_array(queries, 1)[1][:, 0]
 
     def query_array(self, queries, k: int):
         """Bulk k-NN over many query rows on every core, as (dist, idx) matrices.
 
-        Tie order within equal distances follows the tree's traversal, not
-        the index-ordered rule, whatever the core count; intended for graph
-        construction where any deterministic choice is acceptable.
+        Row r equals knn(queries[r], k), order included, on any core count.
+        Rows whose k + 1 tree distances (inf past the cloud size) tie within
+        knn's margin are redone by _resolve; others keep the tree's values.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         kk = min(int(k), self.count)
-        dist, idx = self._tree.query(queries, k=kk, workers=-1)
-        if kk == 1:
-            dist = dist[:, None]
-            idx = idx[:, None]
+        dist, idx = self._tree.query(queries, k=kk + 1, workers=-1)
+        tied = np.nonzero((dist[:, 1:] <= dist[:, :-1] * (1 + 1e-12) + 1e-300).any(axis=1))[0]
+        dist, idx = dist[:, :kk].copy(), idx[:, :kk].astype(np.intp)
+        for rows in (tied[i:i + 32768] for i in range(0, tied.size, 32768)):
+            idx[rows], dist[rows] = self._resolve(queries[rows], dist[rows, -1], kk)
         return dist, idx
+
+    def _resolve(self, queries, radius, kk: int):
+        """Exact rows from one ball query over the distinct locations at the
+        inflated radius, re-measured and sorted by (row, distance, index).
+        Each location adds only its kk lowest indices, so m coincident points
+        cost O(kk) per row, not O(m)."""
+        tree, order, start, size = self._sites()
+        balls = tree.query_ball_point(queries, radius * (1 + 1e-12) + 1e-300,
+                                      workers=-1, return_sorted=False)
+        per_row = np.fromiter(map(len, balls), np.intp, len(balls))
+        site = np.fromiter(itertools.chain.from_iterable(balls), np.intp, per_row.sum())
+        take = np.minimum(size[site], kk)
+        ends = np.cumsum(take)
+        cand = order[np.repeat(start[site] - ends + take, take) + np.arange(ends[-1])]
+        row = np.repeat(np.repeat(np.arange(len(queries)), per_row), take)
+        d = np.linalg.norm(self._positions[cand] - queries[row], axis=1)
+        # Sorting by row first leaves each row's segment where it was.
+        seg = np.r_[0, ends][np.cumsum(per_row) - per_row]
+        first = np.lexsort((cand, d, row))[seg[:, None] + np.arange(kk)]
+        return cand[first], d[first]
+
+    def _sites(self):
+        """Distinct locations, built on the first tie and kept: (a tree over
+        them, point indices by (location, index), each one's start and size)."""
+        if self._site_table is None:
+            order = np.lexsort(self._positions.T[::-1])
+            p = self._positions[order]
+            start = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]).any(axis=1)])
+            tree, order = ((cKDTree(p[start]), order) if start.size < self.count
+                           else (self._tree, start))  # no duplicates: sites are points
+            self._site_table = tree, order, start, np.diff(np.r_[start, self.count])
+        return self._site_table
+
+    def neighbors(self, k: int):
+        """query_array over the indexed points themselves, as read-only
+        slices of one table kept with the index and widened on demand."""
+        if self._table is None or self._table[1].shape[1] < min(k, self.count):
+            self._table = self.query_array(self._positions, k)
+            for table in self._table:
+                table.setflags(write=False)
+        return self._table[0][:, :k], self._table[1][:, :k]

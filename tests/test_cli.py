@@ -135,12 +135,16 @@ def test_negative_seed_exits_3(capsys, ply_pair, tmp_path, argv):
     assert "seed" in diag["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("baseline",),
-    ("score", "--signal", "normal", "--beta", "4"),
-], ids=["baseline", "score-normal"])
-def test_zero_normals_k_exits_3(capsys, ply_pair, argv):
+@pytest.mark.parametrize("argv, stored_normals", [
+    (("baseline",), False),
+    (("baseline",), True),
+    (("score", "--signal", "normal", "--beta", "4"), False),
+], ids=["baseline", "baseline-stored-normals", "score-normal"])
+def test_zero_normals_k_exits_3(capsys, ply_pair, tmp_path, argv, stored_normals):
     ref, dist = ply_pair
+    if stored_normals:
+        ref = dist = str(tmp_path / "normals.ply")
+        save_ply(random_cloud(300, seed=5, normals=True), ref)
     command, *options = argv
     code, out, err = run(capsys, command, ref, dist, *options, "--normals-k", "0")
     assert code == 3
@@ -148,6 +152,21 @@ def test_zero_normals_k_exits_3(capsys, ply_pair, argv):
     diag = last_stderr_json(err)
     assert diag["error"] == "DomainError"
     assert ">= 1" in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("resample", "{ref}", "--count", "3", "--output", "{out}"),
+    ("score", "{ref}", "{ref}", "--beta", "3"),
+], ids=["resample", "score"])
+def test_overflowing_filter_exits_3(capsys, ply_pair, tmp_path, argv):
+    ref, _ = ply_pair
+    argv = [a.format(ref=ref, out=tmp_path / "keys.csv") for a in argv]
+    code, out, err = run(capsys, *argv, "--filter-length", "100000")
+    assert code == 3
+    assert out == ""
+    diag = last_stderr_json(err)
+    assert diag["error"] == "DomainError"
+    assert "filter_length" in diag["message"]
 
 
 class TestBaseline:
@@ -169,6 +188,15 @@ class TestBaseline:
         assert list(report["scores"]) == ["psnr-yuv"]
         assert report["metrics"]["psnr-yuv"]["forward_db"] == pytest.approx(
             report["metrics"]["psnr-yuv"]["backward_db"], rel=1e-9)
+
+    def test_empty_metric_list_exits_2(self, capsys, ply_pair):
+        ref, dist = ply_pair
+        code, out, err = run(capsys, "baseline", ref, dist, "--metrics", "")
+        assert code == 2
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["error"] == "ValidationError"
+        assert "--metrics" in diag["message"]
 
     def test_unknown_metric_exits_3(self, capsys, ply_pair):
         ref, dist = ply_pair

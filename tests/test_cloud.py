@@ -15,6 +15,28 @@ def test_arrays_are_coerced_and_frozen():
         cloud.positions[0, 0] = 5.0
 
 
+def test_cloud_copies_the_callers_array():
+    pos = np.random.default_rng(0).uniform(0, 1, (20, 3))
+    cloud = PointCloud(positions=pos)
+    dist, idx = cloud.spatial_index.neighbors(4)
+    before = cloud.positions.copy(), dist.copy(), idx.copy()
+    pos[:] = 7.0  # the caller's array stays writable
+    assert np.array_equal(cloud.positions, before[0])
+    assert np.array_equal(cloud.spatial_index.neighbors(4)[0], before[1])
+    assert np.array_equal(cloud.spatial_index.neighbors(4)[1], before[2])
+
+
+def test_cloud_copies_only_what_can_still_be_written():
+    cloud = random_cloud(20, seed=1)
+    assert PointCloud(positions=cloud.positions).positions is cloud.positions
+    pos = np.zeros((5, 3))
+    view = pos.view()
+    view.setflags(write=False)  # read-only, but its base is still writable
+    copied = PointCloud(positions=view)
+    pos[0] = 1.0
+    assert np.all(copied.positions == 0.0)
+
+
 def test_positions_must_be_n_by_3():
     with pytest.raises(ValidationError):
         PointCloud(positions=np.zeros((4, 2)))

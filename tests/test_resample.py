@@ -60,6 +60,16 @@ def test_scores_match_dense_oracle():
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
+def test_scores_match_dense_oracle_on_a_lattice_with_duplicates():
+    # 300 points on 6^3 integer sites: every row ties, so the scores
+    # depend on the neighbor order only through the (distance, index) rule.
+    pts = np.random.default_rng(7).integers(0, 6, (300, 3)).astype(float)
+    got = frequency_scores(PointCloud(positions=pts),
+                           config=ResampleConfig(graph_k=10, filter_length=4))
+    expected = dense_frequency_scores(pts, k=10, filter_length=4)
+    assert np.allclose(got, expected, rtol=0, atol=1e-10)
+
+
 def test_scores_translation_invariant():
     cloud = random_cloud(200, seed=2, colored=False)
     shifted = PointCloud(positions=cloud.positions + [100.0, -40.0, 7.0])
@@ -89,6 +99,17 @@ def test_degenerate_cloud_warns_and_falls_back():
         keypoints = resample(cloud, config=ResampleConfig(count=3, graph_k=5))
     assert keypoints.count == 3
     assert np.all(keypoints.scores == 0.0)
+
+
+def test_large_coincident_cloud_scores_zero():
+    # Every row's k-th distance is 0: the whole group of 20k duplicates is
+    # tied, and the exact table must not cost the square of its size.
+    cloud = PointCloud(positions=np.full((20_000, 3), 2.5))
+    with pytest.warns(DegenerateCloudWarning):
+        scores = frequency_scores(cloud)
+    assert np.all(scores == 0.0)
+    _, idx = cloud.spatial_index.neighbors(11)
+    assert np.array_equal(idx, np.broadcast_to(np.arange(11), idx.shape))
 
 
 def test_resample_deterministic_per_seed():

@@ -106,6 +106,37 @@ def test_nearest_matches_single_knn():
         assert row == index.knn(q, 1)[0][0]
 
 
+@pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuous"])
+def test_query_array_rows_equal_the_scan(lattice):
+    # The lattice puts 1000 points on 6^3 integer sites: duplicates and
+    # equidistant neighbours in every row, so the (distance, index) rule decides.
+    rng = np.random.default_rng(31)
+    pts = (rng.integers(0, 6, (1000, 3)).astype(float) if lattice
+           else rng.uniform(0, 6, (1000, 3)))
+    n = len(pts)
+    index = SpatialIndex(pts)
+    tables = {k: index.query_array(pts, k) for k in (1, 2, 11, 12, n, n + 3)}
+    for row, q in enumerate(pts):
+        # brute_knn(pts, q, k) is the first min(k, n) entries of this scan.
+        exp_idx, exp_d = brute_knn(pts, q, n)
+        for k, (d, i) in tables.items():
+            assert np.array_equal(i[row], exp_idx[:k]), (k, row)
+            assert np.array_equal(d[row], exp_d[:k]), (k, row)
+
+
+def test_nearest_is_column_zero_without_knn_calls(monkeypatch):
+    pts = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    index = SpatialIndex(pts)
+    queries = pts + 0.5  # every query sits at the centre of a lattice cell
+    calls = []
+    monkeypatch.setattr(SpatialIndex, "knn", lambda *args: calls.append(args))
+    got = index.nearest(queries)
+    assert np.array_equal(got, index.query_array(queries, 1)[1][:, 0])
+    assert calls == []
+    for row in range(0, len(queries), 37):
+        assert got[row] == brute_knn(pts, queries[row], 1)[0][0]
+
+
 def test_nearest_single_point_cloud():
     index = SpatialIndex(np.array([[1.0, 2.0, 3.0]]))
     assert index.nearest(np.zeros((4, 3))).tolist() == [0, 0, 0, 0]
@@ -157,6 +188,28 @@ def test_bulk_nearest_against_scan_on_a_lattice():
         assert got[row] == brute_knn(pts, queries[row], 1)[0][0]
 
 
+def test_nearest_to_a_large_duplicate_cluster():
+    # 20k copies of the origin plus a far point; 20k queries scattered near
+    # the origin tie on the whole cluster and must take its lowest index.
+    rng = np.random.default_rng(3)
+    pts = np.vstack([[[9.0, 9.0, 9.0]], np.zeros((20_000, 3))])
+    queries = rng.normal(0, 0.1, (20_000, 3))
+    index = SpatialIndex(pts)
+    assert np.all(index.nearest(queries) == 1)
+    d, i = index.query_array(queries[:50], 3)
+    assert np.array_equal(i, np.broadcast_to([1, 2, 3], i.shape))
+    assert np.array_equal(d[:, 0], np.linalg.norm(queries[:50], axis=1))
+
+
+def test_neighbor_table_is_read_only():
+    index = SpatialIndex(np.random.default_rng(4).uniform(0, 1, (50, 3)))
+    dist, idx = index.neighbors(4)
+    with pytest.raises(ValueError):
+        dist[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+
+
 class TestCloudOwnsItsTree:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -194,6 +247,29 @@ class TestCloudOwnsItsTree:
         cloud = random_cloud(300, seed=9)
         graphsim(cloud, cloud, GraphSimConfig(resample=ResampleConfig(count=4)))
         assert len(builds) == 1
+
+    def test_one_neighbor_table_per_cloud(self, monkeypatch):
+        ref = random_cloud(400, seed=10)
+        a, b = (PointCloud(positions=ref.positions + np.random.default_rng(s).normal(
+            0, 0.05, ref.positions.shape), colors=ref.colors) for s in (11, 12))
+        widths = []
+        original = SpatialIndex.query_array
+
+        def recording(index, queries, k):
+            if index is ref.spatial_index and np.array_equal(queries, ref.positions):
+                widths.append(k)
+            return original(index, queries, k)
+
+        monkeypatch.setattr(SpatialIndex, "query_array", recording)
+        config = GraphSimConfig(resample=ResampleConfig(count=8))
+        graphsim(ref, a, config)
+        graphsim(ref, b, config)
+        run_baselines(ref, a)
+        graphsim(ref, a, GraphSimConfig(signal_kind="normal",
+                                        resample=ResampleConfig(count=8)))
+        assert widths == [11, 12]
+        _, idx = ref.spatial_index.neighbors(11)
+        assert np.array_equal(idx, original(ref.spatial_index, ref.positions, 11)[1])
 
     def test_empty_cloud_has_no_tree(self):
         with pytest.raises(DomainError):
