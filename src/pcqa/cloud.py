@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
+MAX_COORDINATE = 1e150  # so 3 * (2 * MAX_COORDINATE) ** 2, the widest squared distance, is finite
+
 
 def _as_point_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -32,7 +34,7 @@ class PointCloud:
     """Immutable point set with optional per-point colors and normals.
 
     positions
-        (N, 3) float64 coordinates. Every value must be finite.
+        (N, 3) float64 coordinates, each finite and at most MAX_COORDINATE in magnitude.
     colors
         Optional (N, 3) array of integer-valued channels in [0, 255],
         stored as float64. Downstream color math rescales to [0, 1].
@@ -52,6 +54,9 @@ class PointCloud:
             raise ValidationError(
                 f"non-finite coordinate at point {_first_bad_row(~finite)}"
             )
+        huge = (np.abs(pos) > MAX_COORDINATE).any(axis=1)
+        if huge.any():
+            raise DomainError(f"|coordinate| > {MAX_COORDINATE:g} at point {_first_bad_row(huge)}")
         n = pos.shape[0]
 
         if self.colors is not None:

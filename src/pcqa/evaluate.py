@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import optimize, stats
 
 from .errors import DomainError
 
@@ -101,6 +100,7 @@ def logistic_fit(predictions: Sequence[float], ratings: Sequence[float]) -> Logi
         # identifiable.
         return LogisticFit(linear, fallback=True)
 
+    from scipy import optimize
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", optimize.OptimizeWarning)
@@ -115,13 +115,30 @@ def logistic_fit(predictions: Sequence[float], ratings: Sequence[float]) -> Logi
     return LogisticFit(params)
 
 
+class NearConstantInputWarning(RuntimeWarning):
+    """A correlation input varies only at roundoff scale around its mean."""
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of tied values gets the mean of its ranks."""
+    order = np.argsort(a, kind="mergesort")
+    bounds = np.flatnonzero(np.r_[True, a[order][1:] != a[order][:-1], True])
+    return np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), np.diff(bounds))[np.argsort(order)]
+
+
 def plcc(mapped: Sequence[float], ratings: Sequence[float]) -> float:
-    """Pearson linear correlation; 0.0 when either side is constant."""
+    """Pearson linear correlation as scipy.stats.pearsonr forms it (centred vectors
+    scaled by their largest magnitude before the norm); 0.0 when either side is constant."""
     a = np.asarray(mapped, dtype=np.float64)
     b = np.asarray(ratings, dtype=np.float64)
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         return 0.0
-    return float(stats.pearsonr(a, b)[0])
+    am, bm = a - a.mean(), b - b.mean()
+    na, nb = (abs(v).max() * np.sqrt(np.sum((v / abs(v).max()) ** 2)) for v in (am, bm))
+    if na < 2.0**-39 * abs(a.mean()) or nb < 2.0**-39 * abs(b.mean()):  # 2**-39 = eps**0.75
+        warnings.warn("An input array is nearly constant; the computed correlation "
+                      "coefficient may be inaccurate.", NearConstantInputWarning)
+    return float(np.clip(np.dot(am / na, bm / nb), -1.0, 1.0))
 
 
 def srocc(predictions: Sequence[float], ratings: Sequence[float]) -> float:
@@ -130,7 +147,7 @@ def srocc(predictions: Sequence[float], ratings: Sequence[float]) -> float:
     b = np.asarray(ratings, dtype=np.float64)
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         return 0.0
-    return float(stats.spearmanr(a, b).statistic)
+    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[1, 0])
 
 
 def rmse(mapped: Sequence[float], ratings: Sequence[float]) -> float:
@@ -152,15 +169,7 @@ class GroupReport:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "size": self.size,
-            "plcc": self.plcc,
-            "srocc": self.srocc,
-            "rmse": self.rmse,
-            "low_sample": self.low_sample,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

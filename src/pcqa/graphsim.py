@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .baselines import _cloud_normals
 from .cloud import PointCloud, bounding_box
@@ -302,6 +301,7 @@ def match_and_align(pair: LocalGraphPair):
 
 def _nearest_rows(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """argmin_j ||q_i - t_j|| per query row, chunked to bound memory."""
+    from scipy.spatial.distance import cdist
     out = np.empty(queries.shape[0], dtype=np.intp)
     step = max(1, int(4_000_000 // max(targets.shape[0], 1)))
     for start in range(0, queries.shape[0], step):

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .cloud import PointCloud
 from .errors import DegenerateCloudWarning, DomainError
@@ -117,6 +116,7 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
     linearly with a uniform scaling of the cloud. A fully degenerate cloud
     (all points coincident) yields all-zero scores plus a warning.
     """
+    from scipy.sparse import csr_matrix
     config = config or ResampleConfig()
     n = cloud.count
     if n < config.graph_k + 1:

@@ -12,20 +12,20 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _as_point_array
 from .errors import DomainError
 
 
 class SpatialIndex:
-    """kd-tree over the positions of a non-empty cloud.
+    """kd-tree over frozen positions of a non-empty cloud; a writable array is copied.
 
     Duplicate points are allowed and keep their own indices. Queries cost
     O(log N) expected per point; construction is O(N log N).
     """
 
     def __init__(self, source):
+        from scipy.spatial import cKDTree
         positions = source.positions if isinstance(source, PointCloud) else source
         positions = np.ascontiguousarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
@@ -34,8 +34,8 @@ class SpatialIndex:
             )
         if positions.shape[0] == 0:
             raise DomainError("cannot index an empty cloud")
-        self._positions = positions
-        self._tree = cKDTree(positions)
+        self._positions = _as_point_array(positions, "positions")
+        self._tree = cKDTree(self._positions)
         self._table = self._site_table = None
 
     @property
@@ -140,6 +140,7 @@ class SpatialIndex:
         """Distinct locations, built on the first tie and kept: (a tree over
         them, point indices by (location, index), each one's start and size)."""
         if self._site_table is None:
+            from scipy.spatial import cKDTree
             order = np.lexsort(self._positions.T[::-1])
             p = self._positions[order]
             start = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]).any(axis=1)])

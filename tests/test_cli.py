@@ -169,6 +169,55 @@ def test_overflowing_filter_exits_3(capsys, ply_pair, tmp_path, argv):
     assert "filter_length" in diag["message"]
 
 
+def write_ascii_ply(path, positions):
+    header = ["ply", "format ascii 1.0", f"element vertex {len(positions)}",
+              "property double x", "property double y", "property double z", "end_header"]
+    rows = [" ".join(repr(float(v)) for v in row) for row in positions]
+    path.write_text("\n".join(header + rows) + "\n")
+
+
+class TestHugeCoordinates:
+    """Squared distances overflow float64 beyond about 1e154, so clouds past
+    MAX_COORDINATE are rejected where they are made: in distort, at load."""
+
+    def test_distort_to_huge_coordinates_exits_3(self, capsys, ply_pair, tmp_path):
+        ref, _ = ply_pair
+        target = tmp_path / "huge.ply"
+        code, out, err = run(capsys, "distort", ref, "--kind", "ggn", "--level", "1e300",
+                             "--output", str(target))
+        assert code == 3
+        assert out == ""
+        assert not target.exists()
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError"
+        assert "1e+150" in diag["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("score", "{ref}", "{huge}", "--signal", "coordinate", "--beta", "4"),
+        ("baseline", "{ref}", "{huge}", "--metrics", "m-p2po,h-p2pl"),
+        ("resample", "{huge}", "--count", "3", "--output", "{out}"),
+    ], ids=["score", "baseline", "resample"])
+    def test_loading_huge_coordinates_exits_3(self, capsys, ply_pair, tmp_path, argv):
+        ref, _ = ply_pair
+        huge = tmp_path / "huge.ply"
+        write_ascii_ply(huge, np.random.default_rng(2).normal(0, 1e300, (300, 3)))
+        argv = [a.format(ref=ref, huge=huge, out=tmp_path / "k.csv") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError"
+        assert "1e+150" in diag["message"]
+
+    def test_coordinates_at_the_bound_still_score(self, capsys, tmp_path):
+        edge = tmp_path / "edge.ply"
+        write_ascii_ply(edge, np.random.default_rng(3).uniform(-1e150, 1e150, (300, 3)))
+        for command, *options in (("score", "--signal", "coordinate", "--beta", "4"),
+                                  ("baseline", "--metrics", "m-p2po,h-p2pl")):
+            code, _, err = run(capsys, command, str(edge), str(edge), *options)
+            assert code == 0, err
+
+
 class TestBaseline:
     def test_identity_is_all_infinite(self, capsys, ply_pair):
         ref, _ = ply_pair
@@ -371,6 +420,25 @@ class TestEval:
         diag = last_stderr_json(err)
         assert diag["error"] == "ParseError"
         assert mos_csv in diag["message"]
+
+
+    def test_near_constant_mos_warns_on_stderr(self, capsys, tmp_path):
+        # MOS values that differ only at roundoff scale: the correlation is
+        # flagged on stderr, as scipy.stats.pearsonr flagged it.
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        rows = ["content,distortion,mos"]
+        for i in range(6):
+            rows.append(f"cat,d{i},{3.0 + i * 1e-13!r}")
+            (scores_dir / f"{i}.json").write_text(json.dumps(
+                {"content": "cat", "distortion": f"d{i}", "scores": {"graphsim": 0.1 * i}}))
+        mos_csv = tmp_path / "mos.csv"
+        mos_csv.write_text("\n".join(rows) + "\n")
+        code, _, err = run(capsys, "eval", str(scores_dir), str(mos_csv))
+        assert code == 0
+        diag = last_stderr_json(err)
+        assert diag["warning"] == "NearConstantInputWarning"
+        assert "nearly constant" in diag["message"]
 
 
 class TestScoreColorSpaces:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcqa import DomainError, PointCloud, ValidationError, bounding_box, merged_bounding_box
+from pcqa.cloud import MAX_COORDINATE
 
 from helpers import random_cloud
 
@@ -47,6 +48,15 @@ def test_non_finite_coordinate_names_the_point():
     bad[1, 2] = np.nan
     with pytest.raises(ValidationError, match="point 1"):
         PointCloud(positions=bad)
+
+
+def test_coordinates_beyond_the_bound_are_rejected():
+    edge = np.zeros((3, 3))
+    edge[0, 0], edge[2, 1] = MAX_COORDINATE, -MAX_COORDINATE
+    PointCloud(positions=edge)
+    edge[1, 2] = np.nextafter(-MAX_COORDINATE, -np.inf)
+    with pytest.raises(DomainError, match="point 1"):
+        PointCloud(positions=edge)
 
 
 def test_color_length_mismatch_rejected():

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from pcqa import DomainError, evaluate_records, evaluate_scores, logistic_fit
-from pcqa.evaluate import plcc, rmse, srocc
+from pcqa.evaluate import NearConstantInputWarning, plcc, rmse, srocc
 
 from oracles import spearman as spearman_oracle
 
@@ -86,6 +92,34 @@ class TestCorrelations:
         assert plcc(flat, vary) == 0.0
         assert srocc(flat, vary) == 0.0
         assert srocc(vary, flat) == 0.0
+
+    @settings(max_examples=100)
+    @given(data=st.data(), n=st.integers(min_value=3, max_value=300),
+           values=st.sampled_from([
+               st.integers(-3, 3).map(float),  # few distinct values: many ties
+               st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+           ]))
+    def test_numpy_correlations_match_scipy(self, data, n, values):
+        x, y = (data.draw(arrays(np.float64, n, elements=values)) for _ in range(2))
+        assume(np.ptp(x) > 0.0 and np.ptp(y) > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # near-constant draws
+            assert plcc(x, y) == pytest.approx(stats.pearsonr(x, y)[0], rel=0, abs=1e-12)
+            assert srocc(x, y) == pytest.approx(stats.spearmanr(x, y)[0], rel=0, abs=1e-12)
+
+    def test_near_constant_input_warns_as_scipy_does(self):
+        # Spread at roundoff scale around a large mean: the product of the
+        # centred vectors is mostly rounding error, so the value is flagged.
+        near = 1e6 + np.arange(6) * 1e-10
+        vary = np.arange(6.0)
+        with pytest.warns(stats.NearConstantInputWarning):
+            stats.pearsonr(near, vary)
+        with pytest.warns(NearConstantInputWarning, match="nearly constant"):
+            plcc(near, vary)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plcc(near - 1e6, vary)  # the same spread around zero is fine
+            srocc(near, vary)  # ranks are never near constant
 
     def test_rmse_formula(self):
         a = np.array([1.0, 2.0, 3.0])

@@ -120,3 +120,34 @@ def test_distorted_point_order_leaves_quality_bit_identical(preset, signal, seed
     assert result.per_channel_means == base.per_channel_means
     assert result.empty_graphs == base.empty_graphs
     assert result.skipped_keypoints == base.skipped_keypoints
+
+
+@settings(max_examples=30)
+@given(seed=seeds, n=sizes, matching_k=matching_ks,
+       preset=st.sampled_from(sorted(POOLING_PRESETS)),
+       signal=st.sampled_from(SIGNALS),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 1e-3),
+       log_shift=st.floats(min_value=-3.0, max_value=5.0))
+def test_rigid_translation_leaves_quality_unchanged(seed, n, matching_k, preset, signal,
+                                                    direction, log_shift):
+    # Every feature is built from coordinate differences, so a common shift t
+    # moves the quality only by the roundoff of the shifted coordinates:
+    # about eps * |t| / extent. 64 eps per unit of that ratio is six times
+    # the worst case seen over 300 random configurations up to |t| = 1e6 x extent.
+    ref = smooth_cloud(n, seed=seed)
+    dist = apply_distortion(ref, DistortionSpec(kind="ggn", level=0.008, seed=seed))
+    config = config_for(preset, signal, matching_k)
+    keypoints = fixed_keypoints(n, seed)
+    extent = float(np.ptp(ref.positions, axis=0).max())
+    shift = np.asarray(direction) / np.linalg.norm(direction) * extent * 10.0**log_shift
+
+    def moved(cloud):
+        return PointCloud(positions=cloud.positions + shift, colors=cloud.colors)
+
+    base = graphsim(ref, dist, config, keypoints=keypoints)
+    result = graphsim(moved(ref), moved(dist), config, keypoints=keypoints)
+    tolerance = 64 * np.finfo(np.float64).eps * (1.0 + 10.0**log_shift)
+    assert result.quality == pytest.approx(base.quality, rel=0, abs=tolerance)
+    assert result.empty_graphs == base.empty_graphs
+    assert result.skipped_keypoints == base.skipped_keypoints

@@ -210,6 +210,21 @@ def test_neighbor_table_is_read_only():
         idx[0, 0] = 1
 
 
+def test_index_copies_the_callers_writable_array():
+    pts = np.random.default_rng(5).uniform(0, 1, (50, 3))
+    before = pts.copy()
+    index = SpatialIndex(pts)
+    pts[:] = pts[::-1].copy()  # reversed in place, after the index was built
+    dist, idx = index.neighbors(3)
+    for row, q in enumerate(before):
+        expect_idx, expect_dist = brute_knn(before, q, 3)
+        assert np.array_equal(idx[row], expect_idx)
+        assert np.array_equal(dist[row], expect_dist)
+    assert np.array_equal(index.knn(before[7], 3)[0], idx[7])
+    frozen = PointCloud(positions=before).positions
+    assert SpatialIndex(frozen)._positions is frozen  # read-only and owned: kept
+
+
 class TestCloudOwnsItsTree:
     @pytest.fixture
     def builds(self, monkeypatch):
