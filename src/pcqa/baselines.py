@@ -59,13 +59,17 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
         eigenvalue of the k-neighborhood covariance, sign-fixed into the
         +z hemisphere (ties toward +y, then +x). degenerate flags rows
         whose neighborhood had rank < 2 (collinear or coincident points);
-        those fall back to +z.
+        those fall back to +z. Both are read-only, computed once per cloud and k.
     """
     if k < 1:
         raise DomainError(f"normal estimation needs k >= 1, got {k}")
     n = cloud.count
     if n < k:
         raise DomainError(f"normal estimation needs at least k={k} points, got {n}")
+    return cloud._cached(("normals", k), lambda: _pca_normals(cloud, k))
+
+
+def _pca_normals(cloud: PointCloud, k: int):
     _, idx = cloud.spatial_index.neighbors(k)
     neighbors = cloud.positions[idx]
     centered = neighbors - neighbors.mean(axis=1, keepdims=True)

@@ -29,6 +29,16 @@ def _first_bad_row(mask: np.ndarray) -> int:
     return int(np.nonzero(mask)[0][0])
 
 
+def _check_positions(pos: np.ndarray) -> None:
+    """ValidationError on a non-finite coordinate, DomainError on one above MAX_COORDINATE."""
+    finite = np.isfinite(pos).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"non-finite coordinate at point {_first_bad_row(~finite)}")
+    huge = (np.abs(pos) > MAX_COORDINATE).any(axis=1)
+    if huge.any():
+        raise DomainError(f"|coordinate| > {MAX_COORDINATE:g} at point {_first_bad_row(huge)}")
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Immutable point set with optional per-point colors and normals.
@@ -49,14 +59,7 @@ class PointCloud:
     def __post_init__(self):
         pos = _as_point_array(self.positions, "positions")
         object.__setattr__(self, "positions", pos)
-        finite = np.isfinite(pos).all(axis=1)
-        if not finite.all():
-            raise ValidationError(
-                f"non-finite coordinate at point {_first_bad_row(~finite)}"
-            )
-        huge = (np.abs(pos) > MAX_COORDINATE).any(axis=1)
-        if huge.any():
-            raise DomainError(f"|coordinate| > {MAX_COORDINATE:g} at point {_first_bad_row(huge)}")
+        _check_positions(pos)
         n = pos.shape[0]
 
         if self.colors is not None:
@@ -111,6 +114,17 @@ class PointCloud:
         from .spatial import SpatialIndex  # spatial.py imports this module
 
         return SpatialIndex(self)
+
+    def _cached(self, key: tuple, compute):
+        """compute() on the first call per key, kept read-only for the cloud's
+        lifetime; a compute that raises stores nothing."""
+        store = self.__dict__.setdefault("_results", {})
+        if key not in store:
+            value = compute()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            store[key] = value
+        return store[key]
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,8 +181,9 @@ def _read_ascii_rows(path, body, count, width, header_lines):
     columns from the ASCII body. Returns a (count, width) float64 array.
     Plain numeric text, which np.loadtxt splits and parses exactly as the
     per-line loop does, is read in one step; anything else, and any read
-    that fails or comes up short, goes through the loop."""
-    if not body.translate(None, b"0123456789+-.eE \t\n"):
+    that fails or comes up short, goes through the loop, as does a body of
+    fewer lines than `count`, so the header alone never sizes a buffer."""
+    if count <= body.count(b"\n") + 1 and not body.translate(None, b"0123456789+-.eE \t\n"):
         with warnings.catch_warnings(), contextlib.suppress(ValueError):
             warnings.simplefilter("ignore")  # blank lines and empty bodies warn
             table = np.loadtxt(io.BytesIO(body), comments=None,
@@ -194,10 +195,10 @@ def _read_ascii_rows(path, body, count, width, header_lines):
 
 def _read_ascii_lines(path, body, count, width, header_lines):
     """The per-line reference parser behind `_read_ascii_rows`."""
-    text = body.decode("ascii", errors="replace")
-    out = np.empty((count, width), dtype=np.float64)
+    lines = body.decode("ascii", errors="replace").split("\n")
+    out = np.empty((min(count, len(lines)), width), dtype=np.float64)
     row = 0
-    for offset, line in enumerate(text.split("\n")):
+    for offset, line in enumerate(lines):
         if row >= count:
             break
         stripped = line.strip()

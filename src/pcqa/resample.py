@@ -114,9 +114,9 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
 
     Scores are non-negative, invariant under rigid translation, and scale
     linearly with a uniform scaling of the cloud. A fully degenerate cloud
-    (all points coincident) yields all-zero scores plus a warning.
+    (all points coincident) yields all-zero scores plus a warning. Scores
+    are read-only and computed once per cloud, graph_k and filter_length.
     """
-    from scipy.sparse import csr_matrix
     config = config or ResampleConfig()
     n = cloud.count
     if n < config.graph_k + 1:
@@ -124,7 +124,16 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
             f"frequency scores need at least graph_k + 1 = {config.graph_k + 1} "
             f"points, got {n}"
         )
-    k = config.graph_k
+    scores = cloud._cached(("frequency_scores", config.graph_k, config.filter_length),
+                           lambda: _filtered_norms(cloud, config.graph_k, config.filter_length))
+    if scores.max() == 0.0:
+        warnings.warn("degenerate geometry: all frequency scores are zero", DegenerateCloudWarning)
+    return scores
+
+
+def _filtered_norms(cloud: PointCloud, k: int, filter_length: int) -> np.ndarray:
+    from scipy.sparse import csr_matrix
+    n = cloud.count
     # Column 0 is the point itself or a smaller-index duplicate with the same
     # row; the filter is the same whichever copy is dropped.
     dist, idx = cloud.spatial_index.neighbors(k + 1)
@@ -143,20 +152,15 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
     )
 
     filtered = cloud.positions
-    for _ in range(config.filter_length - 1):
+    for _ in range(filter_length - 1):
         filtered = filtered - shift @ filtered
     scores = np.linalg.norm(filtered, axis=1)
     if not np.isfinite(scores).all():
-        raise DomainError(f"high-pass filter overflowed at filter_length={config.filter_length}")
+        raise DomainError(f"high-pass filter overflowed at filter_length={filter_length}")
     # Coincident neighborhoods cancel only up to roundoff when the cloud
     # sits away from the origin; clamp that residue to an honest zero.
     noise_floor = np.finfo(np.float64).eps * float(np.abs(cloud.positions).max(initial=0.0))
     scores[scores <= noise_floor] = 0.0
-    if scores.max() == 0.0:
-        warnings.warn(
-            "degenerate geometry: all frequency scores are zero",
-            DegenerateCloudWarning,
-        )
     return scores
 
 

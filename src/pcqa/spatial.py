@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .cloud import PointCloud, _as_point_array
+from .cloud import PointCloud, _as_point_array, _check_positions
 from .errors import DomainError
 
 
@@ -35,6 +35,8 @@ class SpatialIndex:
         if positions.shape[0] == 0:
             raise DomainError("cannot index an empty cloud")
         self._positions = _as_point_array(positions, "positions")
+        if not isinstance(source, PointCloud):  # a cloud has checked its own
+            _check_positions(self._positions)
         self._tree = cKDTree(self._positions)
         self._table = self._site_table = None
 

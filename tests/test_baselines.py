@@ -6,12 +6,14 @@ import pytest
 from pcqa import (
     DomainError,
     ErrorPair,
+    GraphSimConfig,
     METRIC_IDS,
     PointCloud,
     SpatialIndex,
     bounding_box,
     estimate_normals,
     geometry_psnr,
+    graphsim,
     merged_bounding_box,
     p2_errors,
     psnr_yuv,
@@ -20,7 +22,7 @@ from pcqa import (
 )
 from pcqa.baselines import combine_channel_psnr
 
-from helpers import random_cloud
+from helpers import random_cloud, smooth_cloud
 
 
 def grid_cloud(m=20, spacing=1.0):
@@ -298,3 +300,60 @@ class TestSharedMatches:
             assert results[metric].backward_db == geometry_psnr(pair.backward, box)
             assert results[metric].value == geometry_psnr(pair.symmetric, box)
         assert results["psnr-yuv"] == psnr_yuv(ref, dist)
+
+
+class TestReferenceCache:
+    """Normals and frequency scores depend on the reference alone, so each
+    is computed once per cloud and parameter key, whatever reads it."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name, measure):
+        sizes, original = [], getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            sizes.append(measure(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return sizes
+
+    def test_one_computation_per_key_across_metrics(self, monkeypatch):
+        import scipy.sparse
+
+        eigh = self.count_calls(monkeypatch, np.linalg, "eigh", lambda cov: len(cov))
+        csr = self.count_calls(monkeypatch, scipy.sparse, "csr_matrix",
+                               lambda arg1, shape: shape[0])
+        ref = smooth_cloud(400, seed=0)
+        a, b = smooth_cloud(350, seed=1), smooth_cloud(380, seed=2)
+        color = GraphSimConfig()
+        graphsim(ref, a, color)
+        graphsim(ref, b, color)
+        graphsim(ref, a, GraphSimConfig(signal_kind="normal"))
+        run_baselines(ref, a)
+        p2_errors(ref, b, "plane")
+        # The reference's normals once, and the distorted cloud's own normals
+        # for the normal signal; the reference's scores once.
+        assert eigh == [ref.count, a.count]
+        assert csr == [ref.count]
+
+        estimate_normals(ref, k=8)
+        estimate_normals(ref, k=8)
+        run_baselines(ref, b, normals_k=8)
+        assert eigh == [ref.count, a.count, ref.count]
+
+    def test_cached_normals_equal_a_fresh_cloud_bit_for_bit(self):
+        cloud = smooth_cloud(500, seed=3)
+        # Widen the cloud's neighbour table first, as a keypoint draw would.
+        cloud.spatial_index.neighbors(20)
+        first = estimate_normals(cloud)
+        assert estimate_normals(cloud)[0] is first[0]
+        fresh = estimate_normals(PointCloud(positions=cloud.positions.copy()))
+        for got, expected in zip(first, fresh):
+            assert np.array_equal(got, expected)
+
+    def test_cached_normals_are_read_only(self):
+        normals, degenerate = estimate_normals(smooth_cloud(200, seed=4))
+        for arr in (normals, degenerate):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]

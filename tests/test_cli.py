@@ -176,6 +176,23 @@ def write_ascii_ply(path, positions):
     path.write_text("\n".join(header + rows) + "\n")
 
 
+@pytest.mark.parametrize("row", ["0 0 0", "inf 0 0"], ids=["plain", "per-line"])
+def test_vertex_count_past_the_body_exits_2(capsys, tmp_path, row):
+    # The header's count must not size a buffer before the body is read; "inf"
+    # sends the row through the per-line parser instead of the plain-text one.
+    short = tmp_path / "short.ply"
+    short.write_text("ply\nformat ascii 1.0\nelement vertex 10000000000000\n"
+                     "property float x\nproperty float y\nproperty float z\n"
+                     f"end_header\n{row}\n")
+    code, out, err = run(capsys, "resample", str(short), "--count", "1",
+                         "--output", str(tmp_path / "k.csv"))
+    assert code == 2
+    assert out == ""
+    diag = last_stderr_json(err)
+    assert diag["error"] == "TruncationError"
+    assert diag["message"].endswith("expected 10000000000000 rows, found 1")
+
+
 class TestHugeCoordinates:
     """Squared distances overflow float64 beyond about 1e154, so clouds past
     MAX_COORDINATE are rejected where they are made: in distort, at load."""

@@ -176,3 +176,68 @@ def test_count_equal_to_cloud_returns_every_index():
     cloud = random_cloud(60, seed=21)
     keypoints = resample(cloud, config=ResampleConfig(count=60))
     assert np.array_equal(keypoints.indices, np.arange(60))
+
+
+def count_filter_builds(monkeypatch) -> list:
+    """Record the size of every shift operator frequency_scores builds."""
+    import scipy.sparse
+
+    built, original = [], scipy.sparse.csr_matrix
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["shape"][0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counting)
+    return built
+
+
+def test_scores_are_cached_per_graph_k_and_filter_length(monkeypatch):
+    built = count_filter_builds(monkeypatch)
+    cloud = random_cloud(300, seed=30)
+    first = frequency_scores(cloud)
+    keys = [ResampleConfig(seed=5, count=7), ResampleConfig(method="random"),
+            ResampleConfig(filter_length=5), ResampleConfig(graph_k=6),
+            ResampleConfig(graph_k=6, filter_length=5)]
+    for config in keys + keys:
+        frequency_scores(cloud, config)
+    # The seed, count and method only move the draw: four keys, four builds.
+    assert len(built) == 4
+    assert frequency_scores(cloud) is first
+    resample(cloud, ResampleConfig(count=9, seed=2))
+    assert len(built) == 4
+
+
+def test_cached_scores_equal_a_fresh_cloud_bit_for_bit():
+    cloud = random_cloud(400, seed=31)
+    cloud.spatial_index.neighbors(15)  # a wider table than graph_k + 1
+    for config in (ResampleConfig(), ResampleConfig(graph_k=5, filter_length=6)):
+        cached = frequency_scores(cloud, config)
+        assert frequency_scores(cloud, config) is cached
+        fresh = frequency_scores(PointCloud(positions=cloud.positions.copy()), config)
+        assert np.array_equal(cached, fresh)
+
+
+def test_cached_scores_are_read_only():
+    scores = frequency_scores(random_cloud(200, seed=32))
+    assert not scores.flags.writeable
+    with pytest.raises(ValueError):
+        scores[0] = 1.0
+
+
+def test_degenerate_warning_fires_on_every_call():
+    cloud = PointCloud(positions=np.zeros((30, 3)))
+    config = ResampleConfig(graph_k=5)
+    for _ in range(2):
+        with pytest.warns(DegenerateCloudWarning, match="all frequency scores are zero"):
+            frequency_scores(cloud, config)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_filter_overflow_raises_on_every_call_and_is_not_stored(monkeypatch):
+    built = count_filter_builds(monkeypatch)
+    cloud = random_cloud(300, seed=33, colored=False)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="filter_length=5000"):
+            frequency_scores(cloud, ResampleConfig(filter_length=5000))
+    assert len(built) == 2

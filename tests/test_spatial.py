@@ -7,6 +7,7 @@ from pcqa import (
     PointCloud,
     ResampleConfig,
     SpatialIndex,
+    ValidationError,
     graphsim,
     p2_errors,
     psnr_yuv,
@@ -25,6 +26,13 @@ def test_empty_input_rejected():
 def test_bad_shape_rejected():
     with pytest.raises(DomainError):
         SpatialIndex(np.zeros((5, 2)))
+
+
+def test_raw_arrays_get_the_point_cloud_checks():
+    with pytest.raises(ValidationError, match="non-finite coordinate at point 1"):
+        SpatialIndex(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
+    with pytest.raises(DomainError, match=r"1e\+150 at point 0"):
+        SpatialIndex(np.array([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_knn_against_scan():
