@@ -88,8 +88,16 @@ def _pca_normals(cloud: PointCloud, k: int):
 def _match_pair(ref: PointCloud, dist: PointCloud):
     """The one pair of nearest-match arrays every baseline reads: forward
     maps each distorted point to a reference point, backward the reverse."""
-    return (ref.spatial_index.nearest(dist.positions),
-            dist.spatial_index.nearest(ref.positions))
+    return _nearest(ref, dist), _nearest(dist, ref)
+
+
+def _nearest(target: PointCloud, query: PointCloud) -> np.ndarray:
+    """target's nearest point per query point, asked in the query cloud's
+    own leaf order (its tree serves the other direction) and scattered back."""
+    order = query.spatial_index.order
+    matches = np.empty(query.count, dtype=np.intp)
+    matches[order] = target.spatial_index.nearest(query.positions[order])
+    return matches
 
 
 def _cloud_normals(cloud: PointCloud, k: int) -> np.ndarray:

@@ -31,6 +31,8 @@ def _first_bad_row(mask: np.ndarray) -> int:
 
 def _check_positions(pos: np.ndarray) -> None:
     """ValidationError on a non-finite coordinate, DomainError on one above MAX_COORDINATE."""
+    if (np.abs(pos) <= MAX_COORDINATE).all():  # one pass; NaN fails it too
+        return
     finite = np.isfinite(pos).all(axis=1)
     if not finite.all():
         raise ValidationError(f"non-finite coordinate at point {_first_bad_row(~finite)}")
@@ -154,14 +156,12 @@ def bounding_box(cloud: PointCloud) -> BoundingBox:
     """Axis-aligned bounding box of a non-empty cloud.
 
     Raises DomainError on an empty cloud. Invariant under any permutation
-    of the points.
+    of the points. The corners are read-only, computed once per cloud.
     """
     if cloud.count == 0:
         raise DomainError("bounding box of an empty cloud is undefined")
-    return BoundingBox(
-        min_corner=cloud.positions.min(axis=0),
-        max_corner=cloud.positions.max(axis=0),
-    )
+    return BoundingBox(*cloud._cached(
+        ("box",), lambda: (cloud.positions.min(axis=0), cloud.positions.max(axis=0))))
 
 
 def merged_bounding_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:

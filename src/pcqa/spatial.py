@@ -44,6 +44,14 @@ class SpatialIndex:
     def count(self) -> int:
         return int(self._positions.shape[0])
 
+    @property
+    def order(self) -> np.ndarray:
+        """Point indices in the tree's leaf order, read-only: neighbours in it
+        are neighbours in space, so bulk queries in this order stay in cache."""
+        order = self._tree.indices.view()  # the tree's own array: no copy per cloud
+        order.setflags(write=False)
+        return order
+
     def _exact_order(self, candidates: np.ndarray, query: np.ndarray):
         """Distances recomputed in plain numpy, sorted by (distance, index)."""
         dists = np.linalg.norm(self._positions[candidates] - query, axis=1)
@@ -108,8 +116,17 @@ class SpatialIndex:
         Row r equals knn(queries[r], k), order included, on any core count.
         Rows whose k + 1 tree distances (inf past the cloud size) tie within
         knn's margin are redone by _resolve; others keep the tree's values.
+        The indexed points themselves are asked in leaf order, then put back.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if queries is self._positions:
+            order = self.order
+            dist, idx = self._query_rows(queries[order], k)
+            dist[order], idx[order] = dist.copy(), idx.copy()
+            return dist, idx
+        return self._query_rows(queries, k)
+
+    def _query_rows(self, queries, k: int):
         kk = min(int(k), self.count)
         dist, idx = self._tree.query(queries, k=kk + 1, workers=-1)
         tied = np.nonzero((dist[:, 1:] <= dist[:, :-1] * (1 + 1e-12) + 1e-300).any(axis=1))[0]

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from pcqa import (
+    DistortionSpec,
     DomainError,
     ErrorPair,
     GraphSimConfig,
     METRIC_IDS,
     PointCloud,
+    ResampleConfig,
     SpatialIndex,
+    apply_distortion,
     bounding_box,
     estimate_normals,
     geometry_psnr,
@@ -20,7 +23,7 @@ from pcqa import (
     run_baselines,
     to_yuv,
 )
-from pcqa.baselines import combine_channel_psnr
+from pcqa.baselines import _match_pair, combine_channel_psnr
 
 from helpers import random_cloud, smooth_cloud
 
@@ -288,6 +291,14 @@ class TestSharedMatches:
         run_baselines(ref, dist)
         assert sorted(calls) == [dist.count, ref.count]
 
+    def test_matches_equal_single_point_queries_in_both_directions(self):
+        # Each direction is asked in the query cloud's leaf order and
+        # scattered back; under ties the lower index must still win.
+        ref, dist = lattice_pair()
+        forward, backward = _match_pair(ref, dist)
+        assert forward.tolist() == [ref.spatial_index.knn(q, 1)[0][0] for q in dist.positions]
+        assert backward.tolist() == [dist.spatial_index.knn(q, 1)[0][0] for q in ref.positions]
+
     def test_standalone_functions_equal_run_baselines_under_ties(self):
         ref, dist = lattice_pair()
         results = run_baselines(ref, dist)
@@ -357,3 +368,31 @@ class TestReferenceCache:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
+
+    def test_bounding_box_once_per_cloud(self, monkeypatch):
+        boxed, original = [], PointCloud._cached
+
+        def counting(cloud, key, compute):
+            def counted():
+                if key == ("box",):
+                    boxed.append(cloud)
+                return compute()
+            return original(cloud, key, counted)
+
+        monkeypatch.setattr(PointCloud, "_cached", counting)
+        ref, dist = smooth_cloud(400, seed=5), smooth_cloud(350, seed=6)
+        config = GraphSimConfig(resample=ResampleConfig(count=8))
+        graphsim(ref, dist, config)
+        run_baselines(ref, dist)
+        graphsim(ref, dist, config)
+        run_baselines(ref, dist)
+        for kind, level in (("ggn", 0.01), ("ot", 4)):
+            apply_distortion(ref, DistortionSpec(kind, level))
+        assert boxed == [ref, dist]
+
+        box = bounding_box(ref)
+        fresh = bounding_box(PointCloud(positions=ref.positions.copy()))
+        for got, expected in ((box.min_corner, fresh.min_corner),
+                              (box.max_corner, fresh.max_corner)):
+            assert np.array_equal(got, expected)
+            assert not got.flags.writeable

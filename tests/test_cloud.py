@@ -59,6 +59,24 @@ def test_coordinates_beyond_the_bound_are_rejected():
         PointCloud(positions=edge)
 
 
+@pytest.mark.parametrize("huge", [1e300, -1e300])
+def test_first_non_finite_row_is_named_before_a_huge_one(huge):
+    pos = np.zeros((5, 3))
+    pos[0, 1] = MAX_COORDINATE  # exactly at the bound: accepted
+    pos[1, 2], pos[3, 0] = np.nan, huge
+    with pytest.raises(ValidationError, match="non-finite coordinate at point 1"):
+        PointCloud(positions=pos)
+    for bad in (np.inf, -np.inf):
+        pos[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite coordinate at point 1"):
+            PointCloud(positions=pos)
+    pos[1, 2] = -MAX_COORDINATE
+    with pytest.raises(DomainError, match="point 3"):
+        PointCloud(positions=pos)
+    pos[3, 0] = 0.0
+    PointCloud(positions=pos)
+
+
 def test_color_length_mismatch_rejected():
     with pytest.raises(ValidationError):
         PointCloud(positions=np.zeros((2, 3)), colors=np.zeros((3, 3)))

@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcqa import ParseError, PointCloud, TruncationError, ValidationError, load_ply, save_ply
 from pcqa import ply_io
+from pcqa.cli import main
 
 from helpers import random_cloud, write_ascii_ply
 
@@ -266,3 +272,46 @@ def test_ascii_fast_path_reads_as_the_loop(tmp_path, monkeypatch, name):
     # Plain text that reads cleanly never reaches the loop; anything else does.
     failed = isinstance(fast[0], type)
     assert bool(loop_calls) == (failed or not plain)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cloud = random_cloud(6, seed=5, normals=True)
+    for fmt in ("ascii", "binary"):
+        save_ply(cloud, root / f"{fmt}.ply", format=fmt)
+    return root
+
+
+# A junk line holds no newline and no end_header, so it stays one header line.
+_junk_lines = st.binary(max_size=24).filter(
+    lambda line: b"\n" not in line and b"end_header" not in line)
+
+
+@settings(max_examples=150)
+@given(fmt=st.sampled_from(["ascii", "binary"]),
+       junk=st.lists(st.tuples(st.integers(0, 12), _junk_lines), max_size=3),
+       cut=st.none() | st.integers(0, 10 ** 4))
+def test_truncated_or_junked_files_fail_as_parse_errors(fuzz_dir, fmt, junk, cut):
+    header, body = (fuzz_dir / f"{fmt}.ply").read_bytes().split(b"end_header\n", 1)
+    lines = header.split(b"\n")[:-1]
+    for at, line in junk:
+        lines.insert(min(at, len(lines)), line)
+    data = b"\n".join(lines + [b"end_header\n"]) + body
+    if cut is not None:
+        data = data[:cut % len(data)]
+    path = fuzz_dir / "fuzz.ply"
+    path.write_bytes(data)
+    try:
+        load_ply(path)
+    except ParseError as exc:  # TruncationError included
+        failure = exc
+    else:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["score", str(path), str(path)])
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    diag = json.loads(err.getvalue().splitlines()[-1])
+    assert (diag["error"], diag["message"]) == (type(failure).__name__, str(failure))

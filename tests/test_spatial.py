@@ -132,6 +132,28 @@ def test_query_array_rows_equal_the_scan(lattice):
             assert np.array_equal(d[row], exp_d[:k]), (k, row)
 
 
+@pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuous"])
+def test_neighbor_table_rows_equal_the_scan(lattice):
+    # The self-table is asked in the tree's leaf order and scattered back;
+    # row r must still answer point r. The shuffled lattice repeats sites,
+    # so rows tie and go through _resolve.
+    rng = np.random.default_rng(37)
+    if lattice:
+        sites = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+        pts = rng.permutation(np.vstack([sites, sites[rng.integers(0, len(sites), 300)]]))
+    else:
+        pts = rng.uniform(0, 6, (516, 3))
+    index = PointCloud(positions=pts).spatial_index
+    assert sorted(index.order) == list(range(len(pts)))
+    assert not index.order.flags.writeable
+    assert not np.array_equal(index.order, np.arange(len(pts)))
+    dist, idx = index.neighbors(12)
+    for row, q in enumerate(pts):
+        exp_idx, exp_d = brute_knn(pts, q, 12)
+        assert np.array_equal(idx[row], exp_idx), row
+        assert np.array_equal(dist[row], exp_d), row
+
+
 def test_nearest_is_column_zero_without_knn_calls(monkeypatch):
     pts = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
     index = SpatialIndex(pts)
