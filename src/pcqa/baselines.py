@@ -16,6 +16,7 @@ import numpy as np
 from .cloud import BoundingBox, PointCloud, bounding_box, merged_bounding_box
 from .colorspace import to_yuv
 from .errors import DomainError
+from .spatial import row_blocks
 
 METRIC_IDS = ("m-p2po", "m-p2pl", "h-p2po", "h-p2pl", "psnr-yuv")
 
@@ -59,7 +60,8 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
         eigenvalue of the k-neighborhood covariance, sign-fixed into the
         +z hemisphere (ties toward +y, then +x). degenerate flags rows
         whose neighborhood had rank < 2 (collinear or coincident points);
-        those fall back to +z. Both are read-only, computed once per cloud and k.
+        those fall back to +z. Both are read-only, computed once per cloud and k,
+        in row blocks of the k-NN table, so temporaries stay a few MB at any N.
     """
     if k < 1:
         raise DomainError(f"normal estimation needs k >= 1, got {k}")
@@ -71,17 +73,17 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
 
 def _pca_normals(cloud: PointCloud, k: int):
     _, idx = cloud.spatial_index.neighbors(k)
-    neighbors = cloud.positions[idx]
-    centered = neighbors - neighbors.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    normals = eigvecs[:, :, 0].copy()
-    degenerate = eigvals[:, 1] <= np.maximum(eigvals[:, 2] * 1e-12, 1e-30)
-    normals[degenerate] = (0.0, 0.0, 1.0)
-
-    nx, ny, nz = normals[:, 0], normals[:, 1], normals[:, 2]
-    flip = (nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))
-    normals[flip] *= -1.0
+    normals, degenerate = np.empty((cloud.count, 3)), np.empty(cloud.count, dtype=bool)
+    for rows in row_blocks(cloud.count, k):
+        centered = cloud.positions[idx[rows]]
+        centered -= centered.mean(axis=1, keepdims=True)
+        eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)
+        nrm, deg = eigvecs[:, :, 0], eigvals[:, 1] <= np.maximum(eigvals[:, 2] * 1e-12, 1e-30)
+        nrm[deg] = (0.0, 0.0, 1.0)
+        nx, ny, nz = nrm.T
+        flip = (nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))
+        nrm[flip] *= -1.0
+        normals[rows], degenerate[rows] = nrm, deg
     return normals, degenerate
 
 

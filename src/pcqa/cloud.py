@@ -90,7 +90,7 @@ class PointCloud:
                 raise ValidationError(
                     f"normals length {nrm.shape[0]} does not match {n} points"
                 )
-            norms = np.linalg.norm(nrm, axis=1)
+            norms = np.linalg.norm(np.clip(nrm, -2.0, 2.0), axis=1)  # no overflow, still non-unit
             unit = np.isfinite(norms) & (np.abs(norms - 1.0) <= 1e-6)
             if not unit.all():
                 raise ValidationError(

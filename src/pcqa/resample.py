@@ -18,6 +18,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DegenerateCloudWarning, DomainError
+from .spatial import row_blocks
 
 METHODS = ("high-pass", "random")
 
@@ -114,8 +115,9 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
 
     Scores are non-negative, invariant under rigid translation, and scale
     linearly with a uniform scaling of the cloud. A fully degenerate cloud
-    (all points coincident) yields all-zero scores plus a warning. Scores
-    are read-only and computed once per cloud, graph_k and filter_length.
+    (all points coincident) yields all-zero scores plus a warning. Scores are
+    read-only, computed once per cloud, graph_k and filter_length; the shift
+    operator's CSR arrays are written in row blocks, with no whole-cloud COO.
     """
     config = config or ResampleConfig()
     n = cloud.count
@@ -137,19 +139,19 @@ def _filtered_norms(cloud: PointCloud, k: int, filter_length: int) -> np.ndarray
     # Column 0 is the point itself or a smaller-index duplicate with the same
     # row; the filter is the same whichever copy is dropped.
     dist, idx = cloud.spatial_index.neighbors(k + 1)
-    d, nbr = dist[:, 1:], idx[:, 1:]
-
-    d2 = d * d
-    local_var = d2.mean(axis=1)
-    flat = local_var <= 0.0
-    safe_var = np.where(flat, 1.0, local_var)
-    w = np.exp(-d2 / safe_var[:, None])
-    w[flat] = 1.0
-    row_sum = w.sum(axis=1)
-    shift = csr_matrix(
-        ((w / row_sum[:, None]).ravel(), (np.repeat(np.arange(n), k), nbr.ravel())),
-        shape=(n, n),
-    )
+    weights, columns = np.empty((n, k)), np.empty((n, k), np.int32 if n <= 2**31 else np.intp)
+    for rows in row_blocks(n, k + 1):
+        d2 = dist[rows, 1:] * dist[rows, 1:]
+        local_var = d2.mean(axis=1)
+        flat = local_var <= 0.0
+        w = np.exp(-d2 / np.where(flat, 1.0, local_var)[:, None])
+        w[flat] = 1.0
+        w /= w.sum(axis=1)[:, None]
+        # Ascending 32-bit columns, as csr_matrix makes of COO input: same sums, no index copy.
+        ascending = np.argsort(idx[rows, 1:], axis=1)
+        columns[rows] = np.take_along_axis(idx[rows, 1:], ascending, axis=1)
+        weights[rows] = np.take_along_axis(w, ascending, axis=1)
+    shift = csr_matrix((weights.ravel(), columns.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
 
     filtered = cloud.positions
     for _ in range(filter_length - 1):

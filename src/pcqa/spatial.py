@@ -16,6 +16,16 @@ import numpy as np
 from .cloud import PointCloud, _as_point_array, _check_positions
 from .errors import DomainError
 
+# Table entries, rows x (k + 1), per block of the bulk passes (k-NN tables, PCA normals,
+# keypoint filter): a few MB of temporaries at any N; k = 1 over 262k rows is one block.
+BLOCK_ENTRIES = 2**19
+
+
+def row_blocks(n: int, k: int):
+    """Consecutive slices over range(n), each of at most BLOCK_ENTRIES // (k + 1) rows."""
+    step = max(1, BLOCK_ENTRIES // (k + 1))
+    return (slice(start, start + step) for start in range(0, n, step))
+
 
 class SpatialIndex:
     """kd-tree over frozen positions of a non-empty cloud; a writable array is copied.
@@ -116,21 +126,22 @@ class SpatialIndex:
         Row r equals knn(queries[r], k), order included, on any core count.
         Rows whose k + 1 tree distances (inf past the cloud size) tie within
         knn's margin are redone by _resolve; others keep the tree's values.
-        The indexed points themselves are asked in leaf order, then put back.
+        Rows go in row_blocks, each written straight into the outputs; the
+        indexed points themselves are asked in leaf order and written back.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries is self._positions:
-            order = self.order
-            dist, idx = self._query_rows(queries[order], k)
-            dist[order], idx[order] = dist.copy(), idx.copy()
-            return dist, idx
-        return self._query_rows(queries, k)
-
-    def _query_rows(self, queries, k: int):
         kk = min(int(k), self.count)
+        dist, idx = np.empty((len(queries), kk)), np.empty((len(queries), kk), np.intp)
+        leaf = self.order if queries is self._positions else None
+        for block in row_blocks(len(queries), kk):
+            rows = block if leaf is None else leaf[block]
+            dist[rows], idx[rows] = self._query_rows(queries[rows], kk)
+        return dist, idx
+
+    def _query_rows(self, queries, kk: int):
         dist, idx = self._tree.query(queries, k=kk + 1, workers=-1)
         tied = np.nonzero((dist[:, 1:] <= dist[:, :-1] * (1 + 1e-12) + 1e-300).any(axis=1))[0]
-        dist, idx = dist[:, :kk].copy(), idx[:, :kk].astype(np.intp)
+        dist, idx = dist[:, :kk], idx[:, :kk]
         for rows in (tied[i:i + 32768] for i in range(0, tied.size, 32768)):
             idx[rows], dist[rows] = self._resolve(queries[rows], dist[rows, -1], kk)
         return dist, idx

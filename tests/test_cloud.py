@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ def test_normals_must_be_unit_length():
     with pytest.raises(ValidationError):
         PointCloud(positions=pos, normals=[[0.5, 0.5, 0.5]])
     PointCloud(positions=pos, normals=[[0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [1e200, -1e300, np.inf, np.nan])
+def test_huge_or_non_finite_normal_is_rejected_without_a_warning(bad):
+    # Squaring 1e200 overflows; the normal must still fail as non-unit,
+    # with no RuntimeWarning raised first under an error filter.
+    normals = [[0.0, 0.0, 1.0], [bad, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-unit normal at point 1"):
+            PointCloud(positions=np.zeros((3, 3)), normals=normals)
 
 
 def test_bounding_box_extents():

@@ -1,0 +1,99 @@
+"""Bulk passes in fixed row blocks: k-NN tables, PCA normals and the
+keypoint filter give the same bits at any block size, and their temporaries
+stay block-sized as the cloud grows."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pcqa import PointCloud, spatial
+from pcqa.baselines import estimate_normals
+from pcqa.resample import frequency_scores
+
+from oracles import brute_knn, dense_frequency_scores
+
+
+def _shuffled_lattice(rng):
+    # 216 integer sites plus 300 repeats: every row ties, so tied rows
+    # straddle every block edge and go through the exact resolve path.
+    sites = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+    return rng.permutation(np.vstack([sites, sites[rng.integers(0, len(sites), 300)]]))
+
+
+def _bulk_results(pts):
+    cloud = PointCloud(positions=pts)
+    index = cloud.spatial_index
+    # Ascending k, so each call widens the kept table with a fresh query.
+    out = {f"neighbors({k})": index.neighbors(k) for k in (1, 2, 11, 13)}
+    foreign = pts[::3] + 0.5
+    out["query_array"] = index.query_array(foreign, 12)
+    out["nearest"] = index.nearest(foreign)
+    out["normals"] = estimate_normals(PointCloud(positions=pts), 12)
+    out["scores"] = frequency_scores(PointCloud(positions=pts))
+    return out
+
+
+def _arrays(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("block", [1, 40])
+@pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuous"])
+def test_results_do_not_depend_on_block_edges(monkeypatch, lattice, block):
+    rng = np.random.default_rng(41)
+    pts = _shuffled_lattice(rng) if lattice else rng.uniform(0, 6, (516, 3))
+    default = _bulk_results(pts)
+    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", block)
+    blocked = _bulk_results(pts)
+
+    for name, want in default.items():
+        for a, b in zip(_arrays(want), _arrays(blocked[name]), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    dist, idx = blocked["neighbors(13)"]
+    for row, q in enumerate(pts):
+        exp_idx, exp_d = brute_knn(pts, q, 13)
+        assert np.array_equal(idx[row], exp_idx) and np.array_equal(dist[row], exp_d), row
+    foreign = pts[::3] + 0.5
+    for row, q in enumerate(foreign):
+        exp_idx, exp_d = brute_knn(pts, q, 12)
+        assert np.array_equal(blocked["query_array"][1][row], exp_idx), row
+        assert np.array_equal(blocked["query_array"][0][row], exp_d), row
+        assert blocked["nearest"][row] == exp_idx[0], row
+    expected = dense_frequency_scores(pts, k=10, filter_length=4)
+    assert np.allclose(blocked["scores"], expected, rtol=0, atol=1e-10)
+
+
+def _transient_bytes(pts, compute):
+    """Peak traced bytes during compute(cloud) above what it leaves behind.
+    numpy reports its buffers to tracemalloc; the tree is built beforehand."""
+    tracemalloc.start()
+    try:
+        cloud = PointCloud(positions=pts)
+        cloud.spatial_index
+        tracemalloc.reset_peak()
+        kept = compute(cloud)  # noqa: F841 -- held while the peak is read
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+@pytest.mark.parametrize("compute, per_point", [
+    # The table and the normals keep every whole-cloud array they make.
+    (lambda c: c.spatial_index.neighbors(12), 0),
+    (lambda c: estimate_normals(c, 12), 0),
+    # The filter must hold its shift operator (graph_k = 10 weights and
+    # column indices per row, 64-bit at most, plus a row pointer) and the
+    # filtered (N, 3) positions; allow six such arrays.
+    (frequency_scores, 10 * 16 + 16 + 6 * 24),
+], ids=["neighbors", "estimate_normals", "frequency_scores"])
+def test_transient_memory_does_not_grow_with_the_cloud(monkeypatch, compute, per_point):
+    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", 2**10)
+    rng = np.random.default_rng(43)
+    small, large = 5_000, 20_000
+    t_small = _transient_bytes(rng.uniform(0, 1, (small, 3)), compute)
+    t_large = _transient_bytes(rng.uniform(0, 1, (large, 3)), compute)
+    # Whole-cloud temporaries would add at least 12 x 8 B per extra point.
+    growth = (t_large - t_small) / (large - small)
+    assert growth <= per_point + 2, (t_small, t_large)
