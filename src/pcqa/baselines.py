@@ -121,6 +121,20 @@ def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
     return squared
 
 
+def _check_pair(ref: PointCloud, dist: PointCloud, normals_k: int) -> None:
+    if normals_k < 1:
+        raise DomainError(f"normals_k must be >= 1, got {normals_k}")
+    if ref.count == 0 or dist.count == 0:
+        raise DomainError("both clouds must be non-empty")
+
+
+def _reduce(squared, agg: str) -> ErrorPair:
+    """One (forward, backward) pair of squared errors, averaged ("mse") or
+    reduced to the maximum ("hausdorff")."""
+    reduce = np.mean if agg == "mse" else np.max
+    return ErrorPair(forward=float(reduce(squared[0])), backward=float(reduce(squared[1])))
+
+
 def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
               agg: str = "mse", *, normals_k: int = 12) -> ErrorPair:
     """Directional point-to-point or point-to-plane errors.
@@ -135,15 +149,15 @@ def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
         raise DomainError(f"unknown error mode '{mode}'")
     if agg not in ("mse", "hausdorff"):
         raise DomainError(f"unknown aggregation '{agg}'")
-    if normals_k < 1:
-        raise DomainError(f"normals_k must be >= 1, got {normals_k}")
-    if ref.count == 0 or dist.count == 0:
-        raise DomainError("both clouds must be non-empty")
+    _check_pair(ref, dist, normals_k)
     ref_normals = _cloud_normals(ref, normals_k) if mode == "plane" else None
     squared = _squared_errors(ref, dist, _match_pair(ref, dist), ref_normals)
-    fwd_sq, bwd_sq = squared["p2po" if mode == "point" else "p2pl"]
-    reduce = np.mean if agg == "mse" else np.max
-    return ErrorPair(forward=float(reduce(fwd_sq)), backward=float(reduce(bwd_sq)))
+    return _reduce(squared["p2po" if mode == "point" else "p2pl"], agg)
+
+
+def _db(peak_sq: float, error: float) -> float:
+    """10 log10(peak^2 / error) in dB; zero error maps to +inf."""
+    return math.inf if error == 0.0 else 10.0 * math.log10(peak_sq / error)
 
 
 def geometry_psnr(error: float, box: BoundingBox) -> float:
@@ -153,23 +167,13 @@ def geometry_psnr(error: float, box: BoundingBox) -> float:
     """
     if error < 0:
         raise DomainError(f"error must be >= 0, got {error}")
-    if error == 0.0:
-        return math.inf
     peak = box.max_extent
-    return 10.0 * math.log10(3.0 * peak * peak / error)
+    return _db(3.0 * peak * peak, error)
 
 
 def combine_channel_psnr(y_db: float, u_db: float, v_db: float) -> float:
     """Luma-weighted channel combination: (6 Y + U + V) / 8."""
     return (6.0 * y_db + u_db + v_db) / 8.0
-
-
-def _channel_psnr(mse: np.ndarray) -> np.ndarray:
-    peak_sq = 255.0 ** 2
-    out = np.empty(3)
-    for c in range(3):
-        out[c] = math.inf if mse[c] == 0.0 else 10.0 * math.log10(peak_sq / mse[c])
-    return out
 
 
 def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
@@ -181,7 +185,7 @@ def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
     def direction(from_yuv, to_yuv_values, matches):
         diff = from_yuv - to_yuv_values[matches]
         mse = (diff * diff).mean(axis=0)
-        return combine_channel_psnr(*_channel_psnr(mse))
+        return combine_channel_psnr(*(_db(255.0 ** 2, e) for e in mse))
 
     forward = direction(dist_yuv, ref_yuv, matches[0])
     backward = direction(ref_yuv, dist_yuv, matches[1])
@@ -213,10 +217,7 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     unknown = [m for m in metrics if m not in METRIC_IDS]
     if unknown:
         raise DomainError(f"unknown baseline metric(s): {', '.join(unknown)}")
-    if normals_k < 1:
-        raise DomainError(f"normals_k must be >= 1, got {normals_k}")
-    if ref.count == 0 or dist.count == 0:
-        raise DomainError("both clouds must be non-empty")
+    _check_pair(ref, dist, normals_k)
     matches = _match_pair(ref, dist)
     box = merged_bounding_box(bounding_box(ref), bounding_box(dist))
     results: dict[str, BaselineResult] = {}
@@ -228,9 +229,7 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     squared = _squared_errors(ref, dist, matches, ref_normals) if geometry else {}
     for metric in geometry:
         agg, kind = metric.split("-", 1)
-        reduce = np.mean if agg == "m" else np.max
-        fwd_sq, bwd_sq = squared[kind]
-        pair = ErrorPair(forward=float(reduce(fwd_sq)), backward=float(reduce(bwd_sq)))
+        pair = _reduce(squared[kind], "mse" if agg == "m" else "hausdorff")
         results[metric] = BaselineResult(
             metric=metric,
             value=geometry_psnr(pair.symmetric, box),

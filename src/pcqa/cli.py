@@ -34,13 +34,6 @@ from .resample import ResampleConfig, resample, write_keypoints_csv
 __all__ = ["main", "build_parser"]
 
 
-def _emit(report: dict, output: str | None) -> None:
-    if output:
-        write_report(report, output)
-    else:
-        print(canonical_dumps(report))
-
-
 def _diag(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
@@ -52,6 +45,18 @@ def _signal_kinds(raw: str):
     return kinds[0] if len(kinds) == 1 else kinds
 
 
+def _resample_config(args: argparse.Namespace, count: int | None, method: str) -> ResampleConfig:
+    """The keypoint stage of ``score`` and ``resample`` from their shared flags."""
+    return ResampleConfig(
+        count=count,
+        ratio=args.beta_ratio,
+        filter_length=args.filter_length,
+        graph_k=args.graph_k,
+        method=method,
+        seed=args.seed,
+    )
+
+
 def _score_config(args: argparse.Namespace) -> GraphSimConfig:
     return GraphSimConfig.with_pooling_preset(
         args.pooling,
@@ -61,47 +66,43 @@ def _score_config(args: argparse.Namespace) -> GraphSimConfig:
         signal_kind=_signal_kinds(args.signal),
         tau_scope=args.tau_scope,
         normals_k=args.normals_k,
-        resample=ResampleConfig(
-            count=args.beta,
-            ratio=args.beta_ratio,
-            filter_length=args.filter_length,
-            graph_k=args.graph_k,
-            method=args.resample_method,
-            seed=args.seed,
-        ),
+        resample=_resample_config(args, args.beta, args.resample_method),
     )
+
+
+def _load_pair(args: argparse.Namespace):
+    return load_ply(args.reference), load_ply(args.distorted)
+
+
+def _emit_pair(args: argparse.Namespace, command: str, report: dict, scores: dict) -> int:
+    """Add the fields every pair report carries, then print or write it."""
+    report.update(
+        command=command,
+        inputs={"reference": args.reference, "distorted": args.distorted},
+        content=args.content,
+        distortion=args.distortion,
+        scores=scores,
+    )
+    if args.output:
+        write_report(report, args.output)
+    else:
+        print(canonical_dumps(report))
+    return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     config = _score_config(args)
-    ref = load_ply(args.reference)
-    dist = load_ply(args.distorted)
-    result = graphsim(ref, dist, config)
-    report = result.to_report(config)
-    report.update(
-        command="score",
-        inputs={"reference": args.reference, "distorted": args.distorted},
-        content=args.content,
-        distortion=args.distortion,
-        seed=args.seed,
-        scores={"graphsim": result.quality},
-    )
-    _emit(report, args.output)
-    return 0
+    result = graphsim(*_load_pair(args), config)
+    report = dict(result.to_report(config), seed=args.seed)
+    return _emit_pair(args, "score", report, {"graphsim": result.quality})
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metrics:
         raise ValidationError("--metrics must name at least one baseline metric")
-    ref = load_ply(args.reference)
-    dist = load_ply(args.distorted)
-    results = run_baselines(ref, dist, metrics, normals_k=args.normals_k)
+    results = run_baselines(*_load_pair(args), metrics, normals_k=args.normals_k)
     report = {
-        "command": "baseline",
-        "inputs": {"reference": args.reference, "distorted": args.distorted},
-        "content": args.content,
-        "distortion": args.distortion,
         "metrics": {
             m: {
                 "value": r.value,
@@ -110,9 +111,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             }
             for m, r in results.items()
         },
-        "scores": {m: r.value for m, r in results.items()},
     }
-    _emit(report, args.output)
+    return _emit_pair(args, "baseline", report, {m: r.value for m, r in results.items()})
+
+
+def _print_manifest(args: argparse.Namespace, command: str, **fields) -> int:
+    """Print what a fixture command read and wrote, plus its own fields."""
+    print(canonical_dumps(dict(fields, command=command, input=args.input, output=args.output)))
     return 0
 
 
@@ -121,39 +126,16 @@ def cmd_distort(args: argparse.Namespace) -> int:
     cloud = load_ply(args.input)
     distorted = apply_distortion(cloud, spec)
     save_ply(distorted, args.output, format=args.ply_format)
-    manifest = {
-        "command": "distort",
-        "input": args.input,
-        "output": args.output,
-        "spec": spec.to_dict(),
-        "points_in": cloud.count,
-        "points_out": distorted.count,
-    }
-    print(canonical_dumps(manifest))
-    return 0
+    return _print_manifest(args, "distort", spec=spec.to_dict(),
+                           points_in=cloud.count, points_out=distorted.count)
 
 
 def cmd_resample(args: argparse.Namespace) -> int:
-    config = ResampleConfig(
-        count=args.count,
-        ratio=args.beta_ratio,
-        filter_length=args.filter_length,
-        graph_k=args.graph_k,
-        method=args.method,
-        seed=args.seed,
-    )
+    config = _resample_config(args, args.count, args.method)
     cloud = load_ply(args.input)
     keypoints = resample(cloud, config=config)
     write_keypoints_csv(args.output, cloud, keypoints)
-    manifest = {
-        "command": "resample",
-        "input": args.input,
-        "output": args.output,
-        "config": config.to_dict(),
-        "count": keypoints.count,
-    }
-    print(canonical_dumps(manifest))
-    return 0
+    return _print_manifest(args, "resample", config=config.to_dict(), count=keypoints.count)
 
 
 def _load_score_reports(directory: str):
@@ -192,19 +174,16 @@ def _load_score_reports(directory: str):
 
 
 def _eval_one_metric(metric: str, records: list[dict], fit_scope: str) -> dict:
-    by_content = evaluate_records(
-        [dict(r, group=r["content"]) for r in records], fit_scope=fit_scope
+    by_content, by_distortion = (
+        evaluate_records([dict(r, group=r[key]) for r in records], fit_scope=fit_scope).to_dict()
+        for key in ("content", "distortion")
     )
-    by_distortion = evaluate_records(
-        [dict(r, group=r["distortion"]) for r in records], fit_scope=fit_scope
-    )
-    body = by_content.to_dict()
     return {
-        "overall": {k: body[k] for k in ("size", "plcc", "srocc", "rmse", "fit", "degenerate")},
-        "by_content": body["groups"],
-        "by_distortion": by_distortion.to_dict()["groups"],
+        "overall": {k: by_content[k] for k in ("size", "plcc", "srocc", "rmse", "fit", "degenerate")},
+        "by_content": by_content["groups"],
+        "by_distortion": by_distortion["groups"],
         "excluded_groups": sorted(
-            set(body["excluded_groups"]) | set(by_distortion.to_dict()["excluded_groups"])
+            set(by_content["excluded_groups"]) | set(by_distortion["excluded_groups"])
         ),
     }
 
@@ -282,9 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    score = sub.add_parser("score", help="graph-similarity quality score for a cloud pair")
-    score.add_argument("reference")
-    score.add_argument("distorted")
+    # Flags shared by the pair commands, and by the two keypoint stages.
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("reference")
+    pair.add_argument("distorted")
+    pair.add_argument("--normals-k", type=int, default=12)
+    pair.add_argument("--content", default="")
+    pair.add_argument("--distortion", default="")
+    pair.add_argument("--output", default=None)
+    keypoints = argparse.ArgumentParser(add_help=False)
+    keypoints.add_argument("--beta-ratio", type=float, default=1e-3,
+                           help="keypoint budget as a fraction of the reference size")
+    keypoints.add_argument("--filter-length", type=int, default=4)
+    keypoints.add_argument("--graph-k", type=int, default=10)
+    keypoints.add_argument("--seed", type=int, default=0)
+
+    score = sub.add_parser("score", parents=[pair, keypoints],
+                           help="graph-similarity quality score for a cloud pair")
     score.add_argument("--color-space", choices=SPACES, default="gcm")
     score.add_argument("--signal", default="color",
                        help="signal kind(s): color, coordinate, normal, mixed, or a comma list")
@@ -292,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cluster radius as a fraction of the smallest box extent")
     score.add_argument("--matching-k", type=int, default=50,
                        help="neighbor rank that sets the edge cutoff")
-    score.add_argument("--filter-length", type=int, default=4)
-    score.add_argument("--graph-k", type=int, default=10)
-    score.add_argument("--beta-ratio", type=float, default=1e-3,
-                       help="keypoint budget as a fraction of the reference size")
     score.add_argument("--beta", type=int, default=None, help="explicit keypoint count")
     score.add_argument("--resample", dest="resample_method",
                        choices=("high-pass", "random"), default="high-pass",
@@ -303,22 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--pooling", choices=sorted(POOLING_PRESETS), default="c2",
                        help="feature/channel pooling preset")
     score.add_argument("--tau-scope", choices=("union", "per-side"), default="union")
-    score.add_argument("--normals-k", type=int, default=12)
-    score.add_argument("--seed", type=int, default=0)
-    score.add_argument("--content", default="")
-    score.add_argument("--distortion", default="")
-    score.add_argument("--output", default=None)
     score.set_defaults(func=cmd_score)
 
-    baseline = sub.add_parser("baseline", help="point-wise baseline metrics for a cloud pair")
-    baseline.add_argument("reference")
-    baseline.add_argument("distorted")
+    baseline = sub.add_parser("baseline", parents=[pair],
+                              help="point-wise baseline metrics for a cloud pair")
     baseline.add_argument("--metrics", "--metric", default=",".join(METRIC_IDS),
                           help="comma-separated metric ids")
-    baseline.add_argument("--normals-k", type=int, default=12)
-    baseline.add_argument("--content", default="")
-    baseline.add_argument("--distortion", default="")
-    baseline.add_argument("--output", default=None)
     baseline.set_defaults(func=cmd_baseline)
 
     distort = sub.add_parser("distort", help="apply a seeded distortion to a cloud")
@@ -330,14 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     distort.add_argument("--ply-format", choices=("binary", "ascii"), default="binary")
     distort.set_defaults(func=cmd_distort)
 
-    res = sub.add_parser("resample", help="select reference keypoints")
+    res = sub.add_parser("resample", parents=[keypoints], help="select reference keypoints")
     res.add_argument("input")
-    res.add_argument("--beta-ratio", type=float, default=1e-3)
     res.add_argument("--count", type=int, default=None)
     res.add_argument("--method", choices=("high-pass", "random"), default="high-pass")
-    res.add_argument("--filter-length", type=int, default=4)
-    res.add_argument("--graph-k", type=int, default=10)
-    res.add_argument("--seed", type=int, default=0)
     res.add_argument("--output", required=True, help="destination CSV path")
     res.set_defaults(func=cmd_resample)
 

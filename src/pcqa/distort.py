@@ -21,7 +21,7 @@ proportional, which keeps quality strictly ordered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class DistortionSpec:
             raise DomainError(f"{self.kind} level must be >= 0, got {self.level}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "level": self.level, "seed": self.seed}
+        return asdict(self)
 
 
 def apply_distortion(cloud: PointCloud, spec: DistortionSpec) -> PointCloud:
@@ -143,21 +143,17 @@ def _quantize(cloud: PointCloud, depth: int) -> PointCloud:
     m = keys.shape[0]
     positions = box.min_corner + keys * step
     counts = np.bincount(inverse, minlength=m).astype(np.float64)
-    colors = None
-    if cloud.has_colors:
-        colors = np.zeros((m, 3))
-        for axis in range(3):
-            colors[:, axis] = np.bincount(
-                inverse, weights=cloud.colors[:, axis], minlength=m
-            ) / counts
-        colors = np.rint(colors)
+
+    def cell_mean(values: np.ndarray) -> np.ndarray:
+        return np.column_stack([
+            np.bincount(inverse, weights=values[:, axis], minlength=m) / counts
+            for axis in range(3)
+        ])
+
+    colors = np.rint(cell_mean(cloud.colors)) if cloud.has_colors else None
     normals = None
     if cloud.has_normals:
-        normals = np.zeros((m, 3))
-        for axis in range(3):
-            normals[:, axis] = np.bincount(
-                inverse, weights=cloud.normals[:, axis], minlength=m
-            ) / counts
+        normals = cell_mean(cloud.normals)
         norms = np.linalg.norm(normals, axis=1)
         fallback = norms <= 1e-12
         normals[fallback] = (0.0, 0.0, 1.0)

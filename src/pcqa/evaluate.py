@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -204,38 +204,23 @@ class EvalReport:
         }
 
 
+def _agreement(x: np.ndarray, y: np.ndarray, fit: LogisticFit) -> dict:
+    """Size, PLCC, SROCC and RMSE of one pool under a fitted map."""
+    mapped = fit(x)
+    return {"size": int(x.size), "plcc": plcc(mapped, y), "srocc": srocc(x, y),
+            "rmse": rmse(mapped, y)}
+
+
 def evaluate_scores(predictions: Sequence[float], ratings: Sequence[float]) -> EvalReport:
     """Fit the regression and report PLCC / SROCC / RMSE for one pool."""
     x = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(ratings, dtype=np.float64)
     fit = logistic_fit(x, y)
-    mapped = fit(x)
     return EvalReport(
-        size=int(x.size),
-        plcc=plcc(mapped, y),
-        srocc=srocc(x, y),
-        rmse=rmse(mapped, y),
+        **_agreement(x, y, fit),
         fit_params=fit.params,
         fit_fallback=fit.fallback,
         degenerate=fit.degenerate,
-    )
-
-
-def _group_stats(
-    name: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    fit: LogisticFit,
-) -> GroupReport:
-    mapped = fit(x)
-    return GroupReport(
-        name=name,
-        size=int(x.size),
-        plcc=plcc(mapped, y),
-        srocc=srocc(x, y),
-        rmse=rmse(mapped, y),
-        low_sample=x.size < SMALL_GROUP_SIZE,
-        degenerate=fit.degenerate or np.ptp(x) == 0.0,
     )
 
 
@@ -283,17 +268,10 @@ def evaluate_records(
             excluded.append(name)
             continue
         fit = logistic_fit(gx, gy) if fit_scope == "per-group" else global_fit
-        groups.append(_group_stats(name, gx, gy, fit))
+        groups.append(GroupReport(
+            name=name, **_agreement(gx, gy, fit), low_sample=gx.size < SMALL_GROUP_SIZE,
+            degenerate=fit.degenerate or np.ptp(gx) == 0.0,
+        ))
 
-    return EvalReport(
-        size=overall.size,
-        plcc=overall.plcc,
-        srocc=overall.srocc,
-        rmse=overall.rmse,
-        fit_params=overall.fit_params,
-        fit_fallback=overall.fit_fallback,
-        degenerate=overall.degenerate,
-        fit_scope=fit_scope,
-        groups=tuple(groups),
-        excluded_groups=tuple(excluded),
-    )
+    return replace(overall, fit_scope=fit_scope, groups=tuple(groups),
+                   excluded_groups=tuple(excluded))

@@ -456,7 +456,6 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     per_graph = []
     graph_keypoints = []
     channel_sums: dict[str, float] = {}
-    channel_counts: dict[str, int] = {}
     empty = skipped = 0
     for center_index in map(int, keypoints.indices):
         pair = build_local_graph_pair(
@@ -478,7 +477,6 @@ def graphsim(ref: PointCloud, dist: PointCloud,
                     channels[f"{kind}:{label}"] = value
             for label, value in channels.items():
                 channel_sums[label] = channel_sums.get(label, 0.0) + float(value)
-                channel_counts[label] = channel_counts.get(label, 0) + 1
             pooled = float(np.mean(kind_scores)) if mixed else kind_scores[0]
         per_graph.append(pooled)
         graph_keypoints.append(center_index)
@@ -487,7 +485,8 @@ def graphsim(ref: PointCloud, dist: PointCloud,
         raise DomainError(
             "no scorable keypoint graphs (every reference cluster was empty)"
         )
-    means = {k: channel_sums[k] / channel_counts[k] for k in sorted(channel_sums)}
+    # Every scored graph adds each label once, so each label's count is the scored count.
+    means = {k: channel_sums[k] / (len(per_graph) - empty) for k in sorted(channel_sums)}
     return SimilarityScore(
         quality=float(np.mean(per_graph)),
         per_graph=np.asarray(per_graph),

@@ -47,7 +47,7 @@ def load_mos_csv(path: str) -> MosTable:
     """
     path = str(path)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # Excel writes a BOM
             records = list(csv.reader(handle))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None

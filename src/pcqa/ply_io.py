@@ -180,10 +180,12 @@ def _read_ascii_rows(path, body, count, width, header_lines):
     """Parse `count` whitespace-separated numeric rows of at least `width`
     columns from the ASCII body. Returns a (count, width) float64 array.
     Plain numeric text, which np.loadtxt splits and parses exactly as the
-    per-line loop does, is read in one step; anything else, and any read
-    that fails or comes up short, goes through the loop, as does a body of
-    fewer lines than `count`, so the header alone never sizes a buffer."""
-    if count <= body.count(b"\n") + 1 and not body.translate(None, b"0123456789+-.eE \t\n"):
+    per-line loop does, is read in one step, CRLF line ends included; anything
+    else (a `\r` that does not end a line, say), and any read that fails or
+    comes up short, goes through the loop, as does a body of fewer lines than
+    `count`, so the header alone never sizes a buffer."""
+    plain = not body.translate(None, b"0123456789+-.eE \t\r\n")
+    if plain and count <= body.count(b"\n") + 1 and body.count(b"\r") == body.count(b"\r\n"):
         with warnings.catch_warnings(), contextlib.suppress(ValueError):
             warnings.simplefilter("ignore")  # blank lines and empty bodies warn
             table = np.loadtxt(io.BytesIO(body), comments=None,
@@ -236,37 +238,30 @@ def save_ply(cloud: PointCloud, path: str, format: str = "binary") -> None:
     if format not in ("binary", "ascii"):
         raise ValueError(f"unknown PLY format '{format}'")
 
+    # One (name, PLY type, source column) list serves the header and both bodies.
+    fields = [
+        (name, code, source[:, axis])
+        for names, code, source in ((_COORD_NAMES, "f8", cloud.positions),
+                                    (("red", "green", "blue"), "u1", cloud.colors),
+                                    (_NORMAL_NAMES, "f8", cloud.normals))
+        if source is not None
+        for axis, name in enumerate(names)
+    ]
     header = ["ply"]
     header.append(
         "format ascii 1.0" if format == "ascii" else "format binary_little_endian 1.0"
     )
     header.append(f"element vertex {cloud.count}")
-    fields = [(name, "f8") for name in _COORD_NAMES]
-    header.extend(f"property double {name}" for name in _COORD_NAMES)
-    if cloud.has_colors:
-        fields += [(name, "u1") for name in ("red", "green", "blue")]
-        header.extend(f"property uchar {name}" for name in ("red", "green", "blue"))
-    if cloud.has_normals:
-        fields += [(name, "f8") for name in _NORMAL_NAMES]
-        header.extend(f"property double {name}" for name in _NORMAL_NAMES)
+    header.extend(f"property {'uchar' if c == 'u1' else 'double'} {n}" for n, c, _ in fields)
     header.append("end_header")
 
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("ascii"))
         if format == "binary":
-            record = np.empty(
-                cloud.count, dtype=np.dtype([(n, "<" + c) for n, c in fields])
-            )
-            for axis, name in enumerate(_COORD_NAMES):
-                record[name] = cloud.positions[:, axis]
-            if cloud.has_colors:
-                for axis, name in enumerate(("red", "green", "blue")):
-                    record[name] = cloud.colors[:, axis].astype(np.uint8)
-            if cloud.has_normals:
-                for axis, name in enumerate(_NORMAL_NAMES):
-                    record[name] = cloud.normals[:, axis]
+            record = np.empty(cloud.count, dtype=np.dtype([(n, "<" + c) for n, c, _ in fields]))
+            for name, _, column in fields:
+                record[name] = column  # colours are validated integers in [0, 255]
             handle.write(record.tobytes())
         else:
-            table = np.column_stack(
-                [a for a in (cloud.positions, cloud.colors, cloud.normals) if a is not None])
-            np.savetxt(handle, table, fmt=["%d" if c == "u1" else "%.9g" for _, c in fields])
+            table = np.column_stack([column for _, _, column in fields])
+            np.savetxt(handle, table, fmt=["%d" if c == "u1" else "%.9g" for _, c, _ in fields])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,14 +76,7 @@ class ResampleConfig:
         return max(1, min(n, int(np.floor(self.ratio * n))))
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "ratio": self.ratio,
-            "filter_length": self.filter_length,
-            "graph_k": self.graph_k,
-            "method": self.method,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,23 +175,22 @@ def resample(cloud: PointCloud, config: ResampleConfig | None = None) -> Keypoin
     beta = config.resolve_count(n)
     rng = np.random.default_rng(config.seed)
 
-    if config.method == "random":
-        chosen = np.sort(rng.choice(n, size=beta, replace=False))
-        return KeypointSet(indices=chosen, scores=np.ones(beta))
-
-    scores = frequency_scores(cloud, config)
-    total = scores.sum()
-    positive = int(np.count_nonzero(scores))
-    if total <= 0.0 or positive < beta:
-        if total > 0.0:
+    p = None
+    if config.method == "high-pass":
+        scores = frequency_scores(cloud, config)
+        total = scores.sum()
+        positive = int(np.count_nonzero(scores))
+        if total > 0.0 and positive >= beta:
+            p = scores / total
+        elif total > 0.0:
             warnings.warn(
                 f"only {positive} points have positive scores for {beta} "
                 "keypoints; falling back to uniform sampling",
                 DegenerateCloudWarning,
             )
-        chosen = np.sort(rng.choice(n, size=beta, replace=False))
-    else:
-        chosen = np.sort(rng.choice(n, size=beta, replace=False, p=scores / total))
+    chosen = np.sort(rng.choice(n, size=beta, replace=False, p=p))
+    if config.method == "random":
+        return KeypointSet(indices=chosen, scores=np.ones(beta))
     return KeypointSet(indices=chosen, scores=scores[chosen])
 
 

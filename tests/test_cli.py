@@ -1,12 +1,13 @@
 """End-to-end command tests driven through main() in process."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcqa import PointCloud, load_ply, save_ply
-from pcqa.cli import main
+from pcqa.cli import build_parser, main
 
 from helpers import random_cloud
 
@@ -382,6 +383,14 @@ class TestEval:
         by_content = report["metrics"]["graphsim"]["by_content"]
         assert {g["name"] for g in by_content} == {"cat", "dog"}
 
+    def test_mos_csv_with_utf8_bom(self, capsys, tmp_path):
+        scores_dir, mos_csv = self.build_corpus(tmp_path)
+        _, plain, _ = run(capsys, "eval", scores_dir, mos_csv)
+        path = Path(mos_csv)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, out, err = run(capsys, "eval", scores_dir, mos_csv)
+        assert (code, out, err) == (0, plain, "")
+
     def test_missing_scores_exit_3(self, capsys, tmp_path):
         scores_dir, mos_csv = self.build_corpus(
             tmp_path, skip={("dog", "cn_3")})
@@ -507,3 +516,76 @@ class TestEvalMultiMetric:
             assert overall["plcc"] > 0.95
         for metric in metrics:
             assert metric in out
+
+
+_PAIR = {"reference": "r.ply", "distorted": "d.ply"}
+_SCORE_DEFAULTS = dict(
+    _PAIR, command="score", color_space="gcm", signal="color", theta_fraction=0.1,
+    matching_k=50, filter_length=4, graph_k=10, beta_ratio=0.001, beta=None,
+    resample_method="high-pass", pooling="c2", tau_scope="union", normals_k=12, seed=0,
+    content="", distortion="", output=None)
+_BASELINE_DEFAULTS = dict(
+    _PAIR, command="baseline", metrics="m-p2po,m-p2pl,h-p2po,h-p2pl,psnr-yuv", normals_k=12,
+    content="", distortion="", output=None)
+_RESAMPLE_DEFAULTS = dict(
+    command="resample", input="r.ply", beta_ratio=0.001, count=None, method="high-pass",
+    filter_length=4, graph_k=10, seed=0, output="k.csv")
+_DISTORT_DEFAULTS = dict(
+    command="distort", input="r.ply", kind="cn", level=0.1, seed=0, output="o.ply",
+    ply_format="binary")
+_EVAL_DEFAULTS = dict(
+    command="eval", scores_dir="scores", mos_csv="mos.csv", fit_scope="global",
+    allow_partial=False, output=None)
+
+PARSED = {
+    "score-defaults": ("score r.ply d.ply", _SCORE_DEFAULTS),
+    "score-every-flag": (
+        "score r.ply d.ply --color-space yuv --signal color,normal --theta-fraction 0.2 "
+        "--matching-k 30 --filter-length 3 --graph-k 8 --beta-ratio 0.002 --beta 7 "
+        "--resample random --pooling c4 --tau-scope per-side --normals-k 9 --seed 5 "
+        "--content cat --distortion cn_1 --output s.json",
+        dict(_SCORE_DEFAULTS, color_space="yuv", signal="color,normal", theta_fraction=0.2,
+             matching_k=30, filter_length=3, graph_k=8, beta_ratio=0.002, beta=7,
+             resample_method="random", pooling="c4", tau_scope="per-side", normals_k=9,
+             seed=5, content="cat", distortion="cn_1", output="s.json")),
+    "baseline-defaults": ("baseline r.ply d.ply", _BASELINE_DEFAULTS),
+    "baseline-every-flag": (
+        "baseline r.ply d.ply --metric m-p2po,h-p2pl --normals-k 9 --content cat "
+        "--distortion cn_1 --output b.json",
+        dict(_BASELINE_DEFAULTS, metrics="m-p2po,h-p2pl", normals_k=9, content="cat",
+             distortion="cn_1", output="b.json")),
+    "resample-defaults": ("resample r.ply --output k.csv", _RESAMPLE_DEFAULTS),
+    "resample-every-flag": (
+        "resample r.ply --beta-ratio 0.002 --count 7 --method random --filter-length 3 "
+        "--graph-k 8 --seed 5 --output k.csv",
+        dict(_RESAMPLE_DEFAULTS, beta_ratio=0.002, count=7, method="random",
+             filter_length=3, graph_k=8, seed=5)),
+    "distort-defaults": ("distort r.ply --kind cn --level 0.1 --output o.ply",
+                         _DISTORT_DEFAULTS),
+    "distort-every-flag": (
+        "distort r.ply --kind ot --level 6 --seed 5 --output o.ply --ply-format ascii",
+        dict(_DISTORT_DEFAULTS, kind="ot", level=6.0, seed=5, ply_format="ascii")),
+    "eval-defaults": ("eval scores mos.csv", _EVAL_DEFAULTS),
+    "eval-every-flag": (
+        "eval scores mos.csv --fit-scope per-group --allow-partial --output e.json",
+        dict(_EVAL_DEFAULTS, fit_scope="per-group", allow_partial=True, output="e.json")),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", sorted(PARSED))
+    def test_every_flag_keeps_its_name_default_and_destination(self, name):
+        argv, expected = PARSED[name]
+        parsed = vars(build_parser().parse_args(argv.split()))
+        parsed.pop("func")
+        assert parsed == expected
+
+    @pytest.mark.parametrize("argv, code, flag", [
+        ("score missing.ply missing.ply --beta 0", 3, "keypoint count"),
+        ("resample missing.ply --count 0 --output k.csv", 3, "keypoint count"),
+        ("baseline missing.ply missing.ply --metrics ,", 2, "--metrics"),
+    ])
+    def test_flags_are_checked_before_any_file_is_read(self, capsys, argv, code, flag):
+        status, out, err = run(capsys, *argv.split())
+        assert (status, out) == (code, "")
+        assert flag in last_stderr_json(err)["message"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from pcqa import (
     PointCloud,
     ResampleConfig,
     apply_distortion,
+    bounding_box,
+    build_local_graph_pair,
     graphsim,
 )
+from pcqa.graphsim import _prepare_signals, score_graph
 from pcqa.jsonutil import canonical_dumps
 
 from helpers import random_cloud, smooth_cloud
@@ -110,3 +115,33 @@ def test_report_carries_config_and_counts():
     assert report["config"]["signal_kind"] == ["color"]
     assert len(report["per_graph"]) == len(report["graph_keypoints"])
     assert report["quality"] == result.quality
+
+
+def test_per_channel_means_skip_empty_graphs():
+    # The distorted cloud covers only half the reference, so keypoints on
+    # the other half have empty distorted-side graphs.
+    ref = smooth_cloud(1500, seed=14)
+    noisy = apply_distortion(ref, DistortionSpec(kind="ggn", level=0.01, seed=7))
+    half = noisy.positions[:, 0] < 5.0
+    dist = PointCloud(positions=noisy.positions[half], colors=noisy.colors[half])
+    config = GraphSimConfig(signal_kind=("color", "coordinate"))
+    keypoints = np.arange(0, 1500, 60)
+    result = graphsim(ref, dist, config, keypoints=keypoints)
+    assert 0 < result.empty_graphs < len(result.per_graph)
+
+    graph_config = replace(config, channel_pooling="weighted-average")
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    values = {}
+    for center in keypoints:
+        pair = build_local_graph_pair(int(center), ref, dist, graph_config, radius=radius)
+        if pair.ref_cluster_size == 0 or pair.dist_cluster_size == 0 \
+                or pair.ref.size == 0 or pair.dist.size == 0:
+            continue
+        for kind, rs, ds, weights in _prepare_signals(ref, dist, config):
+            gs = score_graph(pair, rs, ds, graph_config, channel_weights=weights)
+            for label, value in zip(rs.labels, gs.per_channel):
+                values.setdefault(f"{kind}:{label}", []).append(value)
+    assert len(next(iter(values.values()))) == len(result.per_graph) - result.empty_graphs
+    assert result.per_channel_means.keys() == values.keys()
+    for label, per_graph in values.items():
+        assert result.per_channel_means[label] == pytest.approx(np.mean(per_graph), rel=1e-12)

@@ -44,3 +44,11 @@ def test_extra_columns_tolerated(tmp_path):
 def test_non_finite_mos_rejected(tmp_path):
     with pytest.raises(ParseError):
         load_mos_csv(write(tmp_path, "content,distortion,mos\na,cn-1,inf\n"))
+
+
+def test_utf8_bom_reads_as_the_plain_table(tmp_path):
+    text = "content,distortion,mos\na,cn-1,7.5\nb,cn-2,6\n"
+    plain = load_mos_csv(write(tmp_path, text))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))  # as Excel saves "CSV UTF-8"
+    assert load_mos_csv(bom).rows == plain.rows

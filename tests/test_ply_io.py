@@ -231,7 +231,9 @@ ASCII_BODIES = {
     "underscore-digits": (1, _XYZ, "", "1_0 2 3\n", False),
     "nan-color": (1, _XYZ + _RGB, "", "1 2 3 nan 0 0\n", False),
     "nan-coordinate": (1, _XYZ, "", "nan 2 3\n", False),
-    "crlf-line-ends": (2, _XYZ, "", "1 2 3\r\n4 5 6\r\n", False),
+    "crlf-line-ends": (2, _XYZ, "", "1 2 3\r\n4 5 6\r\n", True),
+    "crlf-blank-lines": (2, _XYZ, "", "\r\n1 2 3\r\n \t\r\n\r\n4 5 6\r\n", True),
+    "stray-carriage-return": (1, _XYZ, "", "1 2\r3\n", False),
     "short-row": (2, _XYZ, "", "1 2 3\n4 5\n", True),
     "garbled-token": (2, _XYZ, "", "1 2 3\n4 x 6\n", False),
     "garbled-number": (2, _XYZ, "", "1 2 3\n4 5. .6.\n", True),
