@@ -56,8 +56,8 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
     Returns
     -------
     (normals, degenerate)
-        normals is (N, 3); each row is the eigenvector of the smallest
-        eigenvalue of the k-neighborhood covariance, sign-fixed into the
+        normals is (N, 3); each row is, to 1e-12, LAPACK's eigenvector of the
+        smallest eigenvalue of the k-neighborhood covariance, sign-fixed into the
         +z hemisphere (ties toward +y, then +x). degenerate flags rows
         whose neighborhood had rank < 2 (collinear or coincident points);
         those fall back to +z. Both are read-only, computed once per cloud and k,
@@ -72,19 +72,49 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
 
 
 def _pca_normals(cloud: PointCloud, k: int):
+    """Blocks of rows in leaf order: the closed form where it is exact, else eigh."""
     _, idx = cloud.spatial_index.neighbors(k)
-    normals, degenerate = np.empty((cloud.count, 3)), np.empty(cloud.count, dtype=bool)
-    for rows in row_blocks(cloud.count, k):
-        centered = cloud.positions[idx[rows]]
-        centered -= centered.mean(axis=1, keepdims=True)
-        eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)
-        nrm, deg = eigvecs[:, :, 0], eigvals[:, 1] <= np.maximum(eigvals[:, 2] * 1e-12, 1e-30)
-        nrm[deg] = (0.0, 0.0, 1.0)
-        nx, ny, nz = nrm.T
-        flip = (nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))
-        nrm[flip] *= -1.0
-        normals[rows], degenerate[rows] = nrm, deg
+    normals, degenerate = np.empty((cloud.count, 3)), np.zeros(cloud.count, dtype=bool)
+    for block in row_blocks(cloud.count, 3 * k):  # a block counts 3 coordinates per neighbour
+        rows = cloud.spatial_index.order[block]
+        nbrs = idx[rows]
+        centered = np.stack([column[nbrs] for column in cloud.positions.T])  # (3, b, k)
+        centered -= centered.mean(axis=2, keepdims=True)
+        nrm, exact = _closed_form_normals(np.einsum("ibk,jbk->ijb", centered, centered) / k)
+        rest = np.flatnonzero(~exact)
+        hood = cloud.positions[nbrs[rest]]
+        hood -= hood.mean(axis=1, keepdims=True)
+        eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", hood, hood) / k)
+        deg = eigvals[:, 1] <= np.maximum(eigvals[:, 2] * 1e-12, 1e-30)  # rank < 2
+        nrm[rest] = np.where(deg[:, None], (0.0, 0.0, 1.0), eigvecs[:, :, 0])
+        nx, ny, nz = nrm[rest].T
+        nrm[rest[(nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))]] *= -1.0
+        normals[rows], degenerate[rows[rest]] = nrm, deg
     return normals, degenerate
+
+
+def _closed_form_normals(a: np.ndarray):
+    """Smallest-eigenvalue unit vectors of (3, 3, b) covariances, +z hemisphere, by Smith's
+    formula (CACM 1961) and adjugate rows; exact rows are within 1e-12 of eigh's, same sign."""
+    scale = np.abs(a).max(axis=(0, 1))
+    a = a / np.where(scale > 0, scale, 1.0)  # no overflow or underflow below
+    q = np.trace(a) / 3
+    dev = a - q * np.eye(3)[..., None]
+    p = np.sqrt((dev * dev).sum(axis=0).sum(axis=0) / 6)
+    b = dev / np.where(p > 0, p, 1.0)
+    phi = np.arccos(np.clip((b[0] * np.cross(b[1], b[2], axis=0)).sum(axis=0) / 2, -1.0, 1.0)) / 3
+    big, small = q + 2 * p * np.cos(phi), q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    for _ in range(2):  # again at the Rayleigh quotient: accurate where arccos is not
+        m = a - small * np.eye(3)[..., None]
+        adj = np.stack([np.cross(m[i], m[j], axis=0) for i, j in ((1, 2), (2, 0), (0, 1))])
+        length = np.sqrt((adj * adj).sum(axis=1))
+        best = length.argmax(axis=0)[None, None]
+        v = np.take_along_axis(adj / np.maximum(length, 1e-300)[:, None], best, 0)[0]
+        small = (v * (a * v).sum(axis=1)).sum(axis=0)
+    # The vector errs by ~1e-16 / (relative gap of the two smallest); signs only near n_z = 0.
+    gap = 3 * q - big - 2 * small
+    exact = (gap > 1e-2 * big) & (gap * scale > 2e-30) & (np.abs(v[2]) >= 1e-9)
+    return (v * np.where(v[2] < 0, -1.0, 1.0)).T, exact
 
 
 def _match_pair(ref: PointCloud, dist: PointCloud):

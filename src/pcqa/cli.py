@@ -146,7 +146,7 @@ def _load_score_reports(directory: str):
     table: dict[tuple[str, str], dict[str, float]] = {}
     for path in sorted(root.glob("*.json")):
         try:
-            body = json.loads(path.read_text(encoding="utf-8"))
+            body = json.loads(path.read_text(encoding="utf-8-sig"))  # as the MOS CSV
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(body, dict):

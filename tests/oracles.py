@@ -33,6 +33,31 @@ def brute_radius(points, query, radius):
     return np.asarray(order, dtype=np.intp), d[order]
 
 
+def pca_normals(points, k):
+    """Per-point PCA normals by np.linalg.eigh over brute_knn neighbourhoods.
+
+    Each row is the eigenvector of the smallest eigenvalue of the
+    neighbourhood covariance. A middle eigenvalue <= max(1e-12 x largest,
+    1e-30) flags the row degenerate (rank < 2) and gives +z. The sign is
+    fixed into the +z hemisphere, ties toward +y, then +x. Returns
+    (normals, degenerate).
+    """
+    points = np.asarray(points, dtype=np.float64)
+    normals = np.empty((len(points), 3))
+    degenerate = np.empty(len(points), dtype=bool)
+    for row, query in enumerate(points):
+        hood = points[brute_knn(points, query, k)[0]][None]  # one (1, k, 3) batch
+        hood -= hood.mean(axis=1, keepdims=True)
+        eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", hood, hood) / k)
+        degenerate[row] = eigvals[0, 1] <= max(eigvals[0, 2] * 1e-12, 1e-30)
+        normal = np.array([0.0, 0.0, 1.0]) if degenerate[row] else eigvecs[0, :, 0]
+        x, y, z = normal
+        if z < 0 or (z == 0 and (y < 0 or (y == 0 and x < 0))):
+            normal = -normal
+        normals[row] = normal
+    return normals, degenerate
+
+
 def gcm_channels(colors_0_255):
     out = np.empty((len(colors_0_255), 3))
     for i, (r, g, b) in enumerate(np.asarray(colors_0_255) / 255.0):

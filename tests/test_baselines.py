@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,9 +24,11 @@ from pcqa import (
     run_baselines,
     to_yuv,
 )
+from pcqa import baselines, spatial
 from pcqa.baselines import _match_pair, combine_channel_psnr
 
-from helpers import random_cloud, smooth_cloud
+from helpers import planar_cloud, random_cloud, smooth_cloud
+from oracles import pca_normals
 
 
 def grid_cloud(m=20, spacing=1.0):
@@ -331,7 +334,8 @@ class TestReferenceCache:
     def test_one_computation_per_key_across_metrics(self, monkeypatch):
         import scipy.sparse
 
-        eigh = self.count_calls(monkeypatch, np.linalg, "eigh", lambda cov: len(cov))
+        pca = self.count_calls(monkeypatch, baselines, "_pca_normals",
+                               lambda cloud, k: cloud.count)
         csr = self.count_calls(monkeypatch, scipy.sparse, "csr_matrix",
                                lambda arg1, shape: shape[0])
         ref = smooth_cloud(400, seed=0)
@@ -344,13 +348,13 @@ class TestReferenceCache:
         p2_errors(ref, b, "plane")
         # The reference's normals once, and the distorted cloud's own normals
         # for the normal signal; the reference's scores once.
-        assert eigh == [ref.count, a.count]
+        assert pca == [ref.count, a.count]
         assert csr == [ref.count]
 
         estimate_normals(ref, k=8)
         estimate_normals(ref, k=8)
         run_baselines(ref, b, normals_k=8)
-        assert eigh == [ref.count, a.count, ref.count]
+        assert pca == [ref.count, a.count, ref.count]
 
     def test_cached_normals_equal_a_fresh_cloud_bit_for_bit(self):
         cloud = smooth_cloud(500, seed=3)
@@ -396,3 +400,136 @@ class TestReferenceCache:
                               (box.max_corner, fresh.max_corner)):
             assert np.array_equal(got, expected)
             assert not got.flags.writeable
+
+
+def _sphere(n, seed):
+    raw = np.random.default_rng(seed).normal(size=(n, 3))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def _with_duplicates(points, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.vstack([points, points[rng.integers(0, len(points), count)]]))
+
+
+def _voxelised_sphere(depth, seed):
+    # Two far corners set the extent, so the lattice step is about 0.2 at
+    # every depth: a unit sphere becomes a blocky shell of axis-aligned faces.
+    corners = np.full((2, 3), 0.1 * 2.0**depth) * ((-1.0,), (1.0,))
+    cloud = PointCloud(positions=np.vstack([_sphere(1500, seed), corners]))
+    return apply_distortion(cloud, DistortionSpec("ot", depth)).positions
+
+
+def _integer_lattice(seed):
+    # 216 sites plus 300 repeats: symmetric neighbourhoods, rows with n_z = 0.
+    sites = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+    return _with_duplicates(sites, 300, seed)
+
+
+def _vertical_plane(n, seed):
+    yz = planar_cloud(n, seed=seed).positions[:, :2]
+    return np.column_stack([np.full(len(yz), 1.5), yz])  # normals are +-x: n_z = 0
+
+
+def _criterion_7_plane():
+    xs = np.arange(24.0)
+    gx, gy = np.meshgrid(xs, xs)
+    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(24 * 24)])
+
+
+def _coincident(seed):
+    # Clusters of 13 identical points (zero spread) beside scattered ones.
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, 10, (12, 3))
+    return rng.permutation(np.vstack([np.repeat(centers, 13, axis=0), rng.uniform(0, 10, (60, 3))]))
+
+
+NORMAL_CASES = {
+    "continuous-volume": lambda: smooth_cloud(700, seed=31).positions,
+    "continuous-sphere": lambda: _sphere(700, seed=32),
+    **{f"ot{depth}-duplicates": (lambda depth=depth: _with_duplicates(
+        _voxelised_sphere(depth, seed=33), 120, seed=depth)) for depth in (6, 7, 8, 9)},
+    "integer-lattice": lambda: _integer_lattice(seed=34),
+    "criterion-7-plane": _criterion_7_plane,
+    "vertical-plane": lambda: _vertical_plane(300, seed=35),
+    "line": lambda: np.column_stack([np.linspace(0, 5, 40), np.zeros(40), np.zeros(40)]),
+    "coincident": lambda: _coincident(seed=36),
+    "huge-scale": lambda: smooth_cloud(200, seed=37).positions * 1e140,
+    "tiny-scale": lambda: smooth_cloud(200, seed=38).positions * 1e-140,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_normals(case):
+    return pca_normals(NORMAL_CASES[case](), 12)
+
+
+class TestClosedFormNormals:
+    """estimate_normals solves each 3x3 covariance in closed form and sends the
+    rows where that could differ from eigh to eigh itself: those rows, and every
+    degenerate flag, equal the oracle bit for bit; the rest are within 1e-12."""
+
+    @staticmethod
+    def normals_and_exact_rows(monkeypatch, points, k=12):
+        masks, original = [], baselines._closed_form_normals
+
+        def recording(cov):
+            normals, exact = original(cov)
+            masks.append(exact.copy())
+            return normals, exact
+
+        monkeypatch.setattr(baselines, "_closed_form_normals", recording)
+        cloud = PointCloud(positions=points)
+        normals, degenerate = estimate_normals(cloud, k)
+        exact = np.empty(cloud.count, dtype=bool)
+        exact[cloud.spatial_index.order] = np.concatenate(masks)  # blocks go in leaf order
+        return normals, degenerate, exact
+
+    # The normals pass counts 3k + 1 entries per row: 1 and 40 give one-row
+    # blocks, 200 five-row blocks, and the default one block per cloud here.
+    @pytest.mark.parametrize("block", [None, 1, 40, 200])
+    @pytest.mark.parametrize("case", sorted(NORMAL_CASES))
+    def test_equal_to_eigh_within_the_bound(self, monkeypatch, case, block):
+        points = NORMAL_CASES[case]()
+        if block is not None:
+            monkeypatch.setattr(spatial, "BLOCK_ENTRIES", block)
+        normals, degenerate, exact = self.normals_and_exact_rows(monkeypatch, points)
+        want, want_degenerate = _oracle_normals(case)
+        assert np.array_equal(degenerate, want_degenerate)
+        assert np.array_equal(normals[~exact], want[~exact])
+        assert np.abs(normals - want)[exact].max(initial=0.0) <= 1e-12
+        assert not degenerate[exact].any()
+
+    @pytest.mark.parametrize("case, at_least, at_most", [
+        ("continuous-volume", 0.97, 1.0),
+        ("continuous-sphere", 0.97, 1.0),
+        ("criterion-7-plane", 1.0, 1.0),
+        ("integer-lattice", 0.05, 0.95),
+        ("ot7-duplicates", 0.5, 0.99),
+        ("vertical-plane", 0.0, 0.0),  # n_z = 0: the sign is eigh's to decide
+        ("line", 0.0, 0.0),
+        ("coincident", 0.0, 0.5),
+    ])
+    def test_closed_form_share(self, monkeypatch, case, at_least, at_most):
+        _, _, exact = self.normals_and_exact_rows(monkeypatch, NORMAL_CASES[case]())
+        assert at_least <= exact.mean() <= at_most
+
+    def test_solver_on_chosen_spectra(self):
+        # Rotated diagonal covariances, largest eigenvalue 1: the two smallest
+        # a gap g apart across the 1e-2 cut, or the two largest nearly equal,
+        # where arccos alone loses half the digits.
+        rng = np.random.default_rng(39)
+        n = 20_000
+        smallest = rng.uniform(0.0, 0.5, 2 * n) * 10.0 ** rng.uniform(-6, 0, 2 * n)
+        gap = np.r_[10.0 ** rng.uniform(-2.5, -1.5, n), np.full(n, 0.5)]
+        middle = np.r_[smallest[:n] + gap[:n], 1.0 - 10.0 ** rng.uniform(-12, -1, n)]
+        spectra = np.stack([smallest, middle, np.ones(2 * n)], axis=1)
+        rot = np.linalg.qr(rng.normal(size=(2 * n, 3, 3)))[0]
+        cov = np.einsum("nij,nj,nkj->nik", rot, spectra, rot)
+        cov = (cov + cov.transpose(0, 2, 1)) / 2
+        want = np.linalg.eigh(cov)[1][:, :, 0]
+        want *= np.where(want[:, 2] < 0, -1.0, 1.0)[:, None]
+        normals, exact = baselines._closed_form_normals(cov.transpose(1, 2, 0).copy())
+        assert np.abs(normals - want)[exact].max() <= 1e-12
+        assert not exact[gap < 0.99e-2].any()
+        assert exact[gap > 1.01e-2].mean() > 0.999

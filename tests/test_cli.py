@@ -391,6 +391,14 @@ class TestEval:
         code, out, err = run(capsys, "eval", scores_dir, mos_csv)
         assert (code, out, err) == (0, plain, "")
 
+    def test_score_reports_with_utf8_bom(self, capsys, tmp_path):
+        scores_dir, mos_csv = self.build_corpus(tmp_path)
+        _, plain, _ = run(capsys, "eval", scores_dir, mos_csv)
+        for path in Path(scores_dir).glob("*.json"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as Windows editors save
+        code, out, err = run(capsys, "eval", scores_dir, mos_csv)
+        assert (code, out, err) == (0, plain, "")
+
     def test_missing_scores_exit_3(self, capsys, tmp_path):
         scores_dir, mos_csv = self.build_corpus(
             tmp_path, skip={("dog", "cn_3")})
