@@ -16,7 +16,6 @@ import numpy as np
 from .cloud import BoundingBox, PointCloud, bounding_box, merged_bounding_box
 from .colorspace import to_yuv
 from .errors import DomainError
-from .spatial import row_blocks
 
 METRIC_IDS = ("m-p2po", "m-p2pl", "h-p2po", "h-p2pl", "psnr-yuv")
 
@@ -61,7 +60,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
         +z hemisphere (ties toward +y, then +x). degenerate flags rows
         whose neighborhood had rank < 2 (collinear or coincident points);
         those fall back to +z. Both are read-only, computed once per cloud and k,
-        in row blocks of the k-NN table, so temporaries stay a few MB at any N.
+        from the streamed self k-NN rows block by block; no k-NN table is kept.
     """
     if k < 1:
         raise DomainError(f"normal estimation needs k >= 1, got {k}")
@@ -73,11 +72,8 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
 
 def _pca_normals(cloud: PointCloud, k: int):
     """Blocks of rows in leaf order: the closed form where it is exact, else eigh."""
-    _, idx = cloud.spatial_index.neighbors(k)
     normals, degenerate = np.empty((cloud.count, 3)), np.zeros(cloud.count, dtype=bool)
-    for block in row_blocks(cloud.count, 3 * k):  # a block counts 3 coordinates per neighbour
-        rows = cloud.spatial_index.order[block]
-        nbrs = idx[rows]
+    for rows, _, nbrs in cloud.spatial_index.self_knn_blocks(k, 3 * k):  # 3 coordinates a neighbour
         centered = np.stack([column[nbrs] for column in cloud.positions.T])  # (3, b, k)
         centered -= centered.mean(axis=2, keepdims=True)
         nrm, exact = _closed_form_normals(np.einsum("ibk,jbk->ijb", centered, centered) / k)

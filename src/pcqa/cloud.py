@@ -15,7 +15,7 @@ MAX_COORDINATE = 1e150  # so 3 * (2 * MAX_COORDINATE) ** 2, the widest squared d
 def _as_point_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     # Copy what the caller can still write to, so no point moves under the
-    # cloud's cached tree and neighbor table; fresh or frozen arrays are kept.
+    # cloud's cached tree and results; fresh or frozen arrays are kept.
     if (arr is values and arr.flags.writeable) or arr.base is not None \
             or not arr.flags.c_contiguous:
         arr = np.array(arr, order="C")

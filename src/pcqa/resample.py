@@ -18,7 +18,6 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DegenerateCloudWarning, DomainError
-from .spatial import row_blocks
 
 METHODS = ("high-pass", "random")
 
@@ -127,22 +126,23 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
 
 
 def _filtered_norms(cloud: PointCloud, k: int, filter_length: int) -> np.ndarray:
+    """Norms of the filtered positions. The shift operator's CSR rows are
+    written from the streamed self k-NN rows, one block at a time."""
     from scipy.sparse import csr_matrix
     n = cloud.count
+    weights, columns = np.empty((n, k)), np.empty((n, k), np.int32 if n <= 2**31 else np.intp)
     # Column 0 is the point itself or a smaller-index duplicate with the same
     # row; the filter is the same whichever copy is dropped.
-    dist, idx = cloud.spatial_index.neighbors(k + 1)
-    weights, columns = np.empty((n, k)), np.empty((n, k), np.int32 if n <= 2**31 else np.intp)
-    for rows in row_blocks(n, k + 1):
-        d2 = dist[rows, 1:] * dist[rows, 1:]
+    for rows, dist, idx in cloud.spatial_index.self_knn_blocks(k + 1, k + 1):
+        d2 = dist[:, 1:] * dist[:, 1:]
         local_var = d2.mean(axis=1)
         flat = local_var <= 0.0
         w = np.exp(-d2 / np.where(flat, 1.0, local_var)[:, None])
         w[flat] = 1.0
         w /= w.sum(axis=1)[:, None]
         # Ascending 32-bit columns, as csr_matrix makes of COO input: same sums, no index copy.
-        ascending = np.argsort(idx[rows, 1:], axis=1)
-        columns[rows] = np.take_along_axis(idx[rows, 1:], ascending, axis=1)
+        ascending = np.argsort(idx[:, 1:], axis=1)
+        columns[rows] = np.take_along_axis(idx[:, 1:], ascending, axis=1)
         weights[rows] = np.take_along_axis(w, ascending, axis=1)
     shift = csr_matrix((weights.ravel(), columns.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
 

@@ -16,9 +16,10 @@ import numpy as np
 from .cloud import PointCloud, _as_point_array, _check_positions
 from .errors import DomainError
 
-# Table entries, rows x (k + 1), per block of the bulk passes (k-NN tables, PCA normals,
-# keypoint filter): a few MB of temporaries at any N; k = 1 over 262k rows is one block.
-BLOCK_ENTRIES = 2**19
+# Entries, rows x (k + 1), per block of the bulk passes (k-NN queries, PCA normals,
+# keypoint filter); k = 1 over 131k rows is one block. Measured (tracemalloc): a filter
+# block holds about 19 MiB of temporaries, a normals block 8 MiB, at any N.
+BLOCK_ENTRIES = 2**18
 
 
 def row_blocks(n: int, k: int):
@@ -31,7 +32,9 @@ class SpatialIndex:
     """kd-tree over frozen positions of a non-empty cloud; a writable array is copied.
 
     Duplicate points are allowed and keep their own indices. Queries cost
-    O(log N) expected per point; construction is O(N log N).
+    O(log N) expected per point; construction is O(N log N). The index keeps
+    its tree and, after the first tie, its distinct locations, but no (N, k)
+    result: passes over its own points stream them with self_knn_blocks.
     """
 
     def __init__(self, source):
@@ -48,7 +51,7 @@ class SpatialIndex:
         if not isinstance(source, PointCloud):  # a cloud has checked its own
             _check_positions(self._positions)
         self._tree = cKDTree(self._positions)
-        self._table = self._site_table = None
+        self._site_table = None
 
     @property
     def count(self) -> int:
@@ -126,17 +129,23 @@ class SpatialIndex:
         Row r equals knn(queries[r], k), order included, on any core count.
         Rows whose k + 1 tree distances (inf past the cloud size) tie within
         knn's margin are redone by _resolve; others keep the tree's values.
-        Rows go in row_blocks, each written straight into the outputs; the
-        indexed points themselves are asked in leaf order and written back.
+        Rows go in row_blocks, each written straight into the outputs, which
+        the index does not keep.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         kk = min(int(k), self.count)
         dist, idx = np.empty((len(queries), kk)), np.empty((len(queries), kk), np.intp)
-        leaf = self.order if queries is self._positions else None
-        for block in row_blocks(len(queries), kk):
-            rows = block if leaf is None else leaf[block]
+        for rows in row_blocks(len(queries), kk):
             dist[rows], idx[rows] = self._query_rows(queries[rows], kk)
         return dist, idx
+
+    def self_knn_blocks(self, k: int, entries_per_row: int):
+        """query_array(., k) over the indexed points themselves, streamed: one
+        (rows, dist, idx) per row_blocks(count, entries_per_row) block of the
+        leaf order, rows being point indices. Nothing is kept between blocks."""
+        for block in row_blocks(self.count, entries_per_row):
+            rows = self.order[block]
+            yield (rows, *self.query_array(self._positions[rows], k))
 
     def _query_rows(self, queries, kk: int):
         dist, idx = self._tree.query(queries, k=kk + 1, workers=-1)
@@ -178,12 +187,3 @@ class SpatialIndex:
                            else (self._tree, start))  # no duplicates: sites are points
             self._site_table = tree, order, start, np.diff(np.r_[start, self.count])
         return self._site_table
-
-    def neighbors(self, k: int):
-        """query_array over the indexed points themselves, as read-only
-        slices of one table kept with the index and widened on demand."""
-        if self._table is None or self._table[1].shape[1] < min(k, self.count):
-            self._table = self.query_array(self._positions, k)
-            for table in self._table:
-                table.setflags(write=False)
-        return self._table[0][:, :k], self._table[1][:, :k]

@@ -21,6 +21,15 @@ def random_cloud(n, seed=0, span=10.0, colored=True, normals=False):
     return PointCloud(positions=positions, colors=colors, normals=cloud_normals)
 
 
+def streamed_self_table(index, k):
+    """The index's own k-NN rows from self_knn_blocks, put back in point order."""
+    kk = min(k, index.count)
+    dist, idx = np.empty((index.count, kk)), np.empty((index.count, kk), np.intp)
+    for rows, d, i in index.self_knn_blocks(k, k):
+        dist[rows], idx[rows] = d, i
+    return dist, idx
+
+
 def smooth_cloud(n, seed=0, span=10.0):
     """Cloud whose colors vary smoothly with position.
 

@@ -16,6 +16,7 @@ from pcqa import (
     apply_distortion,
     bounding_box,
     estimate_normals,
+    frequency_scores,
     geometry_psnr,
     graphsim,
     merged_bounding_box,
@@ -358,8 +359,8 @@ class TestReferenceCache:
 
     def test_cached_normals_equal_a_fresh_cloud_bit_for_bit(self):
         cloud = smooth_cloud(500, seed=3)
-        # Widen the cloud's neighbour table first, as a keypoint draw would.
-        cloud.spatial_index.neighbors(20)
+        # Another self pass over the same index first, as a keypoint draw runs.
+        frequency_scores(cloud, ResampleConfig(graph_k=19))
         first = estimate_normals(cloud)
         assert estimate_normals(cloud)[0] is first[0]
         fresh = estimate_normals(PointCloud(positions=cloud.positions.copy()))

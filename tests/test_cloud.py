@@ -21,12 +21,12 @@ def test_arrays_are_coerced_and_frozen():
 def test_cloud_copies_the_callers_array():
     pos = np.random.default_rng(0).uniform(0, 1, (20, 3))
     cloud = PointCloud(positions=pos)
-    dist, idx = cloud.spatial_index.neighbors(4)
+    dist, idx = cloud.spatial_index.query_array(cloud.positions, 4)
     before = cloud.positions.copy(), dist.copy(), idx.copy()
     pos[:] = 7.0  # the caller's array stays writable
     assert np.array_equal(cloud.positions, before[0])
-    assert np.array_equal(cloud.spatial_index.neighbors(4)[0], before[1])
-    assert np.array_equal(cloud.spatial_index.neighbors(4)[1], before[2])
+    after = cloud.spatial_index.query_array(cloud.positions, 4)
+    assert np.array_equal(after[0], before[1]) and np.array_equal(after[1], before[2])
 
 
 def test_cloud_copies_only_what_can_still_be_written():

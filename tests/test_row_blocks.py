@@ -1,6 +1,6 @@
-"""Bulk passes in fixed row blocks: k-NN tables, PCA normals and the
-keypoint filter give the same bits at any block size, and their temporaries
-stay block-sized as the cloud grows."""
+"""Bulk passes in fixed row blocks: k-NN queries, the streamed self rows, PCA
+normals and the keypoint filter give the same bits at any block size, and
+their temporaries stay block-sized as the cloud grows."""
 
 import tracemalloc
 
@@ -11,6 +11,7 @@ from pcqa import PointCloud, spatial
 from pcqa.baselines import estimate_normals
 from pcqa.resample import frequency_scores
 
+from helpers import streamed_self_table
 from oracles import brute_knn, dense_frequency_scores
 
 
@@ -24,8 +25,8 @@ def _shuffled_lattice(rng):
 def _bulk_results(pts):
     cloud = PointCloud(positions=pts)
     index = cloud.spatial_index
-    # Ascending k, so each call widens the kept table with a fresh query.
-    out = {f"neighbors({k})": index.neighbors(k) for k in (1, 2, 11, 13)}
+    out = {f"query_array({k})": index.query_array(pts, k) for k in (1, 2, 11, 13)}
+    out["self_knn_blocks(13)"] = streamed_self_table(index, 13)
     foreign = pts[::3] + 0.5
     out["query_array"] = index.query_array(foreign, 12)
     out["nearest"] = index.nearest(foreign)
@@ -50,7 +51,8 @@ def test_results_do_not_depend_on_block_edges(monkeypatch, lattice, block):
     for name, want in default.items():
         for a, b in zip(_arrays(want), _arrays(blocked[name]), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-    dist, idx = blocked["neighbors(13)"]
+    dist, idx = blocked["query_array(13)"]
+    assert all(np.array_equal(a, b) for a, b in zip(blocked["self_knn_blocks(13)"], (dist, idx)))
     for row, q in enumerate(pts):
         exp_idx, exp_d = brute_knn(pts, q, 13)
         assert np.array_equal(idx[row], exp_idx) and np.array_equal(dist[row], exp_d), row
@@ -80,8 +82,8 @@ def _transient_bytes(pts, compute):
 
 
 @pytest.mark.parametrize("compute, per_point", [
-    # The table and the normals keep every whole-cloud array they make.
-    (lambda c: c.spatial_index.neighbors(12), 0),
+    # The query and the normals keep every whole-cloud array they make.
+    (lambda c: c.spatial_index.query_array(c.positions, 12), 0),
     (lambda c: estimate_normals(c, 12), 0),
     # The filter must hold its shift operator (graph_k = 10 weights and
     # column indices per row, 64-bit at most, plus a row pointer) and the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,15 @@ from pcqa import (
     ResampleConfig,
     SpatialIndex,
     ValidationError,
+    estimate_normals,
+    frequency_scores,
     graphsim,
     p2_errors,
     psnr_yuv,
     run_baselines,
 )
 
-from helpers import random_cloud
+from helpers import random_cloud, streamed_self_table
 from oracles import brute_knn, brute_radius
 
 
@@ -134,8 +138,8 @@ def test_query_array_rows_equal_the_scan(lattice):
 
 @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuous"])
 def test_neighbor_table_rows_equal_the_scan(lattice):
-    # The self-table is asked in the tree's leaf order and scattered back;
-    # row r must still answer point r. The shuffled lattice repeats sites,
+    # The streamed self rows are asked in the tree's leaf order; row r put
+    # back must still answer point r. The shuffled lattice repeats sites,
     # so rows tie and go through _resolve.
     rng = np.random.default_rng(37)
     if lattice:
@@ -147,7 +151,9 @@ def test_neighbor_table_rows_equal_the_scan(lattice):
     assert sorted(index.order) == list(range(len(pts)))
     assert not index.order.flags.writeable
     assert not np.array_equal(index.order, np.arange(len(pts)))
-    dist, idx = index.neighbors(12)
+    dist, idx = index.query_array(pts, 12)
+    streamed = streamed_self_table(index, 12)
+    assert np.array_equal(streamed[0], dist) and np.array_equal(streamed[1], idx)
     for row, q in enumerate(pts):
         exp_idx, exp_d = brute_knn(pts, q, 12)
         assert np.array_equal(idx[row], exp_idx), row
@@ -231,13 +237,25 @@ def test_nearest_to_a_large_duplicate_cluster():
     assert np.array_equal(d[:, 0], np.linalg.norm(queries[:50], axis=1))
 
 
-def test_neighbor_table_is_read_only():
-    index = SpatialIndex(np.random.default_rng(4).uniform(0, 1, (50, 3)))
-    dist, idx = index.neighbors(4)
-    with pytest.raises(ValueError):
-        dist[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        idx[0, 0] = 1
+def test_no_neighbor_table_is_kept():
+    # The filter and the normals stream their neighbour rows: once both have
+    # run, the cloud holds their results and nothing more that grows with it.
+    # A kept (N, 12) table of distances and indices would add 3.8 MB here.
+    rng = np.random.default_rng(4)
+    frequency_scores(PointCloud(positions=rng.uniform(0, 1, (50, 3))))  # lazy imports
+    estimate_normals(PointCloud(positions=rng.uniform(0, 1, (50, 3))))
+    cloud = PointCloud(positions=rng.uniform(0, 1, (20_000, 3)))
+    cloud.spatial_index
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scores = frequency_scores(cloud)
+        normals, degenerate = estimate_normals(cloud)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    results = scores.nbytes + normals.nbytes + degenerate.nbytes
+    assert kept <= results + 64 * 1024, (kept, results)
 
 
 def test_index_copies_the_callers_writable_array():
@@ -245,7 +263,7 @@ def test_index_copies_the_callers_writable_array():
     before = pts.copy()
     index = SpatialIndex(pts)
     pts[:] = pts[::-1].copy()  # reversed in place, after the index was built
-    dist, idx = index.neighbors(3)
+    dist, idx = streamed_self_table(index, 3)  # asks the index's own positions
     for row, q in enumerate(before):
         expect_idx, expect_dist = brute_knn(before, q, 3)
         assert np.array_equal(idx[row], expect_idx)
@@ -297,12 +315,12 @@ class TestCloudOwnsItsTree:
         ref = random_cloud(400, seed=10)
         a, b = (PointCloud(positions=ref.positions + np.random.default_rng(s).normal(
             0, 0.05, ref.positions.shape), colors=ref.colors) for s in (11, 12))
-        widths = []
+        asked = {}
         original = SpatialIndex.query_array
 
         def recording(index, queries, k):
-            if index is ref.spatial_index and np.array_equal(queries, ref.positions):
-                widths.append(k)
+            if index is ref.spatial_index and k > 1:  # k = 1: the baselines' matches
+                asked.setdefault(k, []).append(queries)
             return original(index, queries, k)
 
         monkeypatch.setattr(SpatialIndex, "query_array", recording)
@@ -312,8 +330,14 @@ class TestCloudOwnsItsTree:
         run_baselines(ref, a)
         graphsim(ref, a, GraphSimConfig(signal_kind="normal",
                                         resample=ResampleConfig(count=8)))
-        assert widths == [11, 12]
-        _, idx = ref.spatial_index.neighbors(11)
+        # The filter's width 11 and the normals' width 12, each over every
+        # reference point once: rows are streamed, so no width reuses another.
+        assert {k: sum(map(len, blocks)) for k, blocks in asked.items()} == {11: 400, 12: 400}
+        for blocks in asked.values():
+            points = np.vstack(blocks)
+            assert np.array_equal(points[np.lexsort(points.T)],
+                                  ref.positions[np.lexsort(ref.positions.T)])
+        _, idx = streamed_self_table(ref.spatial_index, 11)
         assert np.array_equal(idx, original(ref.spatial_index, ref.positions, 11)[1])
 
     def test_empty_cloud_has_no_tree(self):
