@@ -136,15 +136,20 @@ def _cloud_normals(cloud: PointCloud, k: int) -> np.ndarray:
 def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
                     plane_normals: np.ndarray | None = None) -> dict:
     """Per-point squared (forward, backward) errors over one match pair:
-    "p2po" always, "p2pl" when reference `plane_normals` are given."""
-    fwd_matches, bwd_matches = matches
-    fwd_err = dist.positions - ref.positions[fwd_matches]
-    bwd_err = ref.positions - dist.positions[bwd_matches]
-    squared = {"p2po": ((fwd_err * fwd_err).sum(axis=1), (bwd_err * bwd_err).sum(axis=1))}
-    if plane_normals is not None:
-        squared["p2pl"] = ((fwd_err * plane_normals[fwd_matches]).sum(axis=1) ** 2,
-                           (bwd_err * plane_normals).sum(axis=1) ** 2)
-    return squared
+    "p2po" always, "p2pl" when reference `plane_normals` are given. Each
+    direction's (N, 3) arrays are made in place and let go before the next."""
+    squared = {"p2po": [], "p2pl": []}
+    for backward, match in enumerate(matches):
+        query, target = (ref, dist) if backward else (dist, ref)
+        err = target.positions[match]
+        np.subtract(query.positions, err, out=err)
+        if plane_normals is not None:  # the match's normal forward, the query's own backward
+            plane = plane_normals.copy() if backward else plane_normals[match]
+            squared["p2pl"].append(np.multiply(plane, err, out=plane).sum(axis=1) ** 2)
+            del plane
+        squared["p2po"].append(np.multiply(err, err, out=err).sum(axis=1))
+        del err
+    return {kind: tuple(pair) for kind, pair in squared.items() if pair}
 
 
 def _check_pair(ref: PointCloud, dist: PointCloud, normals_k: int) -> None:
@@ -209,9 +214,10 @@ def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
     dist_yuv = to_yuv(dist.colors / 255.0) * 255.0
 
     def direction(from_yuv, to_yuv_values, matches):
-        diff = from_yuv - to_yuv_values[matches]
-        mse = (diff * diff).mean(axis=0)
-        return combine_channel_psnr(*(_db(255.0 ** 2, e) for e in mse))
+        diff = to_yuv_values[matches]
+        np.subtract(from_yuv, diff, out=diff)
+        diff *= diff
+        return combine_channel_psnr(*(_db(255.0 ** 2, e) for e in diff.mean(axis=0)))
 
     forward = direction(dist_yuv, ref_yuv, matches[0])
     backward = direction(ref_yuv, dist_yuv, matches[1])
@@ -247,6 +253,8 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     matches = _match_pair(ref, dist)
     box = merged_bounding_box(bounding_box(ref), bounding_box(dist))
     results: dict[str, BaselineResult] = {}
+    if "psnr-yuv" in metrics:  # first: its YUV arrays are gone before the normals are made
+        results["psnr-yuv"] = _color_psnr(ref, dist, matches)
 
     geometry = [m for m in metrics if m != "psnr-yuv"]
     ref_normals = None
@@ -262,7 +270,4 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
             forward_db=geometry_psnr(pair.forward, box),
             backward_db=geometry_psnr(pair.backward, box),
         )
-
-    if "psnr-yuv" in metrics:
-        results["psnr-yuv"] = _color_psnr(ref, dist, matches)
     return {m: results[m] for m in metrics}

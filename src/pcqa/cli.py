@@ -92,7 +92,10 @@ def _emit_pair(args: argparse.Namespace, command: str, report: dict, scores: dic
 
 def cmd_score(args: argparse.Namespace) -> int:
     config = _score_config(args)
-    result = graphsim(*_load_pair(args), config)
+    # The stimulus is read once the reference's keypoint filter has let go of its transients.
+    ref = load_ply(args.reference)
+    keypoints = resample(ref, config.resample)
+    result = graphsim(ref, load_ply(args.distorted), config, keypoints=keypoints)
     report = dict(result.to_report(config), seed=args.seed)
     return _emit_pair(args, "score", report, {"graphsim": result.quality})
 

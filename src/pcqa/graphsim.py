@@ -409,8 +409,6 @@ def _prepare_signals(ref, dist, config):
     out = []
     for kind in config.signal_kinds:
         if kind == "color":
-            if not (ref.has_colors and dist.has_colors):
-                raise DomainError("color signal requested but a cloud has no colors")
             rs = decompose(ref, config.color_space)
             ds = decompose(dist, config.color_space)
             weights = np.asarray(config.color_space.resolved_weights)
@@ -440,13 +438,16 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     config = config or GraphSimConfig()
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
-    signals = _prepare_signals(ref, dist, config)
+    if "color" in config.signal_kinds and not (ref.has_colors and dist.has_colors):
+        raise DomainError("color signal requested but a cloud has no colors")
 
     if keypoints is None:
         keypoints = resample(ref, config.resample)
     elif not isinstance(keypoints, KeypointSet):
         keypoints = np.asarray(keypoints, dtype=np.intp)
         keypoints = KeypointSet(indices=keypoints, scores=np.ones(keypoints.size))
+    # After the keypoint stage, so decomposed colours are never live beside the filter.
+    signals = _prepare_signals(ref, dist, config)
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     mixed = len(config.signal_kinds) > 1

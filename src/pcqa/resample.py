@@ -134,21 +134,24 @@ def _filtered_norms(cloud: PointCloud, k: int, filter_length: int) -> np.ndarray
     # Column 0 is the point itself or a smaller-index duplicate with the same
     # row; the filter is the same whichever copy is dropped.
     for rows, dist, idx in cloud.spatial_index.self_knn_blocks(k + 1, k + 1):
-        d2 = dist[:, 1:] * dist[:, 1:]
-        local_var = d2.mean(axis=1)
+        w = dist[:, 1:]  # exp(-d^2 / local variance), in place: (-a)/b is -(a/b) in IEEE
+        w *= w
+        local_var = w.mean(axis=1)
         flat = local_var <= 0.0
-        w = np.exp(-d2 / np.where(flat, 1.0, local_var)[:, None])
+        w /= np.where(flat, 1.0, local_var)[:, None]
+        np.exp(np.negative(w, out=w), out=w)
         w[flat] = 1.0
         w /= w.sum(axis=1)[:, None]
         # Ascending 32-bit columns, as csr_matrix makes of COO input: same sums, no index copy.
         ascending = np.argsort(idx[:, 1:], axis=1)
         columns[rows] = np.take_along_axis(idx[:, 1:], ascending, axis=1)
         weights[rows] = np.take_along_axis(w, ascending, axis=1)
+        del dist, idx, w, ascending  # before the next block is asked
     shift = csr_matrix((weights.ravel(), columns.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
 
-    filtered = cloud.positions
+    filtered = cloud.positions.copy()
     for _ in range(filter_length - 1):
-        filtered = filtered - shift @ filtered
+        filtered -= shift @ filtered
     scores = np.linalg.norm(filtered, axis=1)
     if not np.isfinite(scores).all():
         raise DomainError(f"high-pass filter overflowed at filter_length={filter_length}")

@@ -1,13 +1,18 @@
-"""End-to-end command tests driven through main() in process."""
+"""End-to-end command tests driven through main() in process; one contract runs
+the command in a real process, where an escaping exception prints a traceback."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcqa import PointCloud, load_ply, save_ply
+from pcqa import GraphSimConfig, PointCloud, ResampleConfig, graphsim, load_ply, save_ply
 from pcqa.cli import build_parser, main
+from pcqa.jsonutil import canonical_dumps
 
 from helpers import random_cloud
 
@@ -104,6 +109,48 @@ class TestScore:
         code, _, err = run(capsys, "score", str(path), str(path), "--beta", "4")
         assert code == 3
         assert last_stderr_json(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("colored", [(True, False), (False, True)],
+                             ids=["colorless-distorted", "colorless-reference"])
+    def test_one_colorless_cloud_exits_3(self, capsys, tmp_path, colored):
+        # The distorted PLY is read after the reference's keypoints are drawn.
+        paths = []
+        for seed, has_colors in enumerate(colored):
+            paths.append(str(tmp_path / f"{seed}.ply"))
+            save_ply(random_cloud(300, seed=seed, colored=has_colors), paths[-1])
+        code, out, err = run(capsys, "score", *paths, "--beta", "4")
+        assert code == 3
+        assert out == ""
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError" and "colors" in diag["message"]
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_unreadable_distorted_exits_2_without_traceback(self, ply_pair, tmp_path, damage):
+        # A real process: an exception escaping main() would print its traceback.
+        ref, dist = ply_pair
+        bad = tmp_path / f"{damage}.ply"
+        if damage == "truncated":
+            bad.write_bytes(Path(dist).read_bytes()[:-100])
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "pcqa.cli", "score", ref, str(bad),
+                               "--beta", "4"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert f"{damage}.ply" in last_stderr_json(proc.stderr)["message"]
+
+    def test_report_equals_in_process_graphsim(self, capsys, ply_pair):
+        ref, dist = ply_pair
+        code, out, _ = run(capsys, "score", ref, dist, "--beta", "8", "--seed", "3",
+                           "--signal", "color,normal")
+        assert code == 0
+        config = GraphSimConfig(signal_kind=("color", "normal"),
+                                resample=ResampleConfig(count=8, seed=3))
+        result = graphsim(load_ply(ref), load_ply(dist), config)
+        expected = dict(result.to_report(config), seed=3, command="score",
+                        inputs={"reference": ref, "distorted": dist}, content="",
+                        distortion="", scores={"graphsim": result.quality})
+        assert out == canonical_dumps(expected) + "\n"
 
     @pytest.mark.parametrize("flag", [
         ("--feature-pooling", "multiply"),

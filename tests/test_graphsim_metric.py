@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from pcqa import (
     build_local_graph_pair,
     graphsim,
 )
+from pcqa.errors import DomainError
 from pcqa.graphsim import _prepare_signals, score_graph
 from pcqa.jsonutil import canonical_dumps
 
@@ -87,6 +89,19 @@ def test_coordinate_signal_works_without_colors():
     config = GraphSimConfig(signal_kind="coordinate")
     assert graphsim(ref, ref, config).quality == pytest.approx(1.0, abs=1e-9)
     assert graphsim(ref, noisy, config).quality < 1.0
+
+
+@pytest.mark.parametrize("signal_kind", ["color", "mixed"])
+def test_colorless_pair_fails_before_the_filter(monkeypatch, signal_kind):
+    # Colours are decomposed after the keypoint stage; their check is not.
+    def no_filter(*args):
+        raise AssertionError("the keypoint filter ran")
+
+    monkeypatch.setattr(importlib.import_module("pcqa.resample"), "_filtered_norms", no_filter)
+    colored, plain = random_cloud(300, seed=9), random_cloud(300, seed=9, colored=False)
+    for ref, dist in ((colored, plain), (plain, colored)):
+        with pytest.raises(DomainError, match="no colors"):
+            graphsim(ref, dist, GraphSimConfig(signal_kind=signal_kind))
 
 
 def test_normal_signal_estimates_when_missing():

@@ -1,0 +1,101 @@
+"""Whole-cloud transients, one at a time: the keypoint filter, graphsim and
+the baselines keep at most one cloud-sized temporary beyond what they need,
+and the tie path of the k-NN queries stays block-sized on a lattice.
+
+Peaks are read with tracemalloc, which numpy reports its buffers to, so the
+figures are deterministic. Every module a pass imports is loaded first."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pcqa import DistortionSpec, GraphSimConfig, PointCloud, apply_distortion, graphsim, spatial
+from pcqa.baselines import _match_pair, estimate_normals, run_baselines
+from pcqa.resample import frequency_scores
+
+from helpers import random_cloud
+from oracles import brute_knn
+
+N = 20_000
+# Bytes per point of one (N, 3) float64 array.
+ROW3 = 3 * 8
+
+
+@pytest.fixture(autouse=True)
+def _imports_loaded():
+    graphsim(random_cloud(300, seed=0), random_cloud(300, seed=1), GraphSimConfig())
+    run_baselines(random_cloud(300, seed=2), random_cloud(300, seed=3))
+
+
+def _peak(compute):
+    """Peak traced bytes while compute() runs, above what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        compute()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_frequency_scores_peak_is_the_operator_plus_one_block(monkeypatch):
+    # Two blocks: the first block's arrays must be gone before the second is asked.
+    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", 2**17)
+    k = 10
+    operator = N * k * (8 + 4) + (N + 1) * 8  # weights, 32-bit columns, row pointer
+    # Beside it: the filtered copy, one product and one norm temporary, (N, 3) each,
+    # and one block of 48 B per entry (k-NN query, tie test and weights).
+    bound = operator + 3 * ROW3 * N + 48 * spatial.BLOCK_ENTRIES
+    cloud = random_cloud(N, seed=4)  # no tree yet: it is built inside
+    peak = _peak(lambda: frequency_scores(cloud))
+    assert peak <= bound, (peak, bound)
+
+
+def test_graphsim_holds_no_decomposed_colors_during_the_filter():
+    ref, dist = random_cloud(N, seed=5), random_cloud(N, seed=6)
+    filter_peak = _peak(lambda: frequency_scores(PointCloud(positions=ref.positions)))
+    peak = _peak(lambda: graphsim(ref, dist, GraphSimConfig()))
+    # Each cloud's decomposed colours are one (N, 3) array; the filter's peak is the
+    # run's peak only if neither is live while it runs.
+    assert peak < filter_peak + ROW3 * N, (peak, filter_peak)
+
+
+def test_run_baselines_peak_above_matches_and_normals():
+    ref, dist = random_cloud(N, seed=7), random_cloud(N, seed=8)
+    _match_pair(ref, dist)  # each cloud's tree, as run_baselines builds it
+    estimate_normals(ref, 12)
+    # Five (N, 3) arrays: one YUV copy beside the other's conversion (its RGB input,
+    # three channels and their stack), or one direction's error and projection
+    # beside the per-point results.
+    bound = 5 * ROW3 * N
+    peak = _peak(lambda: run_baselines(ref, dist))
+    assert peak <= bound, (peak, bound)
+
+
+def test_tie_path_on_a_lattice_stays_block_sized(monkeypatch):
+    rng = np.random.default_rng(7)
+    lattice = apply_distortion(PointCloud(positions=rng.uniform(0, 10, (60_000, 3))),
+                               DistortionSpec("ot", 5))
+    pts = lattice.positions
+    index = lattice.spatial_index
+    index.query_array(pts[:1], 11)  # the distinct-location table, built once and kept
+    chunks = []
+    resolve = spatial.SpatialIndex._resolve
+
+    def counting(self, queries, radius, kk):
+        chunks.append(len(queries))
+        return resolve(self, queries, radius, kk)
+
+    monkeypatch.setattr(spatial.SpatialIndex, "_resolve", counting)
+    outputs = len(pts) * 11 * 16
+    peak = _peak(lambda: index.query_array(pts, 11)) - outputs
+    # One query block and its tie path: 48 B per entry, at any lattice size.
+    assert peak <= 48 * spatial.BLOCK_ENTRIES, peak
+    assert sum(chunks) == len(pts) and len(chunks) > 1, chunks  # every row ties
+
+    edges = np.cumsum(chunks)[:-1]
+    dist, idx = index.query_array(pts, 11)
+    for row in np.concatenate([edges - 1, edges]):
+        want_idx, want_d = brute_knn(pts, pts[row], 11)
+        assert np.array_equal(idx[row], want_idx) and np.array_equal(dist[row], want_d), row
