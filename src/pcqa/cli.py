@@ -70,10 +70,6 @@ def _score_config(args: argparse.Namespace) -> GraphSimConfig:
     )
 
 
-def _load_pair(args: argparse.Namespace):
-    return load_ply(args.reference), load_ply(args.distorted)
-
-
 def _emit_pair(args: argparse.Namespace, command: str, report: dict, scores: dict) -> int:
     """Add the fields every pair report carries, then print or write it."""
     report.update(
@@ -104,7 +100,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metrics:
         raise ValidationError("--metrics must name at least one baseline metric")
-    results = run_baselines(*_load_pair(args), metrics, normals_k=args.normals_k)
+    results = run_baselines(load_ply(args.reference), load_ply(args.distorted), metrics,
+                            normals_k=args.normals_k)
     report = {
         "metrics": {
             m: {

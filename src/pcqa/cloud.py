@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .spatial import SpatialIndex
 
 MAX_COORDINATE = 1e150  # so 3 * (2 * MAX_COORDINATE) ** 2, the widest squared distance, is finite
 
@@ -113,8 +114,6 @@ class PointCloud:
     def spatial_index(self):
         """k-d tree over the positions, built on first use and kept for the
         cloud's lifetime. Raises DomainError on an empty cloud."""
-        from .spatial import SpatialIndex  # spatial.py imports this module
-
         return SpatialIndex(self)
 
     def _cached(self, key: tuple, compute):

@@ -465,7 +465,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
         if pair.ref_cluster_size == 0:
             skipped += 1
             continue
-        if pair.dist_cluster_size == 0 or pair.ref.size == 0 or pair.dist.size == 0:
+        if pair.ref.size == 0 or pair.dist.size == 0:
             empty += 1
             pooled = 0.0
         else:

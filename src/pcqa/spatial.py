@@ -13,7 +13,6 @@ import itertools
 
 import numpy as np
 
-from .cloud import PointCloud, _as_point_array, _check_positions
 from .errors import DomainError
 
 # Entries, rows x (k + 1), per block of the bulk passes (k-NN queries, PCA normals,
@@ -29,7 +28,8 @@ def row_blocks(n: int, k: int):
 
 
 class SpatialIndex:
-    """kd-tree over frozen positions of a non-empty cloud; a writable array is copied.
+    """kd-tree over the frozen positions of a non-empty PointCloud, built
+    through cloud.spatial_index.
 
     Duplicate points are allowed and keep their own indices. Queries cost
     O(log N) expected per point; construction is O(N log N). The index keeps
@@ -37,19 +37,11 @@ class SpatialIndex:
     result: passes over its own points stream them with self_knn_blocks.
     """
 
-    def __init__(self, source):
+    def __init__(self, cloud):
         from scipy.spatial import cKDTree
-        positions = source.positions if isinstance(source, PointCloud) else source
-        positions = np.ascontiguousarray(positions, dtype=np.float64)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise DomainError(
-                f"spatial index needs (N, 3) positions, got shape {positions.shape}"
-            )
-        if positions.shape[0] == 0:
+        if cloud.count == 0:
             raise DomainError("cannot index an empty cloud")
-        self._positions = _as_point_array(positions, "positions")
-        if not isinstance(source, PointCloud):  # a cloud has checked its own
-            _check_positions(self._positions)
+        self._positions = cloud.positions  # checked, copied and frozen by the cloud
         self._tree = cKDTree(self._positions)
         self._site_table = None
 
@@ -65,40 +57,12 @@ class SpatialIndex:
         order.setflags(write=False)
         return order
 
-    def _exact_order(self, candidates: np.ndarray, query: np.ndarray):
-        """Distances recomputed in plain numpy, sorted by (distance, index)."""
-        dists = np.linalg.norm(self._positions[candidates] - query, axis=1)
-        order = np.lexsort((candidates, dists))
-        return candidates[order], dists[order]
-
     def knn(self, query, k: int):
-        """k nearest neighbors of a single query point.
-
-        Parameters
-        ----------
-        query : array_like, shape (3,)
-        k : int
-            Requested neighbor count; saturates at the cloud size.
-
-        Returns
-        -------
-        (indices, distances)
-            Parallel arrays sorted by ascending distance, ties broken by
-            ascending point index. Length min(k, count).
-        """
-        if k < 1:
-            raise DomainError(f"k must be >= 1, got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        kk = min(int(k), self.count)
-        if kk == self.count:
-            return self._exact_order(np.arange(self.count, dtype=np.intp), query)
-        dist, _ = self._tree.query(query, k=kk)
-        dmax = float(np.max(dist)) if kk > 1 else float(dist)
-        # Slightly inflated radius guards against last-ulp disagreement
-        # between the tree's internal metric and the numpy recomputation.
-        candidates = self._tree.query_ball_point(query, dmax * (1 + 1e-12) + 1e-300)
-        idx, d = self._exact_order(np.asarray(candidates, dtype=np.intp), query)
-        return idx[:kk], d[:kk]
+        """k nearest neighbors of one query point, as (indices, distances):
+        row 0 of query_array(query, k), so min(k, count) long and sorted by
+        (distance, index)."""
+        dist, idx = self.query_array(query, k)
+        return idx[0], dist[0]
 
     def radius_query(self, query, radius: float):
         """All points within `radius` (inclusive) of a single query point.
@@ -113,11 +77,11 @@ class SpatialIndex:
         candidates = np.asarray(
             self._tree.query_ball_point(query, margin), dtype=np.intp
         )
-        if candidates.size == 0:
-            return candidates, np.empty(0, dtype=np.float64)
-        idx, d = self._exact_order(candidates, query)
-        keep = d <= radius
-        return idx[keep], d[keep]
+        # Distances recomputed in plain numpy, sorted by (distance, index).
+        d = np.linalg.norm(self._positions[candidates] - query, axis=1)
+        keep = np.flatnonzero(d <= radius)
+        order = keep[np.lexsort((candidates[keep], d[keep]))]
+        return candidates[order], d[order]
 
     def nearest(self, queries) -> np.ndarray:
         """Nearest point index per query row: column 0 of query_array(queries, 1)."""
@@ -126,12 +90,15 @@ class SpatialIndex:
     def query_array(self, queries, k: int):
         """Bulk k-NN over many query rows on every core, as (dist, idx) matrices.
 
-        Row r equals knn(queries[r], k), order included, on any core count.
-        Rows whose k + 1 tree distances (inf past the cloud size) tie within
-        knn's margin are redone by _resolve; others keep the tree's values.
-        Rows go in row_blocks, each written straight into the outputs, which
-        the index does not keep.
+        Each row holds its min(k, count) nearest points by (distance, index),
+        as a brute-force scan orders them, on any core count. A row is redone
+        by _resolve when one of its k + 1 tree distances (inf past the cloud
+        size) is at most d * (1 + 1e-12) + 1e-300, d being the one before it;
+        others keep the tree's values. Rows go in row_blocks, each written
+        straight into the outputs, which the index does not keep.
         """
+        if k < 1:
+            raise DomainError(f"k must be >= 1, got {k}")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         kk = min(int(k), self.count)
         dist, idx = np.empty((len(queries), kk)), np.empty((len(queries), kk), np.intp)

@@ -9,7 +9,6 @@ from pcqa import (
     PointCloud,
     ResampleConfig,
     SpatialIndex,
-    ValidationError,
     estimate_normals,
     frequency_scores,
     graphsim,
@@ -22,28 +21,11 @@ from helpers import random_cloud, streamed_self_table
 from oracles import brute_knn, brute_radius
 
 
-def test_empty_input_rejected():
-    with pytest.raises(DomainError):
-        SpatialIndex(np.empty((0, 3)))
-
-
-def test_bad_shape_rejected():
-    with pytest.raises(DomainError):
-        SpatialIndex(np.zeros((5, 2)))
-
-
-def test_raw_arrays_get_the_point_cloud_checks():
-    with pytest.raises(ValidationError, match="non-finite coordinate at point 1"):
-        SpatialIndex(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
-    with pytest.raises(DomainError, match=r"1e\+150 at point 0"):
-        SpatialIndex(np.array([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-
-
 def test_knn_against_scan():
     rng = np.random.default_rng(11)
     for _ in range(50):
         pts = rng.uniform(-1, 1, (rng.integers(5, 80), 3))
-        index = SpatialIndex(pts)
+        index = PointCloud(positions=pts).spatial_index
         q = rng.uniform(-1, 1, 3)
         k = int(rng.integers(1, len(pts) + 1))
         got_idx, got_d = index.knn(q, k)
@@ -54,7 +36,7 @@ def test_knn_against_scan():
 
 def test_knn_saturates_at_cloud_size():
     pts = np.random.default_rng(0).uniform(0, 1, (10, 3))
-    idx, d = SpatialIndex(pts).knn([0.5, 0.5, 0.5], 50)
+    idx, d = PointCloud(positions=pts).spatial_index.knn([0.5, 0.5, 0.5], 50)
     assert len(idx) == 10
     assert np.all(np.diff(d) >= 0)
 
@@ -62,22 +44,28 @@ def test_knn_saturates_at_cloud_size():
 def test_knn_tie_break_prefers_lower_index():
     # Two exact duplicates and a farther point: the duplicate pair ties.
     pts = np.array([[1.0, 0, 0], [0, 5, 0], [1.0, 0, 0]])
-    idx, d = SpatialIndex(pts).knn([0, 0, 0], 2)
+    idx, d = PointCloud(positions=pts).spatial_index.knn([0, 0, 0], 2)
     assert idx.tolist() == [0, 2]
     assert d[0] == d[1] == 1.0
 
 
 def test_knn_invalid_k():
-    index = SpatialIndex(np.zeros((1, 3)))
-    with pytest.raises(DomainError):
-        index.knn([0, 0, 0], 0)
+    # One check in query_array serves every k-NN entry point.
+    index = PointCloud(positions=np.zeros((4, 3))).spatial_index
+    for k in (0, -1):
+        with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
+            index.knn([0, 0, 0], k)
+        with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
+            index.query_array(np.zeros((2, 3)), k)
+        with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
+            next(index.self_knn_blocks(k, 1))
 
 
 def test_radius_query_against_scan():
     rng = np.random.default_rng(13)
     for _ in range(50):
         pts = rng.uniform(-1, 1, (rng.integers(5, 80), 3))
-        index = SpatialIndex(pts)
+        index = PointCloud(positions=pts).spatial_index
         q = rng.uniform(-1, 1, 3)
         r = float(rng.uniform(0, 1.5))
         got_idx, got_d = index.radius_query(q, r)
@@ -89,21 +77,21 @@ def test_radius_query_against_scan():
 def test_radius_boundary_is_inclusive():
     # Integer lattice: distances to the origin are exact in binary.
     pts = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 3.0]])
-    idx, d = SpatialIndex(pts).radius_query([0, 0, 0], 2.0)
+    idx, d = PointCloud(positions=pts).spatial_index.radius_query([0, 0, 0], 2.0)
     assert idx.tolist() == [0, 1]
     assert d.tolist() == [1.0, 2.0]
 
 
 def test_radius_zero_finds_duplicates():
     pts = np.array([[0.5, 0.5, 0.5], [0.25, 0, 0], [0.5, 0.5, 0.5]])
-    idx, d = SpatialIndex(pts).radius_query([0.5, 0.5, 0.5], 0.0)
+    idx, d = PointCloud(positions=pts).spatial_index.radius_query([0.5, 0.5, 0.5], 0.0)
     assert idx.tolist() == [0, 2]
     assert np.all(d == 0.0)
 
 
 def test_negative_radius_rejected():
     with pytest.raises(DomainError):
-        SpatialIndex(np.zeros((1, 3))).radius_query([0, 0, 0], -1.0)
+        PointCloud(positions=np.zeros((1, 3))).spatial_index.radius_query([0, 0, 0], -1.0)
 
 
 def test_nearest_matches_single_knn():
@@ -111,11 +99,11 @@ def test_nearest_matches_single_knn():
     pts = rng.uniform(0, 1, (60, 3))
     # Mix in exact duplicates so ties actually occur.
     pts[30:40] = pts[0:10]
-    index = SpatialIndex(pts)
+    index = PointCloud(positions=pts).spatial_index
     queries = np.vstack([rng.uniform(0, 1, (40, 3)), pts[5:15]])
     got = index.nearest(queries)
     for row, q in zip(got, queries):
-        assert row == index.knn(q, 1)[0][0]
+        assert row == brute_knn(pts, q, 1)[0][0]
 
 
 @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuous"])
@@ -126,7 +114,7 @@ def test_query_array_rows_equal_the_scan(lattice):
     pts = (rng.integers(0, 6, (1000, 3)).astype(float) if lattice
            else rng.uniform(0, 6, (1000, 3)))
     n = len(pts)
-    index = SpatialIndex(pts)
+    index = PointCloud(positions=pts).spatial_index
     tables = {k: index.query_array(pts, k) for k in (1, 2, 11, 12, n, n + 3)}
     for row, q in enumerate(pts):
         # brute_knn(pts, q, k) is the first min(k, n) entries of this scan.
@@ -162,7 +150,7 @@ def test_neighbor_table_rows_equal_the_scan(lattice):
 
 def test_nearest_is_column_zero_without_knn_calls(monkeypatch):
     pts = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
-    index = SpatialIndex(pts)
+    index = PointCloud(positions=pts).spatial_index
     queries = pts + 0.5  # every query sits at the centre of a lattice cell
     calls = []
     monkeypatch.setattr(SpatialIndex, "knn", lambda *args: calls.append(args))
@@ -174,13 +162,13 @@ def test_nearest_is_column_zero_without_knn_calls(monkeypatch):
 
 
 def test_nearest_single_point_cloud():
-    index = SpatialIndex(np.array([[1.0, 2.0, 3.0]]))
+    index = PointCloud(positions=np.array([[1.0, 2.0, 3.0]])).spatial_index
     assert index.nearest(np.zeros((4, 3))).tolist() == [0, 0, 0, 0]
 
 
 def test_query_array_shapes():
     cloud = random_cloud(30, seed=2)
-    index = SpatialIndex(cloud)
+    index = cloud.spatial_index
     d, i = index.query_array(cloud.positions, 5)
     assert d.shape == (30, 5) and i.shape == (30, 5)
     d1, i1 = index.query_array(cloud.positions[:3], 1)
@@ -189,25 +177,25 @@ def test_query_array_shapes():
 
 def test_match_points_identity_on_distinct_cloud():
     cloud = random_cloud(120, seed=3)
-    matches = SpatialIndex(cloud).nearest(cloud.positions)
+    matches = cloud.spatial_index.nearest(cloud.positions)
     assert np.array_equal(matches, np.arange(120))
 
 
 def test_match_points_survives_small_translation():
     cloud = random_cloud(100, seed=4, span=100.0)
     spacing = min(
-        SpatialIndex(cloud).knn(cloud.positions[i], 2)[1][1] for i in range(100)
+        cloud.spatial_index.knn(cloud.positions[i], 2)[1][1] for i in range(100)
     )
     shift = 0.25 * spacing
     moved = PointCloud(positions=cloud.positions + shift / np.sqrt(3.0))
-    matches = SpatialIndex(cloud).nearest(moved.positions)
+    matches = cloud.spatial_index.nearest(moved.positions)
     assert np.array_equal(matches, np.arange(100))
 
 
 def test_match_points_range_for_unequal_sizes():
     source = random_cloud(100, seed=5)
     target = random_cloud(50, seed=6)
-    matches = SpatialIndex(target).nearest(source.positions)
+    matches = target.spatial_index.nearest(source.positions)
     assert matches.shape == (100,)
     assert matches.min() >= 0 and matches.max() < 50
 
@@ -219,7 +207,7 @@ def test_bulk_nearest_against_scan_on_a_lattice():
     pts = rng.integers(0, 10, (6000, 3)).astype(float)
     queries = np.vstack([rng.integers(-1, 11, (5000, 3)).astype(float),
                          rng.integers(0, 20, (1000, 3)) / 2.0])
-    got = SpatialIndex(pts).nearest(queries)
+    got = PointCloud(positions=pts).spatial_index.nearest(queries)
     for row in rng.choice(len(queries), 150, replace=False):
         assert got[row] == brute_knn(pts, queries[row], 1)[0][0]
 
@@ -230,7 +218,7 @@ def test_nearest_to_a_large_duplicate_cluster():
     rng = np.random.default_rng(3)
     pts = np.vstack([[[9.0, 9.0, 9.0]], np.zeros((20_000, 3))])
     queries = rng.normal(0, 0.1, (20_000, 3))
-    index = SpatialIndex(pts)
+    index = PointCloud(positions=pts).spatial_index
     assert np.all(index.nearest(queries) == 1)
     d, i = index.query_array(queries[:50], 3)
     assert np.array_equal(i, np.broadcast_to([1, 2, 3], i.shape))
@@ -256,21 +244,6 @@ def test_no_neighbor_table_is_kept():
         tracemalloc.stop()
     results = scores.nbytes + normals.nbytes + degenerate.nbytes
     assert kept <= results + 64 * 1024, (kept, results)
-
-
-def test_index_copies_the_callers_writable_array():
-    pts = np.random.default_rng(5).uniform(0, 1, (50, 3))
-    before = pts.copy()
-    index = SpatialIndex(pts)
-    pts[:] = pts[::-1].copy()  # reversed in place, after the index was built
-    dist, idx = streamed_self_table(index, 3)  # asks the index's own positions
-    for row, q in enumerate(before):
-        expect_idx, expect_dist = brute_knn(before, q, 3)
-        assert np.array_equal(idx[row], expect_idx)
-        assert np.array_equal(dist[row], expect_dist)
-    assert np.array_equal(index.knn(before[7], 3)[0], idx[7])
-    frozen = PointCloud(positions=before).positions
-    assert SpatialIndex(frozen)._positions is frozen  # read-only and owned: kept
 
 
 class TestCloudOwnsItsTree:
