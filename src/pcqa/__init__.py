@@ -38,7 +38,7 @@ from .graphsim import (
     build_local_graph_pair,
     graphsim,
 )
-from .mos import MosRow, MosTable, load_mos_csv
+from .mos import MosRow, load_mos_csv
 from .ply_io import load_ply, save_ply
 from .resample import KeypointSet, ResampleConfig, frequency_scores, resample
 from .spatial import SpatialIndex
@@ -63,7 +63,6 @@ __all__ = [
     "LEVEL_PRESETS",
     "METRIC_IDS",
     "MosRow",
-    "MosTable",
     "ParseError",
     "PointCloud",
     "POOLING_PRESETS",

@@ -173,21 +173,6 @@ def _load_score_reports(directory: str):
     return table
 
 
-def _eval_one_metric(metric: str, records: list[dict], fit_scope: str) -> dict:
-    by_content, by_distortion = (
-        evaluate_records([dict(r, group=r[key]) for r in records], fit_scope=fit_scope).to_dict()
-        for key in ("content", "distortion")
-    )
-    return {
-        "overall": {k: by_content[k] for k in ("size", "plcc", "srocc", "rmse", "fit", "degenerate")},
-        "by_content": by_content["groups"],
-        "by_distortion": by_distortion["groups"],
-        "excluded_groups": sorted(
-            set(by_content["excluded_groups"]) | set(by_distortion["excluded_groups"])
-        ),
-    }
-
-
 def _print_eval_table(report: dict) -> None:
     header = f"{'metric':<12} {'scope':<12} {'group':<16} {'n':>4} {'plcc':>9} {'srocc':>9} {'rmse':>9}"
     print(header)
@@ -215,7 +200,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     missing: list[str] = []
     dropped = 0
-    records: dict[str, list[dict]] = {m: [] for m in metrics}
+    records: dict[str, list[dict]] = {}  # metric -> its finite scores, each with its MOS row
     for mos_row in mos:
         key = (mos_row.content, mos_row.distortion)
         bucket = scores.get(key, {})
@@ -227,14 +212,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if not math.isfinite(value):
                 dropped += 1
                 continue
-            records[metric].append(
-                {
-                    "score": value,
-                    "mos": mos_row.mos,
-                    "content": mos_row.content,
-                    "distortion": mos_row.distortion,
-                }
-            )
+            records.setdefault(metric, []).append(dict(vars(mos_row), score=value))
     if missing and not args.allow_partial:
         raise DomainError(
             "missing scores for MOS rows (use --allow-partial to skip): "
@@ -247,8 +225,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "mos_rows": len(mos),
         "non_finite_dropped": dropped,
         "missing": sorted(missing),
-        "metrics": {m: _eval_one_metric(m, recs, args.fit_scope) for m, recs in records.items() if recs},
+        "metrics": {},
     }
+    for metric, recs in sorted(records.items()):
+        try:
+            report["metrics"][metric] = evaluate_records(recs, fit_scope=args.fit_scope).to_dict()
+        except DomainError as exc:
+            raise DomainError(f"{metric}: {exc}") from None
     _print_eval_table(report)
     if args.output:
         write_report(report, args.output)

@@ -158,7 +158,7 @@ def rmse(mapped: Sequence[float], ratings: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class GroupReport:
-    """Agreement statistics for one content group."""
+    """Agreement statistics for one content or distortion group."""
 
     name: str
     size: int
@@ -168,13 +168,10 @@ class GroupReport:
     low_sample: bool = False
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Overall agreement statistics plus optional per-group breakdown."""
+    """Overall agreement statistics plus the per-content and per-distortion breakdowns."""
 
     size: int
     plcc: float
@@ -184,29 +181,26 @@ class EvalReport:
     fit_fallback: bool
     degenerate: bool
     fit_scope: str = "global"
-    groups: tuple[GroupReport, ...] = field(default_factory=tuple)
+    by_content: tuple[GroupReport, ...] = field(default_factory=tuple)
+    by_distortion: tuple[GroupReport, ...] = field(default_factory=tuple)
     excluded_groups: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
+        """The per-metric block of a ``pcqa eval`` report."""
+        fit = {"params": list(self.fit_params), "fallback": self.fit_fallback,
+               "scope": self.fit_scope}
         return {
-            "size": self.size,
-            "plcc": self.plcc,
-            "srocc": self.srocc,
-            "rmse": self.rmse,
-            "fit": {
-                "params": list(self.fit_params),
-                "fallback": self.fit_fallback,
-                "scope": self.fit_scope,
-            },
-            "degenerate": self.degenerate,
-            "groups": [g.to_dict() for g in self.groups],
+            "overall": {"size": self.size, "plcc": self.plcc, "srocc": self.srocc,
+                        "rmse": self.rmse, "fit": fit, "degenerate": self.degenerate},
+            "by_content": [asdict(g) for g in self.by_content],
+            "by_distortion": [asdict(g) for g in self.by_distortion],
             "excluded_groups": list(self.excluded_groups),
         }
 
 
-def _agreement(x: np.ndarray, y: np.ndarray, fit: LogisticFit) -> dict:
-    """Size, PLCC, SROCC and RMSE of one pool under a fitted map."""
-    mapped = fit(x)
+def _agreement(x: np.ndarray, y: np.ndarray, params: tuple[float, ...]) -> dict:
+    """Size, PLCC, SROCC and RMSE of one pool under the fitted map's parameters."""
+    mapped = _logistic(x, *params)
     return {"size": int(x.size), "plcc": plcc(mapped, y), "srocc": srocc(x, y),
             "rmse": rmse(mapped, y)}
 
@@ -216,62 +210,61 @@ def evaluate_scores(predictions: Sequence[float], ratings: Sequence[float]) -> E
     x = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(ratings, dtype=np.float64)
     fit = logistic_fit(x, y)
-    return EvalReport(
-        **_agreement(x, y, fit),
-        fit_params=fit.params,
-        fit_fallback=fit.fallback,
-        degenerate=fit.degenerate,
-    )
+    return EvalReport(**_agreement(x, y, fit.params), fit_params=fit.params,
+                      fit_fallback=fit.fallback, degenerate=fit.degenerate)
 
 
-def evaluate_records(
-    records: Sequence[Mapping[str, object]],
-    *,
-    fit_scope: str = "global",
-) -> EvalReport:
-    """Evaluate scored records with optional per-content grouping.
+def evaluate_records(records: Sequence[Mapping[str, object]], *,
+                     fit_scope: str = "global") -> EvalReport:
+    """Evaluate scored records overall, by content and by distortion.
 
-    Each record needs ``score`` and ``mos`` keys; an optional ``group``
-    key assigns the record to a content group. With ``fit_scope="global"``
-    one regression is shared by every group; with ``"per-group"`` each
-    group is refit independently before its statistics are taken.
+    Each record needs ``score`` and ``mos`` keys; its optional ``content``
+    and ``distortion`` keys place it in one group on each axis (an absent or
+    empty key places it in none). Groups come in first-seen order. With
+    ``fit_scope="global"`` the one overall regression maps every group; with
+    ``"per-group"`` each group is refit before its statistics are taken.
+    Groups smaller than MIN_GROUP_SIZE are left out and named, sorted, in
+    ``excluded_groups``.
     """
     if fit_scope not in ("global", "per-group"):
         raise DomainError(f"unknown fit scope: {fit_scope!r}")
     if not records:
         raise DomainError("no records to evaluate")
 
-    x_all, y_all, labels = [], [], []
+    x_all, y_all = [], []
+    labels: dict[str, list[str]] = {"content": [], "distortion": []}
     for i, rec in enumerate(records):
         try:
             x_all.append(float(rec["score"]))  # type: ignore[arg-type]
             y_all.append(float(rec["mos"]))  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"record {i}: missing or non-numeric score/mos") from exc
-        labels.append(str(rec.get("group", "")))
+        for axis, names in labels.items():
+            names.append(str(rec.get(axis, "")))
     x_arr = np.asarray(x_all)
     y_arr = np.asarray(y_all)
 
     overall = evaluate_scores(x_arr, y_arr)
-    global_fit = LogisticFit(overall.fit_params, overall.fit_fallback, overall.degenerate)
+    excluded: set[str] = set()
 
-    groups: list[GroupReport] = []
-    excluded: list[str] = []
-    seen: list[str] = []
-    for name in labels:
-        if name and name not in seen:
-            seen.append(name)
-    for name in seen:
-        mask = np.array([lbl == name for lbl in labels])
-        gx, gy = x_arr[mask], y_arr[mask]
-        if gx.size < MIN_GROUP_SIZE:
-            excluded.append(name)
-            continue
-        fit = logistic_fit(gx, gy) if fit_scope == "per-group" else global_fit
-        groups.append(GroupReport(
-            name=name, **_agreement(gx, gy, fit), low_sample=gx.size < SMALL_GROUP_SIZE,
-            degenerate=fit.degenerate or np.ptp(gx) == 0.0,
-        ))
+    def groups(names: list[str]) -> tuple[GroupReport, ...]:
+        out = []
+        for name in filter(None, dict.fromkeys(names)):
+            mask = np.array([lbl == name for lbl in names])
+            gx, gy = x_arr[mask], y_arr[mask]
+            if gx.size < MIN_GROUP_SIZE:
+                excluded.add(name)
+                continue
+            params = logistic_fit(gx, gy).params if fit_scope == "per-group" \
+                else overall.fit_params
+            # A fit is degenerate exactly when its scores are constant, and
+            # the overall scores are constant only if every group's are.
+            out.append(GroupReport(
+                name=name, **_agreement(gx, gy, params), low_sample=gx.size < SMALL_GROUP_SIZE,
+                degenerate=bool(np.ptp(gx) == 0.0),
+            ))
+        return tuple(out)
 
-    return replace(overall, fit_scope=fit_scope, groups=tuple(groups),
-                   excluded_groups=tuple(excluded))
+    return replace(overall, fit_scope=fit_scope, by_content=groups(labels["content"]),
+                   by_distortion=groups(labels["distortion"]),
+                   excluded_groups=tuple(sorted(excluded)))

@@ -20,6 +20,7 @@ increasing local color/geometry disagreement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,15 +86,14 @@ class GraphSimConfig:
     normals_k: int = 12
 
     def __post_init__(self):
-        if not 0 < self.neighborhood_fraction:
-            raise DomainError("neighborhood_fraction must be positive")
+        for name in ("neighborhood_fraction", "t_mass", "t_mean", "t_cov"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if self.matching_k < 1:
             raise DomainError(f"matching_k must be >= 1, got {self.matching_k}")
         if self.normals_k < 1:
             raise DomainError(f"normals_k must be >= 1, got {self.normals_k}")
-        for name in ("t_mass", "t_mean", "t_cov"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
         if self.feature_pooling not in FEATURE_POOLING:
             raise DomainError(f"unknown feature pooling '{self.feature_pooling}'")
         if self.channel_pooling not in CHANNEL_POOLING:
@@ -444,8 +444,11 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     if keypoints is None:
         keypoints = resample(ref, config.resample)
     elif not isinstance(keypoints, KeypointSet):
-        keypoints = np.asarray(keypoints, dtype=np.intp)
-        keypoints = KeypointSet(indices=keypoints, scores=np.ones(keypoints.size))
+        keypoints = KeypointSet(indices=keypoints, scores=np.ones(np.shape(keypoints)))
+    outside = (keypoints.indices < 0) | (keypoints.indices >= ref.count)
+    if outside.any():
+        raise DomainError(f"keypoint index {keypoints.indices[outside][0]} "
+                          f"is outside [0, {ref.count})")
     # After the keypoint stage, so decomposed colours are never live beside the filter.
     signals = _prepare_signals(ref, dist, config)
 

@@ -22,23 +22,8 @@ class MosRow:
     mos: float
 
 
-@dataclass(frozen=True, eq=False)
-class MosTable:
-    rows: tuple[MosRow, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def as_dict(self) -> dict[tuple[str, str], float]:
-        """Map (content, distortion) -> mos."""
-        return {(r.content, r.distortion): r.mos for r in self.rows}
-
-
-def load_mos_csv(path: str) -> MosTable:
-    """Load a MOS table.
+def load_mos_csv(path: str) -> tuple[MosRow, ...]:
+    """Load a MOS table as its rows, in file order.
 
     Raises ParseError for a file that is not UTF-8 text and for a
     non-numeric or non-finite mos value (naming the 1-based file row),
@@ -87,4 +72,4 @@ def load_mos_csv(path: str) -> MosTable:
             )
         seen.add(key)
         rows.append(MosRow(content=content, distortion=distortion, mos=mos))
-    return MosTable(rows=tuple(rows))
+    return tuple(rows)

@@ -86,7 +86,12 @@ class KeypointSet:
     scores: np.ndarray
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.intp)
+        indices = np.asarray(self.indices)
+        if indices.dtype.kind == "f":
+            fractional = ~(np.isfinite(indices) & (np.trunc(indices) == indices))
+            if fractional.any():
+                raise DomainError(f"keypoint index {indices[fractional][0]} is not a whole number")
+        indices = indices.astype(np.intp)
         scores = np.asarray(self.scores, dtype=np.float64)
         if indices.ndim != 1 or scores.shape != indices.shape:
             raise DomainError("keypoint indices and scores must be parallel 1-D arrays")

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from pcqa import GraphSimConfig, PointCloud, ResampleConfig, graphsim, load_ply, save_ply
+from pcqa import evaluate as evaluate_module
 from pcqa.cli import build_parser, main
+from pcqa.evaluate import MIN_GROUP_SIZE, logistic_fit, plcc, rmse, srocc
 from pcqa.jsonutil import canonical_dumps
 
 from helpers import random_cloud
@@ -93,6 +95,13 @@ class TestScore:
         diag = last_stderr_json(err)
         assert diag["error"] == "DomainError"
         assert "coord" in diag["message"]
+
+    @pytest.mark.parametrize("fraction", ["inf", "nan"])
+    def test_non_finite_theta_fraction_exits_3(self, capsys, ply_pair, fraction):
+        ref, dist = ply_pair
+        code, out, err = run(capsys, "score", ref, dist, "--theta-fraction", fraction)
+        assert (code, out) == (3, "")
+        assert "neighborhood_fraction must be positive and finite" in last_stderr_json(err)["message"]
 
     def test_missing_input_exits_2(self, capsys, tmp_path):
         ghost = str(tmp_path / "absent.ply")
@@ -520,6 +529,105 @@ class TestEval:
         diag = last_stderr_json(err)
         assert diag["warning"] == "NearConstantInputWarning"
         assert "nearly constant" in diag["message"]
+
+
+    def test_unfittable_metric_is_named(self, capsys, tmp_path):
+        # m-p2po is infinite on identical pairs: two finite scores are left to fit.
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        rows = ["content,distortion,mos"]
+        for i in range(6):
+            rows.append(f"cat,d{i},{1.0 + 0.5 * i}")
+            p2po = 20.0 + i if i < 2 else "inf"
+            (scores_dir / f"{i}.json").write_text(json.dumps({
+                "content": "cat", "distortion": f"d{i}",
+                "scores": {"graphsim": 0.1 * i, "m-p2po": p2po}}))
+        mos_csv = tmp_path / "mos.csv"
+        mos_csv.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "eval", str(scores_dir), str(mos_csv))
+        assert code == 3
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError"
+        assert diag["message"] == "m-p2po: need at least 3 pairs to fit, got 2"
+
+
+class TestEvalBlock:
+    """The per-metric block of `pcqa eval --output`, rebuilt from the statistics."""
+
+    # Content "c" and distortions d3-d7 fall below MIN_GROUP_SIZE; "b", d1 and d2 are low-sample.
+    LAYOUT = {"a": 7, "b": 4, "c": 2}
+
+    def build(self, tmp_path, metrics=("graphsim",)):
+        rng = np.random.default_rng(21)
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        rows, records = ["content,distortion,mos"], []
+        for content, count in self.LAYOUT.items():
+            for d in range(1, count + 1):
+                mos = float(rng.uniform(1.0, 5.0))
+                score = mos / 5.0 + float(rng.normal(0.0, 0.05))
+                rows.append(f"{content},d{d},{mos!r}")
+                records.append((content, f"d{d}", score, mos))
+                (scores_dir / f"{content}_d{d}.json").write_text(json.dumps({
+                    "content": content, "distortion": f"d{d}",
+                    "scores": {m: score for m in metrics}}))
+        mos_csv = tmp_path / "mos.csv"
+        mos_csv.write_text("\n".join(rows) + "\n")
+        return str(scores_dir), str(mos_csv), records
+
+    @staticmethod
+    def expected_block(records, fit_scope):
+        x = np.array([r[2] for r in records])
+        y = np.array([r[3] for r in records])
+        fit = logistic_fit(x, y)
+        block = {"overall": {
+            "size": len(x), "plcc": plcc(fit(x), y), "srocc": srocc(x, y),
+            "rmse": rmse(fit(x), y), "degenerate": fit.degenerate,
+            "fit": {"params": list(fit.params), "fallback": fit.fallback, "scope": fit_scope},
+        }}
+        excluded = set()
+        for axis, key in (("by_content", 0), ("by_distortion", 1)):
+            block[axis] = []
+            for name in dict.fromkeys(r[key] for r in records):
+                mask = np.array([r[key] == name for r in records])
+                gx, gy = x[mask], y[mask]
+                if gx.size < MIN_GROUP_SIZE:
+                    excluded.add(name)
+                    continue
+                gfit = logistic_fit(gx, gy) if fit_scope == "per-group" else fit
+                block[axis].append({
+                    "name": name, "size": int(gx.size), "plcc": plcc(gfit(gx), gy),
+                    "srocc": srocc(gx, gy), "rmse": rmse(gfit(gx), gy),
+                    "low_sample": gx.size < 5, "degenerate": bool(np.ptp(gx) == 0.0)})
+        block["excluded_groups"] = sorted(excluded)
+        return json.loads(canonical_dumps(block))
+
+    @pytest.mark.parametrize("fit_scope", ["global", "per-group"])
+    def test_block_equals_the_statistics(self, capsys, tmp_path, fit_scope):
+        scores_dir, mos_csv, records = self.build(tmp_path)
+        target = tmp_path / "eval.json"
+        code, _, err = run(capsys, "eval", scores_dir, mos_csv, "--fit-scope", fit_scope,
+                           "--output", str(target))
+        assert (code, err) == (0, "")
+        block = json.loads(target.read_text())["metrics"]["graphsim"]
+        assert [g["name"] for g in block["by_distortion"]] == ["d1", "d2"]
+        assert block == self.expected_block(records, fit_scope)
+
+    def test_one_fit_per_metric_under_global_scope(self, capsys, tmp_path, monkeypatch):
+        scores_dir, mos_csv, _ = self.build(tmp_path, metrics=("graphsim", "m-p2po"))
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return logistic_fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "logistic_fit", counting_fit)
+        assert run(capsys, "eval", scores_dir, mos_csv)[0] == 0
+        assert len(calls) == 2
+        calls.clear()
+        # Per group, each kept group (a, b, d1, d2) is refit too.
+        assert run(capsys, "eval", scores_dir, mos_csv, "--fit-scope", "per-group")[0] == 0
+        assert len(calls) == 2 * (1 + 4)
 
 
 class TestScoreColorSpaces:

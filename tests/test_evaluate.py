@@ -129,14 +129,14 @@ class TestCorrelations:
 
 class TestEvaluateRecords:
     @staticmethod
-    def records_for(groups, seed=4, per_group=8, noise=0.1):
+    def records_for(groups, seed=4, per_group=8, noise=0.1, axis="content"):
         rng = np.random.default_rng(seed)
         out = []
         for g, name in enumerate(groups):
             x = rng.uniform(0, 1, per_group)
             y = 1.0 + 4.0 * x + rng.normal(0, noise, per_group)
             out.extend(
-                {"score": float(xi), "mos": float(yi), "group": name}
+                {"score": float(xi), "mos": float(yi), axis: name}
                 for xi, yi in zip(x, y)
             )
         return out
@@ -144,25 +144,37 @@ class TestEvaluateRecords:
     def test_groups_reported_in_first_seen_order(self):
         records = self.records_for(["b", "a", "c"])
         report = evaluate_records(records)
-        assert [g.name for g in report.groups] == ["b", "a", "c"]
+        assert [g.name for g in report.by_content] == ["b", "a", "c"]
+        assert report.by_distortion == ()
         assert report.size == 24
+
+    def test_each_record_joins_one_group_per_axis(self):
+        records = self.records_for(["a", "b"])
+        for i, rec in enumerate(records):
+            rec["distortion"] = f"d{i % 4}"
+        report = evaluate_records(records)
+        assert [g.name for g in report.by_content] == ["a", "b"]
+        assert [g.name for g in report.by_distortion] == ["d0", "d1", "d2", "d3"]
+        assert all(g.size == 4 and g.low_sample for g in report.by_distortion)
 
     def test_small_groups_are_flagged_and_tiny_ones_excluded(self):
         records = self.records_for(["big"], per_group=10)
         records += self.records_for(["small"], seed=5, per_group=4)
         records += self.records_for(["tiny"], seed=6, per_group=2)
+        records += self.records_for(["rare"], seed=7, per_group=1, axis="distortion")
         report = evaluate_records(records)
-        by_name = {g.name: g for g in report.groups}
+        by_name = {g.name: g for g in report.by_content}
         assert not by_name["big"].low_sample
         assert by_name["small"].low_sample
         assert "tiny" not in by_name
-        assert report.excluded_groups == ("tiny",)
+        assert report.by_distortion == ()
+        assert report.excluded_groups == ("rare", "tiny")  # both axes, sorted
 
     def test_global_scope_shares_one_regression(self):
         records = self.records_for(["a", "b"], noise=0.05)
         report = evaluate_records(records, fit_scope="global")
         assert report.fit_scope == "global"
-        for group in report.groups:
+        for group in report.by_content:
             assert group.plcc > 0.9
 
     def test_per_group_scope_refits_each_group(self):
@@ -175,17 +187,17 @@ class TestEvaluateRecords:
             y = 1.0 + 4.0 * x
             records.extend(
                 {"score": float(xi * scale + (500.0 if name == "hi" else 0.0)),
-                 "mos": float(yi), "group": name}
+                 "mos": float(yi), "distortion": name}
                 for xi, yi in zip(x, y)
             )
         per_group = evaluate_records(records, fit_scope="per-group")
-        assert all(g.plcc > 0.999 for g in per_group.groups)
+        assert all(g.plcc > 0.999 for g in per_group.by_distortion)
 
     def test_ungrouped_records_have_no_groups(self):
         records = [{"score": s, "mos": m}
                    for s, m in zip([0.1, 0.5, 0.9, 0.3], [1.0, 3.0, 5.0, 2.0])]
         report = evaluate_records(records)
-        assert report.groups == ()
+        assert report.by_content == report.by_distortion == ()
         assert report.excluded_groups == ()
         assert report.plcc > 0.99
 
@@ -205,10 +217,10 @@ class TestEvaluateRecords:
 
     def test_constant_group_is_marked_degenerate(self):
         records = self.records_for(["ok"], per_group=8)
-        records += [{"score": 0.7, "mos": float(m), "group": "flat"}
+        records += [{"score": 0.7, "mos": float(m), "content": "flat"}
                     for m in (1, 2, 3, 4)]
         report = evaluate_records(records)
-        by_name = {g.name: g for g in report.groups}
+        by_name = {g.name: g for g in report.by_content}
         assert by_name["flat"].degenerate
         assert by_name["flat"].plcc == 0.0
         assert not by_name["ok"].degenerate
@@ -217,11 +229,13 @@ class TestEvaluateRecords:
         records = self.records_for(["a", "b"])
         report = evaluate_records(records)
         payload = report.to_dict()
-        assert payload["size"] == report.size
-        assert payload["fit"]["scope"] == "global"
-        assert len(payload["fit"]["params"]) == 5
-        assert len(payload["groups"]) == 2
-        assert payload["groups"][0]["name"] == "a"
+        assert set(payload) == {"overall", "by_content", "by_distortion", "excluded_groups"}
+        assert payload["overall"]["size"] == report.size
+        assert payload["overall"]["fit"]["scope"] == "global"
+        assert len(payload["overall"]["fit"]["params"]) == 5
+        assert len(payload["by_content"]) == 2
+        assert payload["by_content"][0]["name"] == "a"
+        assert payload["by_distortion"] == []
 
 
 def test_shuffled_predictor_correlates_with_nothing():

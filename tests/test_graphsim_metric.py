@@ -160,3 +160,22 @@ def test_per_channel_means_skip_empty_graphs():
     assert result.per_channel_means.keys() == values.keys()
     for label, per_graph in values.items():
         assert result.per_channel_means[label] == pytest.approx(np.mean(per_graph), rel=1e-12)
+
+
+@pytest.mark.parametrize("keypoints, message", [
+    ([3, 300], "keypoint index 300 is outside \\[0, 300\\)"),
+    ([-1, 4], "keypoint index -1 is outside \\[0, 300\\)"),
+    ([2.0, 1.7, 0.5], "keypoint index 1.7 is not a whole number"),
+    ([float("nan")], "keypoint index nan is not a whole number"),
+])
+def test_bad_keypoint_indices_are_named(keypoints, message):
+    ref = random_cloud(300, seed=2)
+    with pytest.raises(DomainError, match=message):
+        graphsim(ref, ref, keypoints=keypoints)
+
+
+def test_whole_float_keypoints_score_as_integers():
+    ref = random_cloud(300, seed=2)
+    dist = random_cloud(300, seed=3)
+    as_floats = graphsim(ref, dist, keypoints=[3.0, 40.0])
+    assert as_floats.quality == graphsim(ref, dist, keypoints=[3, 40]).quality

@@ -286,6 +286,14 @@ def test_config_validation():
         GraphSimConfig(tau_scope="global")
 
 
+@pytest.mark.parametrize("field", ["neighborhood_fraction", "t_mass", "t_mean", "t_cov"])
+def test_config_rejects_non_finite_values(field):
+    # NaN would make the quality NaN; an infinite radius makes every cluster the whole cloud.
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+            GraphSimConfig(**{field: value})
+
+
 def test_mixed_alias_expands_to_color_and_coordinate():
     assert GraphSimConfig(signal_kind="mixed").signal_kinds == ("color", "coordinate")
     assert GraphSimConfig(signal_kind=("normal",)).signal_kinds == ("normal",)

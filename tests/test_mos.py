@@ -1,6 +1,6 @@
 import pytest
 
-from pcqa import DuplicateKeyError, ParseError, SchemaError, load_mos_csv
+from pcqa import DuplicateKeyError, MosRow, ParseError, SchemaError, load_mos_csv
 
 
 def write(tmp_path, text):
@@ -10,10 +10,8 @@ def write(tmp_path, text):
 
 
 def test_two_rows(tmp_path):
-    table = load_mos_csv(write(tmp_path, "content,distortion,mos\na,cn-1,7.5\na,cn-2,6\n"))
-    assert len(table) == 2
-    assert table.as_dict()[("a", "cn-1")] == 7.5
-    assert table.as_dict()[("a", "cn-2")] == 6.0
+    rows = load_mos_csv(write(tmp_path, "content,distortion,mos\na,cn-1,7.5\na,cn-2,6\n"))
+    assert rows == (MosRow("a", "cn-1", 7.5), MosRow("a", "cn-2", 6.0))
 
 
 def test_missing_column(tmp_path):
@@ -51,4 +49,4 @@ def test_utf8_bom_reads_as_the_plain_table(tmp_path):
     plain = load_mos_csv(write(tmp_path, text))
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))  # as Excel saves "CSV UTF-8"
-    assert load_mos_csv(bom).rows == plain.rows
+    assert load_mos_csv(bom) == plain

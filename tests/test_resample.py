@@ -50,6 +50,8 @@ def test_keypoint_set_validation():
         KeypointSet(indices=np.array([1, 1]), scores=np.ones(2))
     with pytest.raises(DomainError):
         KeypointSet(indices=np.array([1, 2]), scores=np.array([1.0, -0.5]))
+    with pytest.raises(DomainError, match="1.7 is not a whole number"):
+        KeypointSet(indices=np.array([1.0, 1.7]), scores=np.ones(2))
 
 
 def test_scores_match_dense_oracle():
