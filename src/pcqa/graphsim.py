@@ -223,6 +223,18 @@ def _cluster(cloud: PointCloud, center: np.ndarray, radius: float):
     return idx[keep], d[keep]
 
 
+def _reference_clusters(ref: PointCloud, indices: np.ndarray, radius: float) -> list:
+    """Each keypoint's reference `_cluster`, its indices as int32, kept on the
+    reference per (keypoints, radius): both come from the reference alone, so
+    every stimulus scored against it reuses them. One array pair per keypoint."""
+    dtype = np.int32 if ref.count <= 2**31 else np.intp
+    def compute():
+        clusters = (_cluster(ref, ref.positions[i], radius) for i in indices)
+        return tuple(a for idx, d in clusters for a in (idx.astype(dtype), d))
+    flat = ref._cached(("graphsim clusters", radius, indices.tobytes()), compute)
+    return list(zip(flat[::2], flat[1::2]))
+
+
 def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
                            matching_k: int, scope: str) -> float:
     def side(d):
@@ -239,27 +251,29 @@ def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
 
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
                            config: GraphSimConfig | None = None, *,
-                           radius: float | None = None) -> LocalGraphPair:
+                           radius: float | None = None,
+                           ref_cluster: tuple | None = None) -> LocalGraphPair:
     """Build the local graph pair around one reference keypoint.
 
     Both clusters exclude points lying exactly at the keypoint position,
     so identical clouds produce identical neighbor index sets. The shared
     edge-weight cutoff comes from the matching_k rule over the cluster
-    distances; the Gaussian variance is cutoff^2 / 2.
+    distances; the Gaussian variance is cutoff^2 / 2. `ref_cluster`, when
+    given, is the reference's `_cluster` kept from an earlier call.
     """
     config = config or GraphSimConfig()
     if radius is None:
         radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     center = ref.positions[center_index]
 
-    r_idx, r_d = _cluster(ref, center, radius)
+    r_idx, r_d = _cluster(ref, center, radius) if ref_cluster is None else ref_cluster
     d_idx, d_d = _cluster(dist, center, radius)
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
     params = GraphParams.from_cutoff(cutoff)
 
     def build_side(cloud, idx, d, center_idx):
         keep = d <= cutoff
-        idx, d = idx[keep], d[keep]
+        idx, d = idx[keep].astype(np.intp, copy=False), d[keep]
         return WeightedNeighborhood(
             center_index=center_idx, indices=idx,
             positions=cloud.positions[idx], distances=d,
@@ -457,13 +471,14 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     graph_config = replace(config, channel_pooling="weighted-average") if mixed \
         else config
 
+    clusters = _reference_clusters(ref, keypoints.indices, radius)
     per_graph = []
     graph_keypoints = []
     channel_sums: dict[str, float] = {}
     empty = skipped = 0
-    for center_index in map(int, keypoints.indices):
+    for center_index, ref_cluster in zip(map(int, keypoints.indices), clusters):
         pair = build_local_graph_pair(
-            center_index, ref, dist, graph_config, radius=radius,
+            center_index, ref, dist, graph_config, radius=radius, ref_cluster=ref_cluster,
         )
         if pair.ref_cluster_size == 0:
             skipped += 1

@@ -10,8 +10,7 @@ also get explicit unsorted keypoints, and the volume two more
 reference object, as a study does, so per-cloud caches are exercised too.
 
 Indices and counts must match exactly; floats within RTOL relative, since
-SIMD `exp`/`log` may differ by an ulp between CPUs. A report that raises is
-recorded as its error message.
+SIMD `exp`/`log` may differ by an ulp between CPUs.
 
     python tests/golden.py            # compare with the committed file
     python tests/golden.py --update   # rewrite tests/golden/graphsim.json
@@ -32,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pcqa import (  # noqa: E402
     DistortionSpec,
-    DomainError,
     GraphSimConfig,
     PointCloud,
     ResampleConfig,
@@ -110,13 +108,8 @@ def cases():
 
 
 def reports() -> dict[str, dict]:
-    out = {}
-    for name, ref, stim, config, keypoints in cases():
-        try:
-            out[name] = graphsim(ref, stim, config, keypoints=keypoints).to_report()
-        except DomainError as exc:
-            out[name] = {"error": str(exc)}
-    return out
+    return {name: graphsim(ref, stim, config, keypoints=keypoints).to_report()
+            for name, ref, stim, config, keypoints in cases()}
 
 
 def differences(want, got, path=""):

@@ -179,3 +179,39 @@ def test_whole_float_keypoints_score_as_integers():
     dist = random_cloud(300, seed=3)
     as_floats = graphsim(ref, dist, keypoints=[3.0, 40.0])
     assert as_floats.quality == graphsim(ref, dist, keypoints=[3, 40]).quality
+
+
+def _kept_clusters(cloud):
+    """The reference clusters graphsim keeps on a cloud, by cache key."""
+    return {key: value for key, value in cloud.__dict__.get("_results", {}).items()
+            if key[0] == "graphsim clusters"}
+
+
+def test_kept_reference_clusters_are_keyed_and_isolated():
+    ref = smooth_cloud(3000, seed=15)
+    stimuli = [apply_distortion(ref, DistortionSpec("ggn", 0.01, seed=1)),
+               apply_distortion(ref, DistortionSpec("cn", 0.1, seed=2))]
+    explicit = np.array([2900, 15, 1200, 640, 2222, 7, 1801])
+    calls = [(GraphSimConfig(neighborhood_fraction=fraction,
+                             resample=ResampleConfig(count=9, seed=seed)), None)
+             for seed in (0, 1) for fraction in (0.08, 0.15)]
+    calls += [(GraphSimConfig(), explicit), (GraphSimConfig(), explicit[::-1])]
+    for _ in range(2):  # the second round reads every kept entry
+        for stim in stimuli:
+            for config, keypoints in calls:
+                got = graphsim(ref, stim, config, keypoints=keypoints).to_report()
+                fresh = PointCloud(positions=ref.positions, colors=ref.colors)
+                assert got == graphsim(fresh, stim, config, keypoints=keypoints).to_report()
+    kept = _kept_clusters(ref)
+    assert len(kept) == len(calls)  # one entry per (keypoints, radius), shared by the stimuli
+    assert all(not a.flags.writeable for arrays in kept.values() for a in arrays)
+    assert not any(_kept_clusters(stim) for stim in stimuli)
+
+
+def test_a_call_that_fails_before_the_keypoint_loop_keeps_nothing():
+    ref = random_cloud(400, seed=16)
+    with pytest.raises(DomainError, match="no colors"):
+        graphsim(ref, random_cloud(400, seed=17, colored=False))
+    with pytest.raises(DomainError, match="outside"):
+        graphsim(ref, ref, keypoints=[3, 400])
+    assert not _kept_clusters(ref)

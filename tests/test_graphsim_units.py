@@ -446,3 +446,68 @@ def test_doubling_keeps_mean_similarity_but_not_mass():
     assert score.sim_mean[0] == pytest.approx(1.0, abs=1e-12)
     assert score.sim_cov[0] == pytest.approx(1.0, abs=1e-12)
     assert score.sim_mass[0] < 1.0
+
+
+def _prepared_case(name):
+    """(reference, stimulus, keypoints) on which the kept clusters are checked."""
+    from pcqa import DistortionSpec, apply_distortion
+
+    rng = np.random.default_rng(41)
+    if name == "continuous":
+        ref = random_cloud(2000, seed=41)
+        stim = apply_distortion(ref, DistortionSpec("ggn", 0.01, seed=1))
+        return ref, stim, np.arange(7, 2000, 97)
+    if name == "lattice":
+        positions = rng.integers(0, 9, (2000, 3)).astype(np.float64)  # 729 sites
+        ref = PointCloud(positions=positions,
+                         colors=rng.integers(0, 256, (2000, 3)).astype(np.float64))
+        _, inverse, counts = np.unique(positions, axis=0, return_inverse=True,
+                                       return_counts=True)
+        duplicated = np.flatnonzero(counts[inverse.ravel()] > 1)
+        # Unsorted, on duplicated sites: the keypoint's twins are dropped from its cluster.
+        keypoints = rng.permutation(duplicated)[:20]
+        return ref, apply_distortion(ref, DistortionSpec("ds", 0.7, seed=2)), keypoints
+    positions = rng.uniform(0.0, 1.0, (3000, 3)) * [6.0, 6.0, 0.6]
+    ref = PointCloud(positions=positions,
+                     colors=rng.integers(0, 256, (3000, 3)).astype(np.float64))
+    stim = apply_distortion(ref, DistortionSpec("ggn", 0.01, seed=3))
+    return ref, stim, np.arange(0, 3000, 150)
+
+
+@pytest.mark.parametrize("name", ["continuous", "lattice", "slab"])
+def test_kept_reference_clusters_build_the_per_pair_graphs(name):
+    from pcqa.cloud import bounding_box
+    from pcqa.colorspace import decompose
+    from pcqa.graphsim import _reference_clusters
+
+    ref, dist, keypoints = _prepared_case(name)
+    keypoints = np.asarray(keypoints, dtype=np.intp)
+    config = GraphSimConfig(matching_k=12, neighborhood_fraction=0.15)
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    ref_signal = decompose(ref, config.color_space).values
+    dist_signal = decompose(dist, config.color_space).values
+    twins = 0
+    for center, kept in zip(keypoints, _reference_clusters(ref, keypoints, radius)):
+        fast = build_local_graph_pair(int(center), ref, dist, config, radius=radius,
+                                      ref_cluster=kept)
+        slow = build_local_graph_pair(int(center), ref, dist, config, radius=radius,
+                                      ref_cluster=None)
+        assert (fast.ref_cluster_size, fast.dist_cluster_size) == \
+            (slow.ref_cluster_size, slow.dist_cluster_size)
+        assert fast.params == slow.params
+        for side in ("ref", "dist"):
+            for field in ("indices", "positions", "distances", "weights"):
+                a, b = getattr(getattr(fast, side), field), getattr(getattr(slow, side), field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (center, side, field)
+        twins += ref.spatial_index.radius_query(ref.positions[center], 0.0)[0].size - 1
+
+        oracle = local_graph_oracle(ref.positions, dist.positions, ref_signal, dist_signal,
+                                    int(center), radius, matching_k=12)
+        if oracle is None:
+            assert fast.ref_cluster_size == 0
+            continue
+        # The oracle measures with math.dist, which may differ from numpy by an ulp.
+        assert fast.params.cutoff == pytest.approx(oracle["cutoff"], rel=1e-12)
+        assert np.allclose(fast.ref.weights, oracle["ref_weights"], rtol=1e-10, atol=0)
+        assert np.allclose(fast.dist.weights, oracle["dist_weights"], rtol=1e-10, atol=0)
+    assert (twins > 0) == (name == "lattice")

@@ -1,6 +1,7 @@
 """Whole-cloud transients, one at a time: the keypoint filter, graphsim and
 the baselines keep at most one cloud-sized temporary beyond what they need,
-and the tie path of the k-NN queries stays block-sized on a lattice.
+and the tie path of the k-NN queries stays block-sized on a lattice. What
+graphsim keeps on a reference is 12 B per reference cluster point.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so the
 figures are deterministic. Every module a pass imports is loaded first."""
@@ -10,9 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcqa import DistortionSpec, GraphSimConfig, PointCloud, apply_distortion, graphsim, spatial
+from pcqa import (DistortionSpec, GraphSimConfig, PointCloud, ResampleConfig, apply_distortion,
+                  bounding_box, graphsim, spatial)
 from pcqa.baselines import _match_pair, estimate_normals, run_baselines
-from pcqa.resample import frequency_scores
+from pcqa.graphsim import _cluster
+from pcqa.resample import frequency_scores, resample
 
 from helpers import random_cloud
 from oracles import brute_knn
@@ -59,6 +62,39 @@ def test_graphsim_holds_no_decomposed_colors_during_the_filter():
     # Each cloud's decomposed colours are one (N, 3) array; the filter's peak is the
     # run's peak only if neither is live while it runs.
     assert peak < filter_peak + ROW3 * N, (peak, filter_peak)
+
+
+def test_graphsim_holds_no_decomposed_colors_during_the_filter_beside_kept_clusters():
+    ref, dist = random_cloud(N, seed=5), random_cloud(N, seed=6)
+    config = GraphSimConfig()
+    twin = PointCloud(positions=ref.positions)
+    keypoints = resample(twin, config.resample).indices  # ref's own filter is still to run
+    graphsim(ref, dist, config, keypoints=keypoints)  # ref keeps these keypoints' clusters
+    fresh = PointCloud(positions=ref.positions)
+    fresh.spatial_index  # like ref's, built before the peak is read
+    filter_peak = _peak(lambda: frequency_scores(fresh))
+    peak = _peak(lambda: graphsim(ref, dist, config))
+    assert peak < filter_peak + ROW3 * N, (peak, filter_peak)
+
+
+def test_graphsim_keeps_12_bytes_per_reference_cluster_point():
+    ref, dist = random_cloud(N, seed=9), random_cloud(N, seed=10)
+    config = GraphSimConfig(resample=ResampleConfig(count=100))
+    keypoints = resample(ref, config.resample).indices  # the filter scores, kept first
+    dist.spatial_index
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    points = sum(_cluster(ref, ref.positions[i], radius)[0].size for i in keypoints)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graphsim(ref, dist, config)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # int32 indices and float64 distances, and per keypoint two array headers
+    # (about 310 B measured); intp indices would exceed it by 4 B a point.
+    bound = 12 * points + 512 * len(keypoints)
+    assert kept <= bound, (kept, bound, points)
 
 
 def test_run_baselines_peak_above_matches_and_normals():
