@@ -5,8 +5,12 @@ committed): a continuous volume, a bumpy surface, an integer lattice with
 duplicated sites and a thin slab, each scored against its cn, ggn, ds and
 ot stimuli under the signals color, coordinate, normal and color+normal,
 both `tau_scope` rules and two resample seeds. The volume and the lattice
-also get explicit unsorted keypoints, and the volume two more
-`neighborhood_fraction` values. Every case of one reference scores the same
+also get explicit unsorted keypoints, and, against cn and ggn, every
+pooling preset in every colour space under color and color+normal (where
+channel pooling is forced to the weighted average); those reports carry the
+config echo, so stabilizers, weights and both pooling names are pinned too.
+The volume gets two more `neighborhood_fraction` values. Every case of one
+reference scores the same
 reference object, as a study does, so per-cloud caches are exercised too.
 
 Indices and counts must match exactly; floats within RTOL relative, since
@@ -30,6 +34,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pcqa import (  # noqa: E402
+    POOLING_PRESETS,
+    ColorSpaceConfig,
     DistortionSpec,
     GraphSimConfig,
     PointCloud,
@@ -37,6 +43,7 @@ from pcqa import (  # noqa: E402
     apply_distortion,
     graphsim,
 )
+from pcqa.colorspace import SPACES  # noqa: E402
 
 PATH = Path(__file__).parent / "golden" / "graphsim.json"
 RTOL = 1e-12
@@ -80,7 +87,8 @@ def explicit_keypoints(ref: PointCloud) -> np.ndarray:
 
 
 def cases():
-    """(name, reference, stimulus, config, keypoints or None), reference by reference."""
+    """(name, reference, stimulus, config, keypoints or None, echo), reference by
+    reference; echo: the report carries its config."""
     for ref_name, ref in references().items():
         for stim_name, level in STIMULI.items():
             stim = apply_distortion(ref, DistortionSpec(stim_name, level, seed=11))
@@ -91,12 +99,22 @@ def cases():
                             signal_kind=kind, tau_scope=scope,
                             resample=ResampleConfig(count=KEYPOINTS, seed=seed))
                         yield (f"{ref_name}/{stim_name}/{signal}/{scope}/seed{seed}",
-                               ref, stim, config, None)
+                               ref, stim, config, None, False)
             if ref_name in ("volume", "lattice"):
                 keypoints = explicit_keypoints(ref)
                 for signal in ("color", "color+normal"):
                     yield (f"{ref_name}/{stim_name}/{signal}/explicit", ref, stim,
-                           GraphSimConfig(signal_kind=SIGNALS[signal]), keypoints)
+                           GraphSimConfig(signal_kind=SIGNALS[signal]), keypoints, False)
+            if ref_name in ("volume", "lattice") and stim_name in ("cn", "ggn"):
+                for signal in ("color", "color+normal"):
+                    for preset in POOLING_PRESETS:
+                        for space in SPACES:
+                            config = GraphSimConfig.with_pooling_preset(
+                                preset, color_space=ColorSpaceConfig(space),
+                                signal_kind=SIGNALS[signal],
+                                resample=ResampleConfig(count=KEYPOINTS))
+                            yield (f"{ref_name}/{stim_name}/{signal}/{preset}/{space}",
+                                   ref, stim, config, None, True)
             if ref_name == "volume":
                 for fraction in (0.05, 0.2):
                     for scope in ("union", "per-side"):
@@ -104,12 +122,13 @@ def cases():
                             neighborhood_fraction=fraction, tau_scope=scope,
                             resample=ResampleConfig(count=KEYPOINTS))
                         yield (f"{ref_name}/{stim_name}/color/{scope}/fraction{fraction}",
-                               ref, stim, config, None)
+                               ref, stim, config, None, False)
 
 
 def reports() -> dict[str, dict]:
-    return {name: graphsim(ref, stim, config, keypoints=keypoints).to_report()
-            for name, ref, stim, config, keypoints in cases()}
+    return {name: graphsim(ref, stim, config, keypoints=keypoints)
+                  .to_report(config if echo else None)
+            for name, ref, stim, config, keypoints, echo in cases()}
 
 
 def differences(want, got, path=""):
