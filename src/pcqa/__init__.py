@@ -17,7 +17,7 @@ from .baselines import (
     run_baselines,
 )
 from .cloud import BoundingBox, PointCloud, bounding_box, merged_bounding_box
-from .colorspace import ColorSpaceConfig, decompose, to_gcm, to_yuv
+from .colorspace import decompose, to_gcm, to_yuv
 from .distort import KINDS, LEVEL_PRESETS, DistortionSpec, apply_distortion
 from .errors import (
     DegenerateCloudWarning,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineResult",
     "BoundingBox",
-    "ColorSpaceConfig",
     "DegenerateCloudWarning",
     "DistortionSpec",
     "DomainError",

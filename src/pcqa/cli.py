@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 from .baselines import METRIC_IDS, run_baselines
-from .colorspace import SPACES, ColorSpaceConfig
+from .colorspace import SPACES
 from .distort import KINDS, DistortionSpec, apply_distortion
 from .errors import DomainError, ParseError, ValidationError
 from .evaluate import evaluate_records
@@ -58,11 +58,11 @@ def _resample_config(args: argparse.Namespace, count: int | None, method: str) -
 
 
 def _score_config(args: argparse.Namespace) -> GraphSimConfig:
-    return GraphSimConfig.with_pooling_preset(
-        args.pooling,
+    return GraphSimConfig(
         neighborhood_fraction=args.theta_fraction,
         matching_k=args.matching_k,
-        color_space=ColorSpaceConfig(space=args.color_space),
+        color_space=args.color_space,
+        pooling=args.pooling,
         signal_kind=_signal_kinds(args.signal),
         tau_scope=args.tau_scope,
         normals_k=args.normals_k,

@@ -13,8 +13,6 @@ All transforms take RGB already rescaled to [0, 1]; `decompose` handles the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cloud import PointCloud
@@ -31,7 +29,7 @@ SPACES = ("gcm", "yuv", "rgb")
 
 # Pooling weights per channel, chosen so the luminance-like channel
 # dominates in the opponent spaces while green dominates in raw RGB.
-DEFAULT_CHANNEL_WEIGHTS = {
+CHANNEL_WEIGHTS = {
     "gcm": (6.0, 1.0, 1.0),
     "yuv": (6.0, 1.0, 1.0),
     "rgb": (1.0, 2.0, 1.0),
@@ -42,25 +40,6 @@ CHANNEL_LABELS = {
     "yuv": ("y", "u", "v"),
     "rgb": ("r", "g", "b"),
 }
-
-
-@dataclass(frozen=True)
-class ColorSpaceConfig:
-    """Channel decomposition choice; the space fixes the pooling weights."""
-
-    space: str = "gcm"
-
-    def __post_init__(self):
-        if self.space not in SPACES:
-            raise DomainError(f"unknown color space '{self.space}'")
-
-    @property
-    def resolved_weights(self) -> tuple[float, float, float]:
-        return DEFAULT_CHANNEL_WEIGHTS[self.space]
-
-    @property
-    def labels(self) -> tuple[str, str, str]:
-        return CHANNEL_LABELS[self.space]
 
 
 def to_gcm(rgb) -> np.ndarray:
@@ -83,20 +62,22 @@ def to_yuv(rgb) -> np.ndarray:
     return np.stack([y, u, v], axis=-1)
 
 
-def decompose(cloud: PointCloud, config: ColorSpaceConfig | None = None) -> SignalAttribute:
-    """Per-point color channels of a cloud in the configured space.
+def decompose(cloud: PointCloud, space: str = "gcm") -> SignalAttribute:
+    """Per-point color channels of a cloud in `space`, one of SPACES.
 
     Stored colors (integer 0-255) are rescaled to [0, 1] before the
-    transform. Raises DomainError when the cloud has no colors.
+    transform. Raises DomainError for an unknown space or a cloud
+    without colors.
     """
-    config = config or ColorSpaceConfig()
+    if space not in SPACES:
+        raise DomainError(f"unknown color space '{space}'")
     if not cloud.has_colors:
         raise DomainError("cloud has no colors to decompose")
     rgb = cloud.colors / 255.0
-    if config.space == "gcm":
+    if space == "gcm":
         values = to_gcm(rgb)
-    elif config.space == "yuv":
+    elif space == "yuv":
         values = to_yuv(rgb)
     else:
         values = rgb
-    return SignalAttribute(values=values, kind="color", labels=config.labels)
+    return SignalAttribute(values=values, kind="color", labels=CHANNEL_LABELS[space])

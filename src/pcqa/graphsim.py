@@ -21,21 +21,19 @@ increasing local color/geometry disagreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import _cloud_normals
 from .cloud import PointCloud, bounding_box
-from .colorspace import ColorSpaceConfig, decompose
+from .colorspace import CHANNEL_WEIGHTS, SPACES, decompose
 from .errors import DomainError
 from .graph import GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
 from .resample import KeypointSet, ResampleConfig, resample
 
 SIGNAL_KINDS = ("color", "coordinate", "normal")
-
-FEATURE_POOLING = ("multiply", "average")
-CHANNEL_POOLING = ("weighted-average", "multiply")
 
 # Named pooling presets: (feature pooling, channel pooling).
 POOLING_PRESETS = {
@@ -45,61 +43,67 @@ POOLING_PRESETS = {
     "c4": ("multiply", "multiply"),
 }
 
+# Stabilizer constants of the mass, mean and covariance similarity ratios.
+STABILIZERS = (1e-3, 1e-3, 1e-3)
+
 
 @dataclass(frozen=True)
 class GraphSimConfig:
-    """Metric parameters.
+    """Metric parameters, one per `pcqa score` flag.
 
-    neighborhood_fraction
+    neighborhood_fraction (--theta-fraction)
         Local cluster radius as a fraction of the smallest reference
         bounding-box extent.
-    matching_k
+    matching_k (--matching-k)
         Neighbor budget used to derive the edge-weight cutoff: the cutoff
         is the largest of the matching_k smallest cluster distances (the
         whole cluster when it is smaller than matching_k).
-    t_mass / t_mean / t_cov
-        Stabilizer constants of the three similarity ratios.
-    feature_pooling, channel_pooling
-        How the three per-channel similarities and then the channels are
-        combined; see POOLING_PRESETS for the named combinations.
-    signal_kind
+    color_space (--color-space)
+        "gcm", "yuv" or "rgb"; the space fixes the channel weights.
+    pooling (--pooling)
+        A POOLING_PRESETS key: how the three per-channel similarities and
+        then the channels are combined.
+    signal_kind (--signal)
         "color", "coordinate", "normal", a tuple of kinds scored jointly,
         or "mixed" (alias for color + coordinate). With several kinds the
         per-kind scores are averaged and channel pooling is forced to the
         weighted average.
-    tau_scope
+    resample (--beta, --beta-ratio, --filter-length, --graph-k, --resample, --seed)
+        The keypoint stage, a ResampleConfig.
+    tau_scope (--tau-scope)
         "union": the cutoff rule pools both clusters' distances;
         "per-side": the rule runs per cluster and the larger cutoff wins.
+    normals_k (--normals-k)
+        Neighbor count of the normal estimate behind the normal signal.
     """
 
     neighborhood_fraction: float = 0.1
     matching_k: int = 50
-    t_mass: float = 1e-3
-    t_mean: float = 1e-3
-    t_cov: float = 1e-3
-    color_space: ColorSpaceConfig = field(default_factory=ColorSpaceConfig)
-    feature_pooling: str = "multiply"
-    channel_pooling: str = "weighted-average"
+    color_space: str = "gcm"
+    pooling: str = "c2"
     signal_kind: str | tuple[str, ...] = "color"
     resample: ResampleConfig = field(default_factory=ResampleConfig)
     tau_scope: str = "union"
     normals_k: int = 12
 
     def __post_init__(self):
-        for name in ("neighborhood_fraction", "t_mass", "t_mean", "t_cov"):
+        if not 0 < self.neighborhood_fraction < math.inf:
+            raise DomainError("neighborhood_fraction must be positive and finite, "
+                              f"got {self.neighborhood_fraction}")
+        for name in ("matching_k", "normals_k"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
-        if self.matching_k < 1:
-            raise DomainError(f"matching_k must be >= 1, got {self.matching_k}")
-        if self.normals_k < 1:
-            raise DomainError(f"normals_k must be >= 1, got {self.normals_k}")
-        if self.feature_pooling not in FEATURE_POOLING:
-            raise DomainError(f"unknown feature pooling '{self.feature_pooling}'")
-        if self.channel_pooling not in CHANNEL_POOLING:
-            raise DomainError(f"unknown channel pooling '{self.channel_pooling}'")
+            if not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
+        if self.color_space not in SPACES:
+            raise DomainError(f"unknown color space '{self.color_space}'")
+        if self.pooling not in POOLING_PRESETS:
+            raise DomainError(f"unknown pooling preset '{self.pooling}'")
         if self.tau_scope not in ("union", "per-side"):
             raise DomainError(f"unknown tau_scope '{self.tau_scope}'")
+        if not self.signal_kinds:
+            raise DomainError("signal_kind must name at least one signal kind")
         for kind in self.signal_kinds:
             if kind not in SIGNAL_KINDS:
                 raise DomainError(f"unknown signal kind '{kind}'")
@@ -111,24 +115,16 @@ class GraphSimConfig:
             return ("color", "coordinate") if kind == "mixed" else (kind,)
         return tuple(kind)
 
-    @classmethod
-    def with_pooling_preset(cls, preset: str, **kwargs) -> "GraphSimConfig":
-        if preset not in POOLING_PRESETS:
-            raise DomainError(f"unknown pooling preset '{preset}'")
-        feature, channel = POOLING_PRESETS[preset]
-        return cls(feature_pooling=feature, channel_pooling=channel, **kwargs)
-
     def to_dict(self) -> dict:
+        feature_pooling, channel_pooling = POOLING_PRESETS[self.pooling]
         return {
             "neighborhood_fraction": self.neighborhood_fraction,
             "matching_k": self.matching_k,
-            "stabilizers": [self.t_mass, self.t_mean, self.t_cov],
-            "color_space": {
-                "space": self.color_space.space,
-                "weights": list(self.color_space.resolved_weights),
-            },
-            "feature_pooling": self.feature_pooling,
-            "channel_pooling": self.channel_pooling,
+            "stabilizers": list(STABILIZERS),
+            "color_space": {"space": self.color_space,
+                            "weights": list(CHANNEL_WEIGHTS[self.color_space])},
+            "feature_pooling": feature_pooling,
+            "channel_pooling": channel_pooling,
             "signal_kind": list(self.signal_kinds),
             "resample": self.resample.to_dict(),
             "tau_scope": self.tau_scope,
@@ -145,7 +141,6 @@ class LocalGraphPair:
     """
 
     center_index: int
-    center: np.ndarray
     ref: WeightedNeighborhood
     dist: WeightedNeighborhood
     params: GraphParams
@@ -282,7 +277,6 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
 
     return LocalGraphPair(
         center_index=center_index,
-        center=center,
         ref=build_side(ref, r_idx, r_d, center_index),
         dist=build_side(dist, d_idx, d_d, -1),
         params=params,
@@ -366,21 +360,23 @@ def covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
-                dist_signal: SignalAttribute, config: GraphSimConfig | None = None,
+                dist_signal: SignalAttribute, pooling=POOLING_PRESETS["c2"],
                 *, channel_weights=None) -> GraphScore:
     """Similarity of one graph pair under one signal.
 
     Three bounded ratios are computed per channel (each in [-1, 1], equal
     to 1 iff the compared statistics agree):
 
-        sim_mass = (2 m_r m_d + t) / (m_r^2 + m_d^2 + t)
-        sim_mean = same form on the matched means
-        sim_cov  = (cov + t) / (std_r * std_d + t)
+        sim_mass = (2 m_r m_d + t1) / (m_r^2 + m_d^2 + t1)
+        sim_mean = same form on the matched means, with t2
+        sim_cov  = (cov + t3) / (std_r * std_d + t3)
 
-    then pooled per `config.feature_pooling` and `config.channel_pooling`
-    (the channel stage pools absolute values).
+    with (t1, t2, t3) = STABILIZERS, then pooled by the (feature, channel)
+    rules of `pooling`, a POOLING_PRESETS value (the channel stage pools
+    absolute values).
     """
-    config = config or GraphSimConfig()
+    feature_pooling, channel_pooling = pooling
+    t1, t2, t3 = STABILIZERS
     ref_order, dist_order = match_and_align(pair)
     center_value = ref_signal.values[pair.center_index]
     m_ref = gradient_moments(pair.ref, ref_signal, ref_order)
@@ -390,15 +386,13 @@ def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
     def ratio(x, y, t):
         return (2.0 * x * y + t) / (x * x + y * y + t)
 
-    sim_mass = ratio(m_ref.mass, m_dist.mass, config.t_mass)
-    sim_mean = ratio(m_ref.mean, m_dist.mean, config.t_mean)
+    sim_mass = ratio(m_ref.mass, m_dist.mass, t1)
+    sim_mean = ratio(m_ref.mean, m_dist.mean, t2)
     cov = covariance(m_ref.matched, m_dist.matched)
-    sim_cov = (cov + config.t_cov) / (
-        np.sqrt(m_ref.variance) * np.sqrt(m_dist.variance) + config.t_cov
-    )
+    sim_cov = (cov + t3) / (np.sqrt(m_ref.variance) * np.sqrt(m_dist.variance) + t3)
 
     features = np.stack([sim_mass, sim_mean, sim_cov])
-    if config.feature_pooling == "multiply":
+    if feature_pooling == "multiply":
         per_channel = features.prod(axis=0)
     else:
         per_channel = features.mean(axis=0)
@@ -406,7 +400,7 @@ def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
     if channel_weights is None:
         channel_weights = np.ones(per_channel.shape[0])
     channel_weights = np.asarray(channel_weights, dtype=np.float64)
-    if config.channel_pooling == "weighted-average":
+    if channel_pooling == "weighted-average":
         pooled = float(
             (channel_weights * np.abs(per_channel)).sum() / channel_weights.sum()
         )
@@ -425,7 +419,7 @@ def _prepare_signals(ref, dist, config):
         if kind == "color":
             rs = decompose(ref, config.color_space)
             ds = decompose(dist, config.color_space)
-            weights = np.asarray(config.color_space.resolved_weights)
+            weights = np.asarray(CHANNEL_WEIGHTS[config.color_space])
         elif kind == "coordinate":
             rs = SignalAttribute(ref.positions, kind="coordinate", labels=("x", "y", "z"))
             ds = SignalAttribute(dist.positions, kind="coordinate", labels=("x", "y", "z"))
@@ -468,8 +462,8 @@ def graphsim(ref: PointCloud, dist: PointCloud,
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     mixed = len(config.signal_kinds) > 1
-    graph_config = replace(config, channel_pooling="weighted-average") if mixed \
-        else config
+    feature_pooling, channel_pooling = POOLING_PRESETS[config.pooling]
+    pooling = (feature_pooling, "weighted-average" if mixed else channel_pooling)
 
     clusters = _reference_clusters(ref, keypoints.indices, radius)
     per_graph = []
@@ -478,7 +472,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     empty = skipped = 0
     for center_index, ref_cluster in zip(map(int, keypoints.indices), clusters):
         pair = build_local_graph_pair(
-            center_index, ref, dist, graph_config, radius=radius, ref_cluster=ref_cluster,
+            center_index, ref, dist, config, radius=radius, ref_cluster=ref_cluster,
         )
         if pair.ref_cluster_size == 0:
             skipped += 1
@@ -490,7 +484,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
             kind_scores = []
             channels = {}  # one value per label, even for a kind listed twice
             for kind, rs, ds, weights in signals:
-                gs = score_graph(pair, rs, ds, graph_config, channel_weights=weights)
+                gs = score_graph(pair, rs, ds, pooling, channel_weights=weights)
                 kind_scores.append(gs.pooled)
                 for label, value in zip(rs.labels, gs.per_channel):
                     channels[f"{kind}:{label}"] = value

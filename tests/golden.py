@@ -35,7 +35,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pcqa import (  # noqa: E402
     POOLING_PRESETS,
-    ColorSpaceConfig,
     DistortionSpec,
     GraphSimConfig,
     PointCloud,
@@ -109,8 +108,8 @@ def cases():
                 for signal in ("color", "color+normal"):
                     for preset in POOLING_PRESETS:
                         for space in SPACES:
-                            config = GraphSimConfig.with_pooling_preset(
-                                preset, color_space=ColorSpaceConfig(space),
+                            config = GraphSimConfig(
+                                color_space=space, pooling=preset,
                                 signal_kind=SIGNALS[signal],
                                 resample=ResampleConfig(count=KEYPOINTS))
                             yield (f"{ref_name}/{stim_name}/{signal}/{preset}/{space}",

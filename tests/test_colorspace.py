@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pcqa import ColorSpaceConfig, DomainError, PointCloud, decompose, to_gcm, to_yuv
+from pcqa import DomainError, GraphSimConfig, PointCloud, decompose, to_gcm, to_yuv
+from pcqa.colorspace import CHANNEL_WEIGHTS
 
 from helpers import random_cloud
 from oracles import gcm_channels
@@ -50,21 +51,25 @@ def test_yuv_range_stays_in_unit_box():
 
 
 def test_config_rejects_unknown_space():
-    with pytest.raises(DomainError):
-        ColorSpaceConfig(space="hsv")
+    with pytest.raises(DomainError, match="unknown color space 'hsv'"):
+        GraphSimConfig(color_space="hsv")
+    with pytest.raises(DomainError, match="unknown color space 'hsv'"):
+        decompose(random_cloud(4, seed=1), "hsv")
 
 
 def test_default_channel_weights():
-    assert ColorSpaceConfig("gcm").resolved_weights == (6.0, 1.0, 1.0)
-    assert ColorSpaceConfig("yuv").resolved_weights == (6.0, 1.0, 1.0)
-    assert ColorSpaceConfig("rgb").resolved_weights == (1.0, 2.0, 1.0)
+    assert CHANNEL_WEIGHTS == {"gcm": (6.0, 1.0, 1.0), "yuv": (6.0, 1.0, 1.0),
+                               "rgb": (1.0, 2.0, 1.0)}
+    for space, weights in CHANNEL_WEIGHTS.items():
+        assert GraphSimConfig(color_space=space).to_dict()["color_space"] == \
+            {"space": space, "weights": list(weights)}
 
 
 def test_decompose_scales_colors_to_unit():
     cloud = PointCloud(positions=np.zeros((2, 3)), colors=[[255, 0, 0], [0, 255, 0]])
-    signal = decompose(cloud, ColorSpaceConfig("rgb"))
+    signal = decompose(cloud, "rgb")
     assert signal.values.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    gcm = decompose(cloud, ColorSpaceConfig("gcm"))
+    gcm = decompose(cloud, "gcm")
     assert gcm.values[0].tolist() == [0.06, 0.30, 0.34]
     assert gcm.labels == ("lum", "chroma1", "chroma2")
 
@@ -72,13 +77,13 @@ def test_decompose_scales_colors_to_unit():
 def test_decompose_requires_colors():
     cloud = PointCloud(positions=np.zeros((1, 3)))
     with pytest.raises(DomainError):
-        decompose(cloud, ColorSpaceConfig("gcm"))
+        decompose(cloud, "gcm")
 
 
 def test_decompose_channel_count_matches_labels():
     cloud = random_cloud(20, seed=10)
     for space in ("gcm", "yuv", "rgb"):
-        signal = decompose(cloud, ColorSpaceConfig(space))
+        signal = decompose(cloud, space)
         assert signal.values.shape == (20, 3)
         assert len(signal.labels) == 3
 
@@ -92,7 +97,7 @@ def test_uniform_gray_decomposes_to_constant_channels():
     colors = np.tile((128.0, 128.0, 128.0), (40, 1))
     cloud = PointCloud(positions=np.random.default_rng(9).uniform(0, 1, (40, 3)),
                        colors=colors)
-    signal = decompose(cloud, ColorSpaceConfig("gcm"))
+    signal = decompose(cloud, "gcm")
     assert len(signal.labels) == 3
     for c in range(signal.values.shape[1]):
         assert np.ptp(signal.values[:, c]) == 0.0

@@ -1,11 +1,9 @@
 import importlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcqa import (
-    ColorSpaceConfig,
     DistortionSpec,
     GraphSimConfig,
     PointCloud,
@@ -33,7 +31,7 @@ def test_identity_scores_one(seed, n):
 def test_identity_all_pooling_presets():
     cloud = random_cloud(1200, seed=3)
     for preset in ("c1", "c2", "c3", "c4"):
-        config = GraphSimConfig.with_pooling_preset(preset)
+        config = GraphSimConfig(pooling=preset)
         assert graphsim(cloud, cloud, config).quality == pytest.approx(1.0, abs=1e-9)
 
 
@@ -59,7 +57,7 @@ def test_color_spaces_give_valid_scores():
     ref = smooth_cloud(1200, seed=6)
     noisy = apply_distortion(ref, DistortionSpec(kind="cn", level=0.1, seed=3))
     for space in ("gcm", "yuv", "rgb"):
-        config = GraphSimConfig(color_space=ColorSpaceConfig(space))
+        config = GraphSimConfig(color_space=space)
         q = graphsim(ref, noisy, config).quality
         assert 0.0 <= q <= 1.0
 
@@ -144,16 +142,16 @@ def test_per_channel_means_skip_empty_graphs():
     result = graphsim(ref, dist, config, keypoints=keypoints)
     assert 0 < result.empty_graphs < len(result.per_graph)
 
-    graph_config = replace(config, channel_pooling="weighted-average")
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     values = {}
     for center in keypoints:
-        pair = build_local_graph_pair(int(center), ref, dist, graph_config, radius=radius)
+        pair = build_local_graph_pair(int(center), ref, dist, config, radius=radius)
         if pair.ref_cluster_size == 0 or pair.dist_cluster_size == 0 \
                 or pair.ref.size == 0 or pair.dist.size == 0:
             continue
         for kind, rs, ds, weights in _prepare_signals(ref, dist, config):
-            gs = score_graph(pair, rs, ds, graph_config, channel_weights=weights)
+            gs = score_graph(pair, rs, ds, ("multiply", "weighted-average"),
+                             channel_weights=weights)
             for label, value in zip(rs.labels, gs.per_channel):
                 values.setdefault(f"{kind}:{label}", []).append(value)
     assert len(next(iter(values.values()))) == len(result.per_graph) - result.empty_graphs

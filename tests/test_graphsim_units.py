@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pcqa import (
-    ColorSpaceConfig,
     DomainError,
     GraphSimConfig,
     PointCloud,
@@ -20,6 +19,7 @@ from pcqa.graphsim import (
     match_and_align,
     score_graph,
 )
+from pcqa.colorspace import CHANNEL_WEIGHTS
 
 from helpers import random_cloud
 from oracles import local_graph_oracle
@@ -222,6 +222,7 @@ def test_pipeline_matches_loop_oracle_channelwise():
     radius = 0.2 * bounding_box(ref).min_extent
     ref_signal = decompose(ref, config.color_space)
     dist_signal = decompose(dist, config.color_space)
+    pooling = POOLING_PRESETS[config.pooling]
 
     checked = 0
     for center in (3, 50, 101):
@@ -235,7 +236,7 @@ def test_pipeline_matches_loop_oracle_channelwise():
         pair = build_local_graph_pair(center, ref, dist, config)
         assert np.allclose(pair.ref.weights, oracle["ref_weights"], rtol=1e-10)
         assert np.allclose(pair.dist.weights, oracle["dist_weights"], rtol=1e-10)
-        gs = score_graph(pair, ref_signal, dist_signal, config)
+        gs = score_graph(pair, ref_signal, dist_signal, pooling)
         sims = oracle["similarities"]
         assert np.allclose(gs.sim_mass, sims[:, 0], rtol=1e-10)
         assert np.allclose(gs.sim_mean, sims[:, 1], rtol=1e-10)
@@ -251,8 +252,8 @@ def test_identical_pair_scores_one():
     from pcqa.colorspace import decompose
 
     signal = decompose(cloud, config.color_space)
-    gs = score_graph(pair, signal, signal, config,
-                     channel_weights=config.color_space.resolved_weights)
+    gs = score_graph(pair, signal, signal, POOLING_PRESETS[config.pooling],
+                     channel_weights=CHANNEL_WEIGHTS[config.color_space])
     assert np.allclose(gs.per_channel, 1.0, atol=1e-12)
     assert gs.pooled == pytest.approx(1.0, abs=1e-12)
 
@@ -264,11 +265,11 @@ def test_pooling_presets_cover_the_grid():
         "c3": ("average", "multiply"),
         "c4": ("multiply", "multiply"),
     }
-    config = GraphSimConfig.with_pooling_preset("c3")
-    assert config.feature_pooling == "average"
-    assert config.channel_pooling == "multiply"
-    with pytest.raises(DomainError):
-        GraphSimConfig.with_pooling_preset("c9")
+    config = GraphSimConfig(pooling="c3").to_dict()
+    assert (config["feature_pooling"], config["channel_pooling"]) == ("average", "multiply")
+    assert GraphSimConfig().pooling == "c2"
+    with pytest.raises(DomainError, match="unknown pooling preset 'c9'"):
+        GraphSimConfig(pooling="c9")
 
 
 def test_config_validation():
@@ -279,19 +280,32 @@ def test_config_validation():
     with pytest.raises(DomainError):
         GraphSimConfig(normals_k=0)
     with pytest.raises(DomainError):
-        GraphSimConfig(t_mass=0.0)
-    with pytest.raises(DomainError):
         GraphSimConfig(signal_kind="texture")
     with pytest.raises(DomainError):
         GraphSimConfig(tau_scope="global")
 
 
-@pytest.mark.parametrize("field", ["neighborhood_fraction", "t_mass", "t_mean", "t_cov"])
+@pytest.mark.parametrize("field", ["neighborhood_fraction"])
 def test_config_rejects_non_finite_values(field):
     # NaN would make the quality NaN; an infinite radius makes every cluster the whole cloud.
     for value in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
             GraphSimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("kinds", [(), []])
+def test_config_rejects_an_empty_signal_list(kinds):
+    # Caught here, not as an IndexError once the keypoint filter has run.
+    with pytest.raises(DomainError, match="signal_kind must name at least one signal kind"):
+        GraphSimConfig(signal_kind=kinds)
+
+
+@pytest.mark.parametrize("field", ["matching_k", "normals_k"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+def test_config_rejects_non_integral_neighbour_counts(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}"):
+        GraphSimConfig(**{field: value})
+    assert GraphSimConfig(**{field: np.int64(3)}).to_dict()[field] == 3
 
 
 def test_mixed_alias_expands_to_color_and_coordinate():
@@ -404,7 +418,6 @@ def test_similarity_ratio_when_one_mass_vanishes():
 
     pair = LocalGraphPair(
         center_index=0,
-        center=np.zeros(3),
         ref=WeightedNeighborhood(
             center_index=0, indices=np.array([1]),
             positions=np.array([[1.0, 0.0, 0.0]]),
@@ -436,7 +449,7 @@ def test_doubling_keeps_mean_similarity_but_not_mass():
     )
     from pcqa.graphsim import GraphParams, LocalGraphPair
     pair = LocalGraphPair(
-        center_index=0, center=np.zeros(3), ref=base, dist=doubled,
+        center_index=0, ref=base, dist=doubled,
         params=GraphParams(cutoff=2.0, variance=2.0),
         ref_cluster_size=4, dist_cluster_size=8,
     )

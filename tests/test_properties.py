@@ -38,10 +38,8 @@ def fixed_keypoints(n, seed, count=16):
 def config_for(preset, signal, matching_k):
     # A quarter of the smallest extent keeps about 10-25 neighbours per
     # keypoint in these uniform boxes, so most graphs are scored.
-    return GraphSimConfig.with_pooling_preset(
-        preset, signal_kind=signal, matching_k=matching_k,
-        neighborhood_fraction=0.25,
-    )
+    return GraphSimConfig(pooling=preset, signal_kind=signal, matching_k=matching_k,
+                          neighborhood_fraction=0.25)
 
 
 @pytest.mark.parametrize("signal", SIGNALS)
