@@ -1,4 +1,5 @@
-"""Golden `graphsim` reports: every report of a fixed sweep, committed.
+"""Golden `graphsim` and `run_baselines` reports: every report of two fixed
+sweeps, committed.
 
 The inputs are made here from fixed seeds at 2-5k points (no PLY is
 committed): a continuous volume, a bumpy surface, an integer lattice with
@@ -13,11 +14,15 @@ The volume gets two more `neighborhood_fraction` values. Every case of one
 reference scores the same
 reference object, as a study does, so per-cloud caches are exercised too.
 
+The baselines sweep scores all five metrics of each reference against its
+cn, ggn, ds and ot stimuli, against itself, and against a cn stimulus built
+on a copy of its positions, as a PLY load gives one.
+
 Indices and counts must match exactly; floats within RTOL relative, since
 SIMD `exp`/`log` may differ by an ulp between CPUs.
 
     python tests/golden.py            # compare with the committed file
-    python tests/golden.py --update   # rewrite tests/golden/graphsim.json
+    python tests/golden.py --update   # rewrite tests/golden/*.json
 
 A change to any value must be explained; the compare run prints each
 field's largest relative difference.
@@ -41,10 +46,11 @@ from pcqa import (  # noqa: E402
     ResampleConfig,
     apply_distortion,
     graphsim,
+    run_baselines,
 )
 from pcqa.colorspace import SPACES  # noqa: E402
 
-PATH = Path(__file__).parent / "golden" / "graphsim.json"
+GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
 KEYPOINTS = 12
 STIMULI = {"cn": 0.08, "ggn": 0.008, "ds": 0.55, "ot": 7}
@@ -130,6 +136,28 @@ def reports() -> dict[str, dict]:
             for name, ref, stim, config, keypoints, echo in cases()}
 
 
+def baseline_cases():
+    """(name, reference, stimulus), reference by reference."""
+    for ref_name, ref in references().items():
+        stimuli = {name: apply_distortion(ref, DistortionSpec(name, level, seed=11))
+                   for name, level in STIMULI.items()}
+        stimuli["self"] = ref
+        stimuli["cn-copy"] = PointCloud(positions=np.array(ref.positions),
+                                        colors=stimuli["cn"].colors)
+        for stim_name, stim in stimuli.items():
+            yield f"{ref_name}/{stim_name}", ref, stim
+
+
+def baseline_reports() -> dict[str, dict]:
+    return {name: {metric: {"value": r.value, "forward_db": r.forward_db,
+                            "backward_db": r.backward_db}
+                   for metric, r in run_baselines(ref, stim).items()}
+            for name, ref, stim in baseline_cases()}
+
+
+SWEEPS = {"graphsim": reports, "baselines": baseline_reports}
+
+
 def differences(want, got, path=""):
     """(path, relative difference) for every leaf where got differs from want:
     floats beyond RTOL relative, anything else at all (inf when not comparable)."""
@@ -149,36 +177,43 @@ def differences(want, got, path=""):
     return [] if type(want) is type(got) and want == got else [(path, float("inf"))]
 
 
-def load() -> dict[str, dict]:
-    return json.loads(PATH.read_text(encoding="utf-8"))
+def path(sweep: str) -> Path:
+    return GOLDEN / f"{sweep}.json"
 
 
-def write(values: dict[str, dict]) -> None:
-    PATH.parent.mkdir(exist_ok=True)
+def load(sweep: str = "graphsim") -> dict[str, dict]:
+    return json.loads(path(sweep).read_text(encoding="utf-8"))
+
+
+def write(sweep: str, values: dict[str, dict]) -> None:
+    GOLDEN.mkdir(exist_ok=True)
     lines = [f"{json.dumps(name)}: {json.dumps(values[name], sort_keys=True)}"
              for name in sorted(values)]
-    PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    path(sweep).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
 def main(argv) -> int:
-    got = reports()
-    if "--update" in argv:
-        write(got)
-        print(f"wrote {len(got)} reports to {PATH}")
-        return 0
-    want = load()
-    worst: dict[str, float] = {}
-    changed = 0
-    for name in sorted(want.keys() | got.keys()):
-        found = differences(want.get(name), got.get(name))
-        changed += bool(found)
-        for path, rel in found:
-            field = path.split("[")[0] or "(whole report)"
-            worst[field] = max(worst.get(field, 0.0), rel)
-    for field, rel in sorted(worst.items()):
-        print(f"{field}: largest relative difference {rel:.3g}")
-    print(f"{changed} of {len(want.keys() | got.keys())} reports differ")
-    return 1 if changed else 0
+    failed = False
+    for sweep, make in SWEEPS.items():
+        got = make()
+        if "--update" in argv:
+            write(sweep, got)
+            print(f"wrote {len(got)} reports to {path(sweep)}")
+            continue
+        want = load(sweep)
+        worst: dict[str, float] = {}
+        changed = 0
+        for name in sorted(want.keys() | got.keys()):
+            found = differences(want.get(name), got.get(name))
+            changed += bool(found)
+            for at, rel in found:
+                field = at.split("[")[0] or "(whole report)"
+                worst[field] = max(worst.get(field, 0.0), rel)
+        for field, rel in sorted(worst.items()):
+            print(f"{sweep}{field}: largest relative difference {rel:.3g}")
+        print(f"{sweep}: {changed} of {len(want.keys() | got.keys())} reports differ")
+        failed |= bool(changed)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

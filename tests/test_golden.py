@@ -1,4 +1,5 @@
-"""Every report of the golden `graphsim` sweep equals the committed one.
+"""Every report of the golden `graphsim` and `run_baselines` sweeps equals
+the committed one.
 
 The sweep and the comparison rule live in golden.py; after a deliberate
 change of values, `python tests/golden.py --update` rewrites the file."""
@@ -6,12 +7,20 @@ change of values, `python tests/golden.py --update` rewrites the file."""
 import golden
 
 
-def test_graphsim_reports_equal_the_golden_file():
-    want, got = golden.load(), golden.reports()
+def _assert_sweep_equals_the_golden_file(sweep):
+    want, got = golden.load(sweep), golden.SWEEPS[sweep]()
     assert sorted(got) == sorted(want)
     differing = {name: golden.differences(want[name], got[name])[:3]
                  for name in want if golden.differences(want[name], got[name])}
     assert not differing, (len(differing), dict(list(differing.items())[:5]))
+
+
+def test_graphsim_reports_equal_the_golden_file():
+    _assert_sweep_equals_the_golden_file("graphsim")
+
+
+def test_baseline_reports_equal_the_golden_file():
+    _assert_sweep_equals_the_golden_file("baselines")
 
 
 def test_the_comparison_is_exact_on_ints_and_relative_on_floats():
