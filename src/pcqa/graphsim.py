@@ -115,8 +115,15 @@ class GraphSimConfig:
             return ("color", "coordinate") if kind == "mixed" else (kind,)
         return tuple(kind)
 
+    @property
+    def pooling_rules(self) -> tuple[str, str]:
+        """The (feature, channel) rules graphsim pools by: the preset's, with
+        the channel rule forced to the weighted average for several kinds."""
+        feature, channel = POOLING_PRESETS[self.pooling]
+        return feature, "weighted-average" if len(self.signal_kinds) > 1 else channel
+
     def to_dict(self) -> dict:
-        feature_pooling, channel_pooling = POOLING_PRESETS[self.pooling]
+        feature_pooling, channel_pooling = self.pooling_rules
         return {
             "neighborhood_fraction": self.neighborhood_fraction,
             "matching_k": self.matching_k,
@@ -461,9 +468,6 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     signals = _prepare_signals(ref, dist, config)
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    mixed = len(config.signal_kinds) > 1
-    feature_pooling, channel_pooling = POOLING_PRESETS[config.pooling]
-    pooling = (feature_pooling, "weighted-average" if mixed else channel_pooling)
 
     clusters = _reference_clusters(ref, keypoints.indices, radius)
     per_graph = []
@@ -484,13 +488,13 @@ def graphsim(ref: PointCloud, dist: PointCloud,
             kind_scores = []
             channels = {}  # one value per label, even for a kind listed twice
             for kind, rs, ds, weights in signals:
-                gs = score_graph(pair, rs, ds, pooling, channel_weights=weights)
+                gs = score_graph(pair, rs, ds, config.pooling_rules, channel_weights=weights)
                 kind_scores.append(gs.pooled)
                 for label, value in zip(rs.labels, gs.per_channel):
                     channels[f"{kind}:{label}"] = value
             for label, value in channels.items():
                 channel_sums[label] = channel_sums.get(label, 0.0) + float(value)
-            pooled = float(np.mean(kind_scores)) if mixed else kind_scores[0]
+            pooled = float(np.mean(kind_scores))
         per_graph.append(pooled)
         graph_keypoints.append(center_index)
 

@@ -161,6 +161,19 @@ class TestScore:
                         distortion="", scores={"graphsim": result.quality})
         assert out == canonical_dumps(expected) + "\n"
 
+    def test_config_echoes_the_channel_rule_it_pooled_by(self, capsys, ply_pair):
+        # c3 multiplies channels, but with several signal kinds they are averaged.
+        ref, dist = ply_pair
+        code, out, _ = run(capsys, "score", ref, dist, "--beta", "8",
+                           "--signal", "color,normal", "--pooling", "c3")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["config"]["feature_pooling"], report["config"]["channel_pooling"]) \
+            == ("average", "weighted-average")
+        config = GraphSimConfig(signal_kind=("color", "normal"), pooling="c3",
+                                resample=ResampleConfig(count=8))
+        assert report["quality"] == graphsim(load_ply(ref), load_ply(dist), config).quality
+
     @pytest.mark.parametrize("flag", [
         ("--feature-pooling", "multiply"),
         ("--channel-pooling", "multiply"),

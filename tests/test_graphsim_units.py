@@ -267,6 +267,8 @@ def test_pooling_presets_cover_the_grid():
     }
     config = GraphSimConfig(pooling="c3").to_dict()
     assert (config["feature_pooling"], config["channel_pooling"]) == ("average", "multiply")
+    several = GraphSimConfig(pooling="c4", signal_kind=("color", "normal"))
+    assert several.pooling_rules == ("multiply", "weighted-average")
     assert GraphSimConfig().pooling == "c2"
     with pytest.raises(DomainError, match="unknown pooling preset 'c9'"):
         GraphSimConfig(pooling="c9")
