@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import BoundingBox, PointCloud, bounding_box, merged_bounding_box
+from .cloud import BoundingBox, PointCloud, bounding_box, merged_bounding_box, same_geometry
 from .colorspace import to_yuv
 from .errors import DomainError
 
@@ -116,6 +116,8 @@ def _closed_form_normals(a: np.ndarray):
 def _match_pair(ref: PointCloud, dist: PointCloud):
     """The one pair of nearest-match arrays every baseline reads: forward
     maps each distorted point to a reference point, backward the reverse."""
+    if same_geometry(ref, dist):  # both the reference's self-match, kept (8 B a point)
+        return (ref._cached(("self match",), lambda: _nearest(ref, ref)),) * 2
     return _nearest(ref, dist), _nearest(dist, ref)
 
 
@@ -251,7 +253,8 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
         raise DomainError(f"unknown baseline metric(s): {', '.join(unknown)}")
     _check_pair(ref, dist, normals_k)
     matches = _match_pair(ref, dist)
-    box = merged_bounding_box(bounding_box(ref), bounding_box(dist))
+    box = bounding_box(ref) if matches[0] is matches[1] else \
+        merged_bounding_box(bounding_box(ref), bounding_box(dist))  # one geometry: one box
     results: dict[str, BaselineResult] = {}
     if "psnr-yuv" in metrics:  # first: its YUV arrays are gone before the normals are made
         results["psnr-yuv"] = _color_psnr(ref, dist, matches)

@@ -128,6 +128,12 @@ class PointCloud:
         return store[key]
 
 
+def same_geometry(a: PointCloud, b: PointCloud) -> bool:
+    """Whether the clouds hold one positions array, or equal-shaped byte-identical ones."""
+    return a.positions is b.positions or np.array_equal(
+        a.positions.view(np.int64), b.positions.view(np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class BoundingBox:
     """Axis-aligned bounds of a point set."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import _cloud_normals
-from .cloud import PointCloud, bounding_box
+from .cloud import PointCloud, bounding_box, same_geometry
 from .colorspace import CHANNEL_WEIGHTS, SPACES, decompose
 from .errors import DomainError
 from .graph import GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
@@ -117,8 +117,7 @@ class GraphSimConfig:
 
     @property
     def pooling_rules(self) -> tuple[str, str]:
-        """The (feature, channel) rules graphsim pools by: the preset's, with
-        the channel rule forced to the weighted average for several kinds."""
+        """(feature, channel) rules as applied: several kinds average the channels."""
         feature, channel = POOLING_PRESETS[self.pooling]
         return feature, "weighted-average" if len(self.signal_kinds) > 1 else channel
 
@@ -254,14 +253,15 @@ def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
                            config: GraphSimConfig | None = None, *,
                            radius: float | None = None,
-                           ref_cluster: tuple | None = None) -> LocalGraphPair:
+                           ref_cluster: tuple | None = None,
+                           dist_cluster: tuple | None = None) -> LocalGraphPair:
     """Build the local graph pair around one reference keypoint.
 
     Both clusters exclude points lying exactly at the keypoint position,
     so identical clouds produce identical neighbor index sets. The shared
     edge-weight cutoff comes from the matching_k rule over the cluster
-    distances; the Gaussian variance is cutoff^2 / 2. `ref_cluster`, when
-    given, is the reference's `_cluster` kept from an earlier call.
+    distances; the Gaussian variance is cutoff^2 / 2. `ref_cluster` and
+    `dist_cluster`, when given, are a `_cluster` kept from an earlier call.
     """
     config = config or GraphSimConfig()
     if radius is None:
@@ -269,7 +269,7 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
     center = ref.positions[center_index]
 
     r_idx, r_d = _cluster(ref, center, radius) if ref_cluster is None else ref_cluster
-    d_idx, d_d = _cluster(dist, center, radius)
+    d_idx, d_d = _cluster(dist, center, radius) if dist_cluster is None else dist_cluster
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
     params = GraphParams.from_cutoff(cutoff)
 
@@ -470,6 +470,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
 
     clusters = _reference_clusters(ref, keypoints.indices, radius)
+    same = same_geometry(ref, dist)  # then the stimulus's clusters are the reference's
     per_graph = []
     graph_keypoints = []
     channel_sums: dict[str, float] = {}
@@ -477,6 +478,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     for center_index, ref_cluster in zip(map(int, keypoints.indices), clusters):
         pair = build_local_graph_pair(
             center_index, ref, dist, config, radius=radius, ref_cluster=ref_cluster,
+            dist_cluster=ref_cluster if same else None,
         )
         if pair.ref_cluster_size == 0:
             skipped += 1

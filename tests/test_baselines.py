@@ -26,10 +26,10 @@ from pcqa import (
     to_yuv,
 )
 from pcqa import baselines, spatial
-from pcqa.baselines import _match_pair, combine_channel_psnr
+from pcqa.baselines import _match_pair, _nearest, combine_channel_psnr
 
 from helpers import planar_cloud, random_cloud, smooth_cloud
-from oracles import pca_normals
+from oracles import brute_knn, pca_normals
 
 
 def grid_cloud(m=20, spacing=1.0):
@@ -315,6 +315,71 @@ class TestSharedMatches:
             assert results[metric].backward_db == geometry_psnr(pair.backward, box)
             assert results[metric].value == geometry_psnr(pair.symmetric, box)
         assert results["psnr-yuv"] == psnr_yuv(ref, dist)
+
+
+def same_geometry_pair(name, seed=29):
+    """A reference and a colour-only stimulus on an equal copy of its positions,
+    as a PLY load gives one: a shuffled lattice whose every site is held by three
+    points, or a continuous cloud."""
+    rng = np.random.default_rng(seed)
+    if name == "lattice":
+        sites = np.stack(np.meshgrid(*[np.arange(5.0)] * 3), axis=-1).reshape(-1, 3)
+        positions = np.repeat(sites, 3, axis=0)[rng.permutation(3 * len(sites))]
+    else:
+        positions = rng.uniform(0.0, 10.0, (400, 3))
+    colors = rng.integers(0, 256, positions.shape).astype(float)
+    ref = PointCloud(positions=positions, colors=colors)
+    stim = PointCloud(positions=np.array(positions), colors=colors[::-1].copy())
+    return ref, stim
+
+
+class TestSameGeometry:
+    """A stimulus with the reference's positions reuses the reference's
+    self-match and kept clusters, and builds no tree of its own."""
+
+    @pytest.mark.parametrize("name", ["lattice", "continuous"])
+    def test_match_pair_is_the_self_match_both_ways(self, name):
+        ref, stim = same_geometry_pair(name)
+        forward, backward = _match_pair(ref, stim)
+        assert forward is backward and "spatial_index" not in stim.__dict__
+        assert np.array_equal(forward, _nearest(ref, stim))
+        assert np.array_equal(backward, _nearest(stim, ref))
+        assert forward.tolist() == [brute_knn(ref.positions, q, 1)[0][0]
+                                    for q in stim.positions]
+        if name == "lattice":  # each point matches the lowest index on its site
+            assert (forward != np.arange(ref.count)).sum() == 2 * ref.count // 3
+
+    def test_stimulus_keeps_nothing_and_the_reference_one_self_match(self):
+        ref, stim = same_geometry_pair("lattice")
+        shared = apply_distortion(ref, DistortionSpec("cn", 0.1, seed=4))  # ref's own array
+        config = GraphSimConfig(neighborhood_fraction=0.3, resample=ResampleConfig(count=8))
+        for dist in (stim, shared):
+            graphsim(ref, dist, config)
+            run_baselines(ref, dist)
+            assert "spatial_index" not in dist.__dict__ and "_results" not in dist.__dict__
+        kept = [v for k, v in ref._results.items() if k[0] == "self match"]
+        assert len(kept) == 1
+        (match,) = kept
+        assert match.shape == (ref.count,) and match.dtype == np.intp
+        assert not match.flags.writeable
+        assert _match_pair(ref, stim)[0] is match
+
+    def test_one_ulp_off_takes_the_general_path(self):
+        from pcqa.cloud import same_geometry
+
+        ref, stim = same_geometry_pair("lattice")
+        config = GraphSimConfig(neighborhood_fraction=0.3, resample=ResampleConfig(count=8))
+        graphsim(ref, stim, config)
+        run_baselines(ref, stim)  # ref keeps its clusters and self-match
+        positions = np.array(stim.positions)
+        positions[5, 2] = np.nextafter(positions[5, 2], np.inf)
+        off = PointCloud(positions=positions, colors=stim.colors)
+        assert not same_geometry(ref, off)
+        fresh = PointCloud(positions=ref.positions.copy(), colors=ref.colors)
+        assert graphsim(ref, off, config).to_report() == \
+            graphsim(fresh, off, config).to_report()
+        assert run_baselines(ref, off) == run_baselines(fresh, off)
+        assert "spatial_index" in off.__dict__
 
 
 class TestReferenceCache:

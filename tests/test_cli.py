@@ -341,6 +341,38 @@ class TestBaseline:
         assert "vmaf" in last_stderr_json(err)["message"]
 
 
+def test_cn_stimulus_scores_and_baselines_as_in_process(capsys, ply_pair, tmp_path):
+    # The written stimulus holds a copy of the reference's positions: score and
+    # baseline take the shared-geometry path on it.
+    from pcqa import run_baselines
+    from pcqa.cloud import same_geometry
+
+    ref, _ = ply_pair
+    cn = str(tmp_path / "cn.ply")
+    code, _, _ = run(capsys, "distort", ref, "--kind", "cn", "--level", "0.08",
+                     "--output", cn)
+    assert code == 0
+    assert same_geometry(load_ply(ref), load_ply(cn))
+    inputs = {"inputs": {"reference": ref, "distorted": cn}, "content": "", "distortion": ""}
+
+    code, out, _ = run(capsys, "score", ref, cn, "--beta", "8", "--seed", "3")
+    assert code == 0
+    config = GraphSimConfig(resample=ResampleConfig(count=8, seed=3))
+    result = graphsim(load_ply(ref), load_ply(cn), config)
+    expected = dict(result.to_report(config), seed=3, command="score", **inputs,
+                    scores={"graphsim": result.quality})
+    assert out == canonical_dumps(expected) + "\n"
+
+    code, out, _ = run(capsys, "baseline", ref, cn)
+    assert code == 0
+    results = run_baselines(load_ply(ref), load_ply(cn))
+    expected = dict(command="baseline", **inputs,
+                    metrics={m: {"value": r.value, "forward_db": r.forward_db,
+                                 "backward_db": r.backward_db} for m, r in results.items()},
+                    scores={m: r.value for m, r in results.items()})
+    assert out == canonical_dumps(expected) + "\n"
+
+
 class TestDistort:
     def test_level_zero_round_trips_the_cloud(self, capsys, ply_pair, tmp_path):
         ref, _ = ply_pair

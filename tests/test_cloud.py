@@ -151,3 +151,19 @@ def test_merged_bounding_box_covers_both():
     merged = merged_bounding_box(a, b)
     assert np.array_equal(merged.min_corner, [-1, 0, 0])
     assert np.array_equal(merged.max_corner, [1, 2, 1])
+
+
+def test_same_geometry_is_one_array_or_identical_bytes():
+    from pcqa.cloud import same_geometry
+
+    cloud = random_cloud(50, seed=3)
+    assert same_geometry(cloud, PointCloud(positions=cloud.positions))  # the array itself
+    copy = np.array(cloud.positions)
+    assert same_geometry(cloud, PointCloud(positions=copy))
+    copy[7, 1] = np.nextafter(copy[7, 1], np.inf)  # one ulp
+    assert not same_geometry(cloud, PointCloud(positions=copy))
+    assert not same_geometry(cloud, PointCloud(positions=cloud.positions[:49]))
+    zeros = np.zeros((4, 3))
+    signed = zeros.copy()
+    signed[2, 0] = -0.0  # equal values, other bytes
+    assert not same_geometry(PointCloud(positions=zeros), PointCloud(positions=signed))

@@ -472,7 +472,7 @@ def _prepared_case(name):
         ref = random_cloud(2000, seed=41)
         stim = apply_distortion(ref, DistortionSpec("ggn", 0.01, seed=1))
         return ref, stim, np.arange(7, 2000, 97)
-    if name == "lattice":
+    if name.startswith("lattice"):
         positions = rng.integers(0, 9, (2000, 3)).astype(np.float64)  # 729 sites
         ref = PointCloud(positions=positions,
                          colors=rng.integers(0, 256, (2000, 3)).astype(np.float64))
@@ -481,6 +481,9 @@ def _prepared_case(name):
         duplicated = np.flatnonzero(counts[inverse.ravel()] > 1)
         # Unsorted, on duplicated sites: the keypoint's twins are dropped from its cluster.
         keypoints = rng.permutation(duplicated)[:20]
+        if name == "lattice-cn":  # the reference's geometry, in a copy, as a PLY load gives
+            cn = apply_distortion(ref, DistortionSpec("cn", 0.1, seed=2))
+            return ref, PointCloud(positions=positions.copy(), colors=cn.colors), keypoints
         return ref, apply_distortion(ref, DistortionSpec("ds", 0.7, seed=2)), keypoints
     positions = rng.uniform(0.0, 1.0, (3000, 3)) * [6.0, 6.0, 0.6]
     ref = PointCloud(positions=positions,
@@ -489,9 +492,9 @@ def _prepared_case(name):
     return ref, stim, np.arange(0, 3000, 150)
 
 
-@pytest.mark.parametrize("name", ["continuous", "lattice", "slab"])
+@pytest.mark.parametrize("name", ["continuous", "lattice", "slab", "lattice-cn"])
 def test_kept_reference_clusters_build_the_per_pair_graphs(name):
-    from pcqa.cloud import bounding_box
+    from pcqa.cloud import bounding_box, same_geometry
     from pcqa.colorspace import decompose
     from pcqa.graphsim import _reference_clusters
 
@@ -501,12 +504,15 @@ def test_kept_reference_clusters_build_the_per_pair_graphs(name):
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     ref_signal = decompose(ref, config.color_space).values
     dist_signal = decompose(dist, config.color_space).values
+    same = same_geometry(ref, dist)
+    assert same == (name == "lattice-cn")
     twins = 0
     for center, kept in zip(keypoints, _reference_clusters(ref, keypoints, radius)):
+        # On one geometry graphsim hands the reference's kept cluster to both sides.
         fast = build_local_graph_pair(int(center), ref, dist, config, radius=radius,
-                                      ref_cluster=kept)
+                                      ref_cluster=kept, dist_cluster=kept if same else None)
         slow = build_local_graph_pair(int(center), ref, dist, config, radius=radius,
-                                      ref_cluster=None)
+                                      ref_cluster=None, dist_cluster=None)
         assert (fast.ref_cluster_size, fast.dist_cluster_size) == \
             (slow.ref_cluster_size, slow.dist_cluster_size)
         assert fast.params == slow.params
@@ -525,4 +531,4 @@ def test_kept_reference_clusters_build_the_per_pair_graphs(name):
         assert fast.params.cutoff == pytest.approx(oracle["cutoff"], rel=1e-12)
         assert np.allclose(fast.ref.weights, oracle["ref_weights"], rtol=1e-10, atol=0)
         assert np.allclose(fast.dist.weights, oracle["dist_weights"], rtol=1e-10, atol=0)
-    assert (twins > 0) == (name == "lattice")
+    assert (twins > 0) == name.startswith("lattice")

@@ -1,7 +1,8 @@
 """Whole-cloud transients, one at a time: the keypoint filter, graphsim and
 the baselines keep at most one cloud-sized temporary beyond what they need,
 and the tie path of the k-NN queries stays block-sized on a lattice. What
-graphsim keeps on a reference is 12 B per reference cluster point.
+graphsim keeps on a reference is 12 B per reference cluster point; what the
+baselines keep for a stimulus of the reference's geometry, 8 B per point.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so the
 figures are deterministic. Every module a pass imports is loaded first."""
@@ -135,3 +136,23 @@ def test_tie_path_on_a_lattice_stays_block_sized(monkeypatch):
     for row in np.concatenate([edges - 1, edges]):
         want_idx, want_d = brute_knn(pts, pts[row], 11)
         assert np.array_equal(idx[row], want_idx) and np.array_equal(dist[row], want_d), row
+
+
+def test_same_geometry_run_baselines_keeps_8_bytes_per_point():
+    ref = random_cloud(N, seed=11)
+    stim = PointCloud(positions=np.array(ref.positions), colors=ref.colors[::-1].copy())
+    estimate_normals(ref, 12)  # the reference's tree, normals and box, kept first
+    bounding_box(ref)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_baselines(ref, stim)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # The self-match, one intp per point, and its array header; beside it only
+    # numpy's and the worker threads' small bookkeeping (1.1-1.5 kB measured).
+    # A stimulus tree or a second match array would add 8 B a point or more.
+    bound = 8 * N + 2048
+    assert kept <= bound, (kept, bound)
+    assert "spatial_index" not in stim.__dict__
