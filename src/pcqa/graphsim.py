@@ -496,7 +496,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
                     channels[f"{kind}:{label}"] = value
             for label, value in channels.items():
                 channel_sums[label] = channel_sums.get(label, 0.0) + float(value)
-            pooled = float(np.mean(kind_scores))
+            pooled = kind_scores[0] if len(kind_scores) == 1 else float(np.mean(kind_scores))
         per_graph.append(pooled)
         graph_keypoints.append(center_index)
 
