@@ -27,6 +27,7 @@ from pcqa import (
 )
 from pcqa import baselines, spatial
 from pcqa.baselines import _match_pair, _nearest, combine_channel_psnr
+from pcqa.cloud import same_geometry
 
 from helpers import planar_cloud, random_cloud, smooth_cloud
 from oracles import brute_knn, pca_normals
@@ -365,8 +366,6 @@ class TestSameGeometry:
         assert _match_pair(ref, stim)[0] is match
 
     def test_one_ulp_off_takes_the_general_path(self):
-        from pcqa.cloud import same_geometry
-
         ref, stim = same_geometry_pair("lattice")
         config = GraphSimConfig(neighborhood_fraction=0.3, resample=ResampleConfig(count=8))
         graphsim(ref, stim, config)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcqa import DomainError, PointCloud, ValidationError, bounding_box, merged_bounding_box
-from pcqa.cloud import MAX_COORDINATE
+from pcqa.cloud import MAX_COORDINATE, same_geometry
 
 from helpers import random_cloud
 
@@ -154,8 +154,6 @@ def test_merged_bounding_box_covers_both():
 
 
 def test_same_geometry_is_one_array_or_identical_bytes():
-    from pcqa.cloud import same_geometry
-
     cloud = random_cloud(50, seed=3)
     assert same_geometry(cloud, PointCloud(positions=cloud.positions))  # the array itself
     copy = np.array(cloud.positions)
