@@ -38,11 +38,12 @@ def _diag(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _signal_kinds(raw: str):
-    kinds = tuple(p.strip() for p in raw.split(",") if p.strip())
-    if not kinds:
-        raise ValidationError("--signal must name at least one signal kind")
-    return kinds[0] if len(kinds) == 1 else kinds
+def _names(raw: str, flag: str, what: str) -> tuple[str, ...]:
+    """The names of a comma-separated flag value; at least one."""
+    names = tuple(p.strip() for p in raw.split(",") if p.strip())
+    if not names:
+        raise ValidationError(f"{flag} must name at least one {what}")
+    return names
 
 
 def _resample_config(args: argparse.Namespace, count: int | None, method: str) -> ResampleConfig:
@@ -63,7 +64,7 @@ def _score_config(args: argparse.Namespace) -> GraphSimConfig:
         matching_k=args.matching_k,
         color_space=args.color_space,
         pooling=args.pooling,
-        signal_kind=_signal_kinds(args.signal),
+        signal_kind=_names(args.signal, "--signal", "signal kind"),
         tau_scope=args.tau_scope,
         normals_k=args.normals_k,
         resample=_resample_config(args, args.beta, args.resample_method),
@@ -97,9 +98,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    if not metrics:
-        raise ValidationError("--metrics must name at least one baseline metric")
+    metrics = _names(args.metrics, "--metrics", "baseline metric")
     results = run_baselines(load_ply(args.reference), load_ply(args.distorted), metrics,
                             normals_k=args.normals_k)
     report = {
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     baseline = sub.add_parser("baseline", parents=[pair],
                               help="point-wise baseline metrics for a cloud pair")
-    baseline.add_argument("--metrics", "--metric", default=",".join(METRIC_IDS),
+    baseline.add_argument("--metrics", default=",".join(METRIC_IDS),
                           help="comma-separated metric ids")
     baseline.set_defaults(func=cmd_baseline)
 

@@ -19,21 +19,18 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class GraphParams:
-    """Edge-weight parameters: hard distance cutoff and Gaussian variance."""
+    """Edge-weight parameters: the hard distance cutoff, which fixes the variance."""
 
     cutoff: float
-    variance: float
 
     def __post_init__(self):
         if not self.cutoff >= 0:
             raise DomainError(f"cutoff must be >= 0, got {self.cutoff}")
-        if not self.variance > 0:
-            raise DomainError(f"variance must be > 0, got {self.variance}")
 
-    @classmethod
-    def from_cutoff(cls, cutoff: float) -> "GraphParams":
-        """Default coupling: variance = cutoff^2 / 2 (floored to stay positive)."""
-        return cls(cutoff=float(cutoff), variance=max(cutoff * cutoff / 2.0, _TINY))
+    @property
+    def variance(self) -> float:
+        """Gaussian variance cutoff^2 / 2, floored to stay positive."""
+        return max(self.cutoff * self.cutoff / 2.0, _TINY)
 
 
 def edge_weight(distance, params: GraphParams):

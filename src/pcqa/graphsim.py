@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import _cloud_normals
+from .baselines import estimate_normals
 from .cloud import PointCloud, bounding_box, same_geometry
 from .colorspace import CHANNEL_WEIGHTS, SPACES, decompose
 from .errors import DomainError
@@ -64,9 +64,9 @@ class GraphSimConfig:
         A POOLING_PRESETS key: how the three per-channel similarities and
         then the channels are combined.
     signal_kind (--signal)
-        "color", "coordinate", "normal", a tuple of kinds scored jointly,
-        or "mixed" (alias for color + coordinate). With several kinds the
-        per-kind scores are averaged and channel pooling is forced to the
+        "color", "coordinate", "normal", a tuple of distinct kinds scored
+        jointly, or "mixed" (alias for color + coordinate). With several kinds
+        the per-kind scores are averaged and channel pooling is forced to the
         weighted average.
     resample (--beta, --beta-ratio, --filter-length, --graph-k, --resample, --seed)
         The keypoint stage, a ResampleConfig.
@@ -104,16 +104,17 @@ class GraphSimConfig:
             raise DomainError(f"unknown tau_scope '{self.tau_scope}'")
         if not self.signal_kinds:
             raise DomainError("signal_kind must name at least one signal kind")
-        for kind in self.signal_kinds:
+        for i, kind in enumerate(self.signal_kinds):
             if kind not in SIGNAL_KINDS:
                 raise DomainError(f"unknown signal kind '{kind}'")
+            if kind in self.signal_kinds[:i]:
+                raise DomainError(f"signal kind '{kind}' is listed twice")
 
     @property
     def signal_kinds(self) -> tuple[str, ...]:
         kind = self.signal_kind
-        if isinstance(kind, str):
-            return ("color", "coordinate") if kind == "mixed" else (kind,)
-        return tuple(kind)
+        kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+        return ("color", "coordinate") if kinds == ("mixed",) else kinds
 
     @property
     def pooling_rules(self) -> tuple[str, str]:
@@ -271,7 +272,7 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
     r_idx, r_d = _cluster(ref, center, radius) if ref_cluster is None else ref_cluster
     d_idx, d_d = _cluster(dist, center, radius) if dist_cluster is None else dist_cluster
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
-    params = GraphParams.from_cutoff(cutoff)
+    params = GraphParams(cutoff)
 
     def build_side(cloud, idx, d, center_idx):
         keep = d <= cutoff
@@ -419,26 +420,18 @@ def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
     )
 
 
-def _prepare_signals(ref, dist, config):
-    """Per-kind (kind, ref signal, dist signal, channel weights) tuples."""
-    out = []
-    for kind in config.signal_kinds:
+def _signals(cloud: PointCloud, config: GraphSimConfig, geometry: PointCloud) -> list:
+    """The cloud's signal of each configured kind. Normals are the cloud's stored
+    ones, else the estimate kept on `geometry`, a cloud with the same positions."""
+    def signal(kind):
         if kind == "color":
-            rs = decompose(ref, config.color_space)
-            ds = decompose(dist, config.color_space)
-            weights = np.asarray(CHANNEL_WEIGHTS[config.color_space])
-        elif kind == "coordinate":
-            rs = SignalAttribute(ref.positions, kind="coordinate", labels=("x", "y", "z"))
-            ds = SignalAttribute(dist.positions, kind="coordinate", labels=("x", "y", "z"))
-            weights = np.ones(3)
-        else:
-            rs = SignalAttribute(_cloud_normals(ref, config.normals_k),
-                                 kind="normal", labels=("nx", "ny", "nz"))
-            ds = SignalAttribute(_cloud_normals(dist, config.normals_k),
-                                 kind="normal", labels=("nx", "ny", "nz"))
-            weights = np.ones(3)
-        out.append((kind, rs, ds, weights))
-    return out
+            return decompose(cloud, config.color_space)
+        if kind == "coordinate":
+            return SignalAttribute(cloud.positions, kind, ("x", "y", "z"))
+        normals = cloud.normals if cloud.has_normals else \
+            estimate_normals(geometry, config.normals_k)[0]
+        return SignalAttribute(normals, kind, ("nx", "ny", "nz"))
+    return [signal(kind) for kind in config.signal_kinds]
 
 
 def graphsim(ref: PointCloud, dist: PointCloud,
@@ -464,15 +457,16 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     if outside.any():
         raise DomainError(f"keypoint index {keypoints.indices[outside][0]} "
                           f"is outside [0, {ref.count})")
+    same = same_geometry(ref, dist)  # then its clusters and normals are the reference's
     # After the keypoint stage, so decomposed colours are never live beside the filter.
-    signals = _prepare_signals(ref, dist, config)
+    ref_signals = _signals(ref, config, ref)
+    dist_signals = _signals(dist, config, ref if same else dist)
+    weights = [np.asarray(CHANNEL_WEIGHTS[config.color_space]) if s.kind == "color"
+               else np.ones(3) for s in ref_signals]
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-
     clusters = _reference_clusters(ref, keypoints.indices, radius)
-    same = same_geometry(ref, dist)  # then the stimulus's clusters are the reference's
-    per_graph = []
-    graph_keypoints = []
+    per_graph, graph_keypoints = [], []
     channel_sums: dict[str, float] = {}
     empty = skipped = 0
     for center_index, ref_cluster in zip(map(int, keypoints.indices), clusters):
@@ -488,15 +482,13 @@ def graphsim(ref: PointCloud, dist: PointCloud,
             pooled = 0.0
         else:
             kind_scores = []
-            channels = {}  # one value per label, even for a kind listed twice
-            for kind, rs, ds, weights in signals:
-                gs = score_graph(pair, rs, ds, config.pooling_rules, channel_weights=weights)
+            for rs, ds, w in zip(ref_signals, dist_signals, weights):
+                gs = score_graph(pair, rs, ds, config.pooling_rules, channel_weights=w)
                 kind_scores.append(gs.pooled)
                 for label, value in zip(rs.labels, gs.per_channel):
-                    channels[f"{kind}:{label}"] = value
-            for label, value in channels.items():
-                channel_sums[label] = channel_sums.get(label, 0.0) + float(value)
-            pooled = kind_scores[0] if len(kind_scores) == 1 else float(np.mean(kind_scores))
+                    key = f"{rs.kind}:{label}"
+                    channel_sums[key] = channel_sums.get(key, 0.0) + float(value)
+            pooled = sum(kind_scores) / len(kind_scores)
         per_graph.append(pooled)
         graph_keypoints.append(center_index)
 

@@ -1,5 +1,5 @@
-"""Golden `graphsim` and `run_baselines` reports: every report of two fixed
-sweeps, committed.
+"""Golden `graphsim`, `run_baselines`, keypoint, distortion and evaluation
+reports: every report of five fixed sweeps, committed.
 
 The inputs are made here from fixed seeds at 2-5k points (no PLY is
 committed): a continuous volume, a bumpy surface, an integer lattice with
@@ -17,6 +17,12 @@ reference object, as a study does, so per-cloud caches are exercised too.
 The baselines sweep scores all five metrics of each reference against its
 cn, ggn, ds and ot stimuli, against itself, and against a cn stimulus built
 on a copy of its positions, as a PLY load gives one.
+
+The resample sweep keeps each reference's keypoints (indices and scores)
+under both methods and two seeds. The distortions sweep keeps the positions
+and colours that every distortion kind gives at two levels, on the first
+DISTORTED points of the volume and the lattice. The evaluate sweep keeps one
+`evaluate_records` block of a four-record table under both fit scopes.
 
 Indices and counts must match exactly; floats within RTOL relative, since
 SIMD `exp`/`log` may differ by an ulp between CPUs.
@@ -45,15 +51,19 @@ from pcqa import (  # noqa: E402
     PointCloud,
     ResampleConfig,
     apply_distortion,
+    evaluate_records,
     graphsim,
+    resample,
     run_baselines,
 )
 from pcqa.colorspace import SPACES  # noqa: E402
+from pcqa.distort import KINDS, LEVEL_PRESETS  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
 KEYPOINTS = 12
 STIMULI = {"cn": 0.08, "ggn": 0.008, "ds": 0.55, "ot": 7}
+DISTORTED = 150
 SIGNALS = {"color": "color", "coordinate": "coordinate", "normal": "normal",
            "color+normal": ("color", "normal")}
 
@@ -155,7 +165,46 @@ def baseline_reports() -> dict[str, dict]:
             for name, ref, stim in baseline_cases()}
 
 
-SWEEPS = {"graphsim": reports, "baselines": baseline_reports}
+def resample_reports() -> dict[str, dict]:
+    out = {}
+    for ref_name, ref in references().items():
+        for method in ("high-pass", "random"):
+            for seed in (0, 1):
+                keypoints = resample(ref, ResampleConfig(count=KEYPOINTS, method=method,
+                                                         seed=seed))
+                out[f"{ref_name}/{method}/seed{seed}"] = {
+                    "indices": keypoints.indices.tolist(), "scores": keypoints.scores.tolist()}
+    return out
+
+
+def distortion_reports() -> dict[str, dict]:
+    """Every kind at its second and fifth preset level; ot's merges average colours."""
+    out, refs = {}, references()
+    for ref_name in ("volume", "lattice"):
+        ref = refs[ref_name]
+        cloud = PointCloud(positions=ref.positions[:DISTORTED], colors=ref.colors[:DISTORTED])
+        for kind in KINDS:
+            for level in LEVEL_PRESETS[kind][1::3]:
+                got = apply_distortion(cloud, DistortionSpec(kind, level, seed=11))
+                out[f"{ref_name}/{kind}/{level}"] = {
+                    "positions": got.positions.tolist(), "colors": got.colors.tolist()}
+    return out
+
+
+def evaluate_reports() -> dict[str, dict]:
+    """Four records, so that every fit is the straight-line one: the logistic fit
+    stops at a tolerance, and an ulp of `exp` moves its parameters by up to 5e-5.
+    The fourth record's content and the second's distortion fall below the
+    smallest group; the others form one group on each axis, with a tied score."""
+    rows = (("slab", "ot", 0.62, 3.9), ("slab", "ds", 0.35, 2.2),
+            ("slab", "ot", 0.62, 3.4), ("lattice", "ot", 0.80, 4.5))
+    records = [dict(zip(("content", "distortion", "score", "mos"), row)) for row in rows]
+    return {scope: evaluate_records(records, fit_scope=scope).to_dict()
+            for scope in ("global", "per-group")}
+
+
+SWEEPS = {"graphsim": reports, "baselines": baseline_reports, "resample": resample_reports,
+          "distortions": distortion_reports, "evaluate": evaluate_reports}
 
 
 def differences(want, got, path=""):

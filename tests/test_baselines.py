@@ -1,4 +1,5 @@
 import functools
+import importlib
 import math
 
 import numpy as np
@@ -350,20 +351,31 @@ class TestSameGeometry:
         if name == "lattice":  # each point matches the lowest index on its site
             assert (forward != np.arange(ref.count)).sum() == 2 * ref.count // 3
 
-    def test_stimulus_keeps_nothing_and_the_reference_one_self_match(self):
+    def test_stimulus_keeps_nothing_and_the_reference_one_self_match(self, monkeypatch):
         ref, stim = same_geometry_pair("lattice")
         shared = apply_distortion(ref, DistortionSpec("cn", 0.1, seed=4))  # ref's own array
-        config = GraphSimConfig(neighborhood_fraction=0.3, resample=ResampleConfig(count=8))
-        for dist in (stim, shared):
-            graphsim(ref, dist, config)
-            run_baselines(ref, dist)
-            assert "spatial_index" not in dist.__dict__ and "_results" not in dist.__dict__
+        reports = []
+        for kind in ("color", "normal", ("color", "normal")):
+            config = GraphSimConfig(neighborhood_fraction=0.3, signal_kind=kind,
+                                    resample=ResampleConfig(count=8))
+            for dist in (stim, shared):
+                reports.append((config, dist, graphsim(ref, dist, config).to_report()))
+                run_baselines(ref, dist)
+                assert "spatial_index" not in dist.__dict__ and "_results" not in dist.__dict__
         kept = [v for k, v in ref._results.items() if k[0] == "self match"]
         assert len(kept) == 1
         (match,) = kept
         assert match.shape == (ref.count,) and match.dtype == np.intp
         assert not match.flags.writeable
         assert _match_pair(ref, stim)[0] is match
+        # Each stimulus on its own tree, clusters and normals scores the same.
+        monkeypatch.setattr(importlib.import_module("pcqa.graphsim"), "same_geometry",
+                            lambda a, b: False)
+        for config, dist, report in reports:
+            fresh_ref, fresh = (PointCloud(positions=np.array(c.positions), colors=c.colors)
+                                for c in (ref, dist))
+            assert graphsim(fresh_ref, fresh, config).to_report() == report
+            assert "spatial_index" in fresh.__dict__
 
     def test_one_ulp_off_takes_the_general_path(self):
         ref, stim = same_geometry_pair("lattice")

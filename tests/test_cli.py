@@ -174,6 +174,14 @@ class TestScore:
                                 resample=ResampleConfig(count=8))
         assert report["quality"] == graphsim(load_ply(ref), load_ply(dist), config).quality
 
+    def test_a_kind_listed_twice_exits_3(self, capsys, ply_pair):
+        ref, dist = ply_pair
+        code, out, err = run(capsys, "score", ref, dist, "--beta", "4",
+                             "--signal", "color,color", "--pooling", "c3")
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+        assert "signal kind 'color' is listed twice" in last_stderr_json(err)["message"]
+
     @pytest.mark.parametrize("flag", [
         ("--feature-pooling", "multiply"),
         ("--channel-pooling", "multiply"),
@@ -792,8 +800,17 @@ class TestParser:
         ("score missing.ply missing.ply --beta 0", 3, "keypoint count"),
         ("resample missing.ply --count 0 --output k.csv", 3, "keypoint count"),
         ("baseline missing.ply missing.ply --metrics ,", 2, "--metrics"),
+        ("score missing.ply missing.ply --signal color,color", 3, "'color' is listed twice"),
     ])
     def test_flags_are_checked_before_any_file_is_read(self, capsys, argv, code, flag):
         status, out, err = run(capsys, *argv.split())
         assert (status, out) == (code, "")
         assert flag in last_stderr_json(err)["message"]
+
+    def test_every_option_has_one_spelling(self):
+        # An unambiguous prefix still parses (--metric reads as --metrics).
+        commands = build_parser()._subparsers._group_actions[0].choices
+        for name, command in commands.items():
+            for action in command._actions:
+                if action.dest != "help":
+                    assert len(action.option_strings) <= 1, (name, action.option_strings)

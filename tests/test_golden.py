@@ -1,5 +1,5 @@
-"""Every report of the golden `graphsim` and `run_baselines` sweeps equals
-the committed one.
+"""Every report of the golden `graphsim`, `run_baselines`, keypoint,
+distortion and evaluation sweeps equals the committed one.
 
 The sweep and the comparison rule live in golden.py; after a deliberate
 change of values, `python tests/golden.py --update` rewrites the file."""
@@ -21,6 +21,18 @@ def test_graphsim_reports_equal_the_golden_file():
 
 def test_baseline_reports_equal_the_golden_file():
     _assert_sweep_equals_the_golden_file("baselines")
+
+
+def test_keypoints_equal_the_golden_file():
+    _assert_sweep_equals_the_golden_file("resample")
+
+
+def test_distortions_equal_the_golden_file():
+    _assert_sweep_equals_the_golden_file("distortions")
+
+
+def test_evaluation_equals_the_golden_file():
+    _assert_sweep_equals_the_golden_file("evaluate")
 
 
 def test_the_comparison_is_exact_on_ints_and_relative_on_floats():

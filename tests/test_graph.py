@@ -30,20 +30,23 @@ def ring_neighborhood(n=8, radius=1.0, weights=None, center_index=0):
 
 def test_params_validation():
     with pytest.raises(DomainError):
-        GraphParams(cutoff=-1.0, variance=1.0)
-    with pytest.raises(DomainError):
-        GraphParams(cutoff=1.0, variance=0.0)
+        GraphParams(cutoff=-1.0)
 
 
 def test_from_cutoff_variance_rule():
-    params = GraphParams.from_cutoff(2.0)
-    assert params.variance == 2.0
-    params = GraphParams.from_cutoff(0.0)
-    assert params.variance > 0.0  # floored, never zero
+    assert GraphParams(2.0).variance == 2.0
+    assert GraphParams(0.0).variance > 0.0  # floored, never zero
+
+
+def test_variance_is_derived_not_set():
+    with pytest.raises(TypeError):
+        GraphParams(cutoff=1.0, variance=0.5)
+    with pytest.raises(AttributeError):
+        GraphParams(1.0).variance = 0.5
 
 
 def test_edge_weight_values():
-    params = GraphParams(cutoff=2.0, variance=2.0)
+    params = GraphParams(cutoff=2.0)
     assert edge_weight(0.0, params) == 1.0
     assert edge_weight(2.0, params) == pytest.approx(math.exp(-4.0 / 2.0), abs=0)
     assert edge_weight(2.0000001, params) == 0.0

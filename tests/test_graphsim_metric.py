@@ -14,7 +14,7 @@ from pcqa import (
     graphsim,
 )
 from pcqa.errors import DomainError
-from pcqa.graphsim import _prepare_signals, score_graph
+from pcqa.graphsim import _signals, score_graph
 from pcqa.jsonutil import canonical_dumps
 
 from helpers import random_cloud, smooth_cloud
@@ -143,17 +143,19 @@ def test_per_channel_means_skip_empty_graphs():
     assert 0 < result.empty_graphs < len(result.per_graph)
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    signals = list(zip(_signals(ref, config, ref), _signals(dist, config, dist)))
+    assert [(rs.kind, ds.kind) for rs, ds in signals] == [("color", "color"),
+                                                          ("coordinate", "coordinate")]
     values = {}
     for center in keypoints:
         pair = build_local_graph_pair(int(center), ref, dist, config, radius=radius)
         if pair.ref_cluster_size == 0 or pair.dist_cluster_size == 0 \
                 or pair.ref.size == 0 or pair.dist.size == 0:
             continue
-        for kind, rs, ds, weights in _prepare_signals(ref, dist, config):
-            gs = score_graph(pair, rs, ds, ("multiply", "weighted-average"),
-                             channel_weights=weights)
+        for rs, ds in signals:  # channel weights touch only the pooled score
+            gs = score_graph(pair, rs, ds, ("multiply", "weighted-average"))
             for label, value in zip(rs.labels, gs.per_channel):
-                values.setdefault(f"{kind}:{label}", []).append(value)
+                values.setdefault(f"{rs.kind}:{label}", []).append(value)
     assert len(next(iter(values.values()))) == len(result.per_graph) - result.empty_graphs
     assert result.per_channel_means.keys() == values.keys()
     for label, per_graph in values.items():

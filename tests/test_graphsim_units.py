@@ -302,6 +302,14 @@ def test_config_rejects_an_empty_signal_list(kinds):
         GraphSimConfig(signal_kind=kinds)
 
 
+@pytest.mark.parametrize("kinds", [("color", "color"), ("normal", "color", "normal"),
+                                   ["coordinate", "coordinate"]])
+def test_config_rejects_a_kind_listed_twice(kinds):
+    # One signal per cloud and kind: a repeat would count its kind twice in the pooled score.
+    with pytest.raises(DomainError, match=f"signal kind '{kinds[-1]}' is listed twice"):
+        GraphSimConfig(signal_kind=kinds)
+
+
 @pytest.mark.parametrize("field", ["matching_k", "normals_k"])
 @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
 def test_config_rejects_non_integral_neighbour_counts(field, value):
@@ -312,6 +320,7 @@ def test_config_rejects_non_integral_neighbour_counts(field, value):
 
 def test_mixed_alias_expands_to_color_and_coordinate():
     assert GraphSimConfig(signal_kind="mixed").signal_kinds == ("color", "coordinate")
+    assert GraphSimConfig(signal_kind=("mixed",)).signal_kinds == ("color", "coordinate")
     assert GraphSimConfig(signal_kind=("normal",)).signal_kinds == ("normal",)
 
 
@@ -425,7 +434,7 @@ def test_similarity_ratio_when_one_mass_vanishes():
             positions=np.array([[1.0, 0.0, 0.0]]),
             distances=np.array([1.0]), weights=np.array([1.0])),
         dist=side(0),
-        params=GraphParams(cutoff=2.0, variance=2.0),
+        params=GraphParams(cutoff=2.0),
         ref_cluster_size=1,
         dist_cluster_size=1,
     )
@@ -452,7 +461,7 @@ def test_doubling_keeps_mean_similarity_but_not_mass():
     from pcqa.graphsim import GraphParams, LocalGraphPair
     pair = LocalGraphPair(
         center_index=0, ref=base, dist=doubled,
-        params=GraphParams(cutoff=2.0, variance=2.0),
+        params=GraphParams(cutoff=2.0),
         ref_cluster_size=4, dist_cluster_size=8,
     )
     dist_values = np.repeat(intensities, 2)
