@@ -14,6 +14,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -238,20 +239,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pcqa", description="Point-cloud quality assessment toolkit."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Every parser takes each option by its full name only: no prefix reads as a flag.
+    new_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new_parser(prog="pcqa", description="Point-cloud quality assessment toolkit.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     # Flags shared by the pair commands, and by the two keypoint stages.
-    pair = argparse.ArgumentParser(add_help=False)
+    pair = new_parser(add_help=False)
     pair.add_argument("reference")
     pair.add_argument("distorted")
     pair.add_argument("--normals-k", type=int, default=12)
     pair.add_argument("--content", default="")
     pair.add_argument("--distortion", default="")
     pair.add_argument("--output", default=None)
-    keypoints = argparse.ArgumentParser(add_help=False)
+    keypoints = new_parser(add_help=False)
     keypoints.add_argument("--beta-ratio", type=float, default=1e-3,
                            help="keypoint budget as a fraction of the reference size")
     keypoints.add_argument("--filter-length", type=int, default=4)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,20 +109,21 @@ class PointCloud:
     def has_normals(self) -> bool:
         return self.normals is not None
 
-    @functools.cached_property
+    @property
     def spatial_index(self):
         """k-d tree over the positions, built on first use and kept for the
         cloud's lifetime. Raises DomainError on an empty cloud."""
-        return SpatialIndex(self)
+        return self._cached(("spatial index",), lambda: SpatialIndex(self))
 
     def _cached(self, key: tuple, compute):
-        """compute() on the first call per key, kept read-only for the cloud's
-        lifetime; a compute that raises stores nothing."""
+        """compute() on the first call per key, kept in `_results` for the cloud's
+        lifetime, its ndarrays read-only; a compute that raises stores nothing."""
         store = self.__dict__.setdefault("_results", {})
         if key not in store:
             value = compute()
             for arr in value if isinstance(value, tuple) else (value,):
-                arr.setflags(write=False)
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
             store[key] = value
         return store[key]
 

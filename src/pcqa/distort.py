@@ -6,7 +6,8 @@ Four families are provided, each deterministic in (input, spec):
           channel (sigma = level * 255), clipped to [0, 255]; positions
           untouched.
 * "ggn" - geometric Gaussian noise: per-axis displacement with
-          sigma = level * B, B the smallest bounding-box extent.
+          sigma = level * B, B the smallest bounding-box extent. Stored
+          normals are dropped: they do not describe the displaced surface.
 * "ds"  - downsampling: keeps a uniform seeded fraction of the points in
           their original relative order.
 * "ot"  - octree-style quantization: snaps coordinates onto the
@@ -98,8 +99,7 @@ def _color_noise(cloud: PointCloud, level: float, rng) -> PointCloud:
 def _geometry_noise(cloud: PointCloud, level: float, rng) -> PointCloud:
     sigma = level * bounding_box(cloud).min_extent
     offsets = rng.normal(0.0, sigma, size=cloud.positions.shape)
-    return PointCloud(positions=cloud.positions + offsets, colors=cloud.colors,
-                      normals=cloud.normals)
+    return PointCloud(positions=cloud.positions + offsets, colors=cloud.colors)
 
 
 def _downsample(cloud: PointCloud, keep_ratio: float, rng) -> PointCloud:

@@ -32,6 +32,7 @@ from .colorspace import CHANNEL_WEIGHTS, SPACES, decompose
 from .errors import DomainError
 from .graph import GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
 from .resample import KeypointSet, ResampleConfig, resample
+from .spatial import row_blocks
 
 SIGNAL_KINDS = ("color", "coordinate", "normal")
 
@@ -225,16 +226,14 @@ def _cluster(cloud: PointCloud, center: np.ndarray, radius: float):
     return idx[keep], d[keep]
 
 
-def _reference_clusters(ref: PointCloud, indices: np.ndarray, radius: float) -> list:
-    """Each keypoint's reference `_cluster`, its indices as int32, kept on the
-    reference per (keypoints, radius): both come from the reference alone, so
-    every stimulus scored against it reuses them. One array pair per keypoint."""
-    dtype = np.int32 if ref.count <= 2**31 else np.intp
+def _kept_cluster(ref: PointCloud, center_index: int, radius: float):
+    """The reference's `_cluster` around its own point, indices as int32, kept on
+    the reference per (radius, point): it comes from the reference alone, so
+    every stimulus scored against it reuses it."""
     def compute():
-        clusters = (_cluster(ref, ref.positions[i], radius) for i in indices)
-        return tuple(a for idx, d in clusters for a in (idx.astype(dtype), d))
-    flat = ref._cached(("graphsim clusters", radius, indices.tobytes()), compute)
-    return list(zip(flat[::2], flat[1::2]))
+        idx, d = _cluster(ref, ref.positions[center_index], radius)
+        return idx.astype(np.int32 if ref.count <= 2**31 else np.intp), d
+    return ref._cached(("graphsim cluster", radius, int(center_index)), compute)
 
 
 def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
@@ -254,22 +253,22 @@ def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
                            config: GraphSimConfig | None = None, *,
                            radius: float | None = None,
-                           ref_cluster: tuple | None = None,
                            dist_cluster: tuple | None = None) -> LocalGraphPair:
     """Build the local graph pair around one reference keypoint.
 
     Both clusters exclude points lying exactly at the keypoint position,
     so identical clouds produce identical neighbor index sets. The shared
     edge-weight cutoff comes from the matching_k rule over the cluster
-    distances; the Gaussian variance is cutoff^2 / 2. `ref_cluster` and
-    `dist_cluster`, when given, are a `_cluster` kept from an earlier call.
+    distances; the Gaussian variance is cutoff^2 / 2. The reference side is
+    the `_kept_cluster` entry; `dist_cluster`, when given, stands in for the
+    distorted side's `_cluster` (the kept entry, when both share positions).
     """
     config = config or GraphSimConfig()
     if radius is None:
         radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     center = ref.positions[center_index]
 
-    r_idx, r_d = _cluster(ref, center, radius) if ref_cluster is None else ref_cluster
+    r_idx, r_d = _kept_cluster(ref, center_index, radius)
     d_idx, d_d = _cluster(dist, center, radius) if dist_cluster is None else dist_cluster
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
     params = GraphParams(cutoff)
@@ -316,13 +315,11 @@ def match_and_align(pair: LocalGraphPair):
 
 
 def _nearest_rows(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """argmin_j ||q_i - t_j|| per query row, chunked to bound memory."""
+    """argmin_j ||q_i - t_j|| per query row, in row_blocks of rows x targets entries."""
     from scipy.spatial.distance import cdist
     out = np.empty(queries.shape[0], dtype=np.intp)
-    step = max(1, int(4_000_000 // max(targets.shape[0], 1)))
-    for start in range(0, queries.shape[0], step):
-        block = queries[start:start + step]
-        out[start:start + step] = cdist(block, targets).argmin(axis=1)
+    for rows in row_blocks(queries.shape[0], targets.shape[0] - 1):
+        out[rows] = cdist(queries[rows], targets).argmin(axis=1)
     return out
 
 
@@ -420,15 +417,17 @@ def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
     )
 
 
-def _signals(cloud: PointCloud, config: GraphSimConfig, geometry: PointCloud) -> list:
+def _signals(cloud: PointCloud, config: GraphSimConfig, geometry: PointCloud,
+             stored: bool = True) -> list:
     """The cloud's signal of each configured kind. Normals are the cloud's stored
-    ones, else the estimate kept on `geometry`, a cloud with the same positions."""
+    ones when it has them and `stored` holds, else the estimate kept on
+    `geometry`, a cloud with the same positions."""
     def signal(kind):
         if kind == "color":
             return decompose(cloud, config.color_space)
         if kind == "coordinate":
             return SignalAttribute(cloud.positions, kind, ("x", "y", "z"))
-        normals = cloud.normals if cloud.has_normals else \
+        normals = cloud.normals if stored and cloud.has_normals else \
             estimate_normals(geometry, config.normals_k)[0]
         return SignalAttribute(normals, kind, ("nx", "ny", "nz"))
     return [signal(kind) for kind in config.signal_kinds]
@@ -458,21 +457,22 @@ def graphsim(ref: PointCloud, dist: PointCloud,
         raise DomainError(f"keypoint index {keypoints.indices[outside][0]} "
                           f"is outside [0, {ref.count})")
     same = same_geometry(ref, dist)  # then its clusters and normals are the reference's
+    # Normals of one kind: stored (oriented) on both sides, else estimated on both.
+    stored = ref.has_normals and dist.has_normals
     # After the keypoint stage, so decomposed colours are never live beside the filter.
-    ref_signals = _signals(ref, config, ref)
-    dist_signals = _signals(dist, config, ref if same else dist)
+    ref_signals = _signals(ref, config, ref, stored)
+    dist_signals = _signals(dist, config, ref if same else dist, stored)
     weights = [np.asarray(CHANNEL_WEIGHTS[config.color_space]) if s.kind == "color"
                else np.ones(3) for s in ref_signals]
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    clusters = _reference_clusters(ref, keypoints.indices, radius)
     per_graph, graph_keypoints = [], []
     channel_sums: dict[str, float] = {}
     empty = skipped = 0
-    for center_index, ref_cluster in zip(map(int, keypoints.indices), clusters):
+    for center_index in map(int, keypoints.indices):
         pair = build_local_graph_pair(
-            center_index, ref, dist, config, radius=radius, ref_cluster=ref_cluster,
-            dist_cluster=ref_cluster if same else None,
+            center_index, ref, dist, config, radius=radius,
+            dist_cluster=_kept_cluster(ref, center_index, radius) if same else None,
         )
         if pair.ref_cluster_size == 0:
             skipped += 1

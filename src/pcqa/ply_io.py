@@ -19,7 +19,7 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import ParseError, TruncationError
 
-# PLY scalar type name -> (numpy code, byte size)
+# PLY scalar type name -> numpy type code
 _PLY_SCALARS = {
     "char": "i1", "int8": "i1",
     "uchar": "u1", "uint8": "u1",
@@ -261,7 +261,7 @@ def save_ply(cloud: PointCloud, path: str, format: str = "binary") -> None:
             record = np.empty(cloud.count, dtype=np.dtype([(n, "<" + c) for n, c, _ in fields]))
             for name, _, column in fields:
                 record[name] = column  # colours are validated integers in [0, 255]
-            handle.write(record.tobytes())
+            handle.write(record)  # the buffer itself: no bytes copy
         else:
             table = np.column_stack([column for _, _, column in fields])
             np.savetxt(handle, table, fmt=["%d" if c == "u1" else "%.9g" for _, c, _ in fields])

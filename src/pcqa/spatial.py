@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DomainError
 
-# Entries, rows x (k + 1), per block of the bulk passes (k-NN queries, PCA normals,
-# keypoint filter); k = 1 over 131k rows is one block. Measured (tracemalloc): a filter
-# block holds about 10.5 MiB of temporaries, a normals block 7.5 MiB, at any N.
+# Entries, rows x (k + 1), per block of every bulk pass (k-NN queries and their tie
+# chunks, PCA normals, keypoint filter, graph matching). Measured (tracemalloc): a
+# filter block holds about 10.5 MiB of temporaries, a normals block 7.5 MiB, at any N.
 BLOCK_ENTRIES = 2**18
 
 
@@ -119,8 +119,7 @@ class SpatialIndex:
         tied = np.nonzero((dist[:, 1:] <= dist[:, :-1] * (1 + 1e-12) + 1e-300).any(axis=1))[0]
         dist, idx = dist[:, :kk], idx[:, :kk]
         # _resolve holds ~150 B a candidate, 1.5-2.7 kk a lattice row: ~7.5 MiB a chunk.
-        step = max(1, BLOCK_ENTRIES // (8 * kk))
-        for rows in (tied[i:i + step] for i in range(0, tied.size, step)):
+        for rows in (tied[b] for b in row_blocks(tied.size, 8 * kk - 1)):
             idx[rows], dist[rows] = self._resolve(queries[rows], dist[rows, -1], kk)
         return dist, idx
 

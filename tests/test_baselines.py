@@ -343,7 +343,7 @@ class TestSameGeometry:
     def test_match_pair_is_the_self_match_both_ways(self, name):
         ref, stim = same_geometry_pair(name)
         forward, backward = _match_pair(ref, stim)
-        assert forward is backward and "spatial_index" not in stim.__dict__
+        assert forward is backward and "_results" not in stim.__dict__
         assert np.array_equal(forward, _nearest(ref, stim))
         assert np.array_equal(backward, _nearest(stim, ref))
         assert forward.tolist() == [brute_knn(ref.positions, q, 1)[0][0]
@@ -361,7 +361,7 @@ class TestSameGeometry:
             for dist in (stim, shared):
                 reports.append((config, dist, graphsim(ref, dist, config).to_report()))
                 run_baselines(ref, dist)
-                assert "spatial_index" not in dist.__dict__ and "_results" not in dist.__dict__
+                assert "_results" not in dist.__dict__  # no tree, clusters or normals
         kept = [v for k, v in ref._results.items() if k[0] == "self match"]
         assert len(kept) == 1
         (match,) = kept
@@ -375,7 +375,7 @@ class TestSameGeometry:
             fresh_ref, fresh = (PointCloud(positions=np.array(c.positions), colors=c.colors)
                                 for c in (ref, dist))
             assert graphsim(fresh_ref, fresh, config).to_report() == report
-            assert "spatial_index" in fresh.__dict__
+            assert ("spatial index",) in fresh._results
 
     def test_one_ulp_off_takes_the_general_path(self):
         ref, stim = same_geometry_pair("lattice")
@@ -390,7 +390,7 @@ class TestSameGeometry:
         assert graphsim(ref, off, config).to_report() == \
             graphsim(fresh, off, config).to_report()
         assert run_baselines(ref, off) == run_baselines(fresh, off)
-        assert "spatial_index" in off.__dict__
+        assert ("spatial index",) in off._results
 
 
 class TestReferenceCache:

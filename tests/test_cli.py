@@ -326,7 +326,7 @@ class TestBaseline:
     def test_metric_subset(self, capsys, ply_pair):
         ref, dist = ply_pair
         code, out, _ = run(capsys, "baseline", ref, dist,
-                           "--metric", "psnr-yuv")
+                           "--metrics", "psnr-yuv")
         assert code == 0
         report = json.loads(out)
         assert list(report["scores"]) == ["psnr-yuv"]
@@ -766,7 +766,7 @@ PARSED = {
              seed=5, content="cat", distortion="cn_1", output="s.json")),
     "baseline-defaults": ("baseline r.ply d.ply", _BASELINE_DEFAULTS),
     "baseline-every-flag": (
-        "baseline r.ply d.ply --metric m-p2po,h-p2pl --normals-k 9 --content cat "
+        "baseline r.ply d.ply --metrics m-p2po,h-p2pl --normals-k 9 --content cat "
         "--distortion cn_1 --output b.json",
         dict(_BASELINE_DEFAULTS, metrics="m-p2po,h-p2pl", normals_k=9, content="cat",
              distortion="cn_1", output="b.json")),
@@ -807,10 +807,16 @@ class TestParser:
         assert (status, out) == (code, "")
         assert flag in last_stderr_json(err)["message"]
 
-    def test_every_option_has_one_spelling(self):
-        # An unambiguous prefix still parses (--metric reads as --metrics).
+    def test_every_option_has_one_spelling(self, capsys):
         commands = build_parser()._subparsers._group_actions[0].choices
         for name, command in commands.items():
             for action in command._actions:
                 if action.dest != "help":
                     assert len(action.option_strings) <= 1, (name, action.option_strings)
+        # No prefix stands in for a flag, however unambiguous.
+        for argv in ("baseline r.ply d.ply --metric psnr-yuv",
+                     "score r.ply d.ply --theta 0.2"):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv.split())
+            assert exit_.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

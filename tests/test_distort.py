@@ -8,7 +8,10 @@ from pcqa import (
     LEVEL_PRESETS,
     PointCloud,
     apply_distortion,
+    load_ply,
+    save_ply,
 )
+from pcqa.cli import main
 from pcqa.distort import _lattice_step
 
 from helpers import random_cloud
@@ -88,6 +91,25 @@ class TestGeometryNoise:
         cloud = random_cloud(100, seed=6)
         out = apply_distortion(cloud, DistortionSpec(kind="ggn", level=0.02, seed=9))
         assert np.array_equal(out.colors, cloud.colors)
+
+    def test_stored_normals_are_dropped(self, tmp_path, capsys):
+        # Displaced points no longer lie on the surface their normals describe;
+        # the other kinds keep (or, for ot, average) them.
+        cloud = random_cloud(300, seed=7, normals=True)
+        out = apply_distortion(cloud, DistortionSpec(kind="ggn", level=0.004, seed=2))
+        assert not out.has_normals
+        for kind, level in (("cn", 0.1), ("ds", 0.5), ("ot", 4)):
+            assert apply_distortion(cloud, DistortionSpec(kind, level)).has_normals
+        source, written = tmp_path / "in.ply", tmp_path / "out.ply"
+        save_ply(cloud, source)
+        assert main(["distort", str(source), "--kind", "ggn", "--level", "0.004",
+                     "--seed", "2", "--output", str(written)]) == 0
+        capsys.readouterr()
+        assert b"property double nx" in source.read_bytes()
+        assert b"nx" not in written.read_bytes().split(b"end_header")[0]
+        loaded = load_ply(written)
+        assert not loaded.has_normals
+        assert np.array_equal(loaded.positions, out.positions)
 
     def test_flat_cloud_gets_zero_sigma(self):
         positions = np.column_stack([

@@ -11,6 +11,7 @@ from pcqa import (
     apply_distortion,
     bounding_box,
     build_local_graph_pair,
+    estimate_normals,
     graphsim,
 )
 from pcqa.errors import DomainError
@@ -184,7 +185,7 @@ def test_whole_float_keypoints_score_as_integers():
 def _kept_clusters(cloud):
     """The reference clusters graphsim keeps on a cloud, by cache key."""
     return {key: value for key, value in cloud.__dict__.get("_results", {}).items()
-            if key[0] == "graphsim clusters"}
+            if key[0] == "graphsim cluster"}
 
 
 def test_kept_reference_clusters_are_keyed_and_isolated():
@@ -196,15 +197,20 @@ def test_kept_reference_clusters_are_keyed_and_isolated():
                              resample=ResampleConfig(count=9, seed=seed)), None)
              for seed in (0, 1) for fraction in (0.08, 0.15)]
     calls += [(GraphSimConfig(), explicit), (GraphSimConfig(), explicit[::-1])]
+    keys = set()
     for _ in range(2):  # the second round reads every kept entry
         for stim in stimuli:
             for config, keypoints in calls:
-                got = graphsim(ref, stim, config, keypoints=keypoints).to_report()
+                result = graphsim(ref, stim, config, keypoints=keypoints)
                 fresh = PointCloud(positions=ref.positions, colors=ref.colors)
-                assert got == graphsim(fresh, stim, config, keypoints=keypoints).to_report()
+                assert result.to_report() == \
+                    graphsim(fresh, stim, config, keypoints=keypoints).to_report()
+                radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+                keys |= {("graphsim cluster", radius, int(i)) for i in result.keypoints.indices}
     kept = _kept_clusters(ref)
-    assert len(kept) == len(calls)  # one entry per (keypoints, radius), shared by the stimuli
+    assert set(kept) == keys  # one entry per (radius, keypoint), shared by the stimuli
     assert all(not a.flags.writeable for arrays in kept.values() for a in arrays)
+    assert all(idx.dtype == np.int32 for idx, _ in kept.values())
     assert not any(_kept_clusters(stim) for stim in stimuli)
 
 
@@ -215,3 +221,26 @@ def test_a_call_that_fails_before_the_keypoint_loop_keeps_nothing():
     with pytest.raises(DomainError, match="outside"):
         graphsim(ref, ref, keypoints=[3, 400])
     assert not _kept_clusters(ref)
+
+
+def test_a_pair_compares_normals_of_one_kind():
+    # Stored normals are oriented and PCA estimates sign-fixed into +z, so stored
+    # ones are read only when both clouds store them, else both are estimated.
+    positions = smooth_cloud(2000, seed=21).positions
+    estimate = estimate_normals(PointCloud(positions=positions), 12)[0]
+    ref = PointCloud(positions=positions, normals=-estimate)
+    config = GraphSimConfig(signal_kind="normal", resample=ResampleConfig(count=16))
+    # Against its positions without normals it compares two estimates (0.32 when
+    # its stored normals met the copy's estimate), the copy taking the reference's.
+    copy = PointCloud(positions=positions.copy())
+    assert graphsim(ref, copy, config).quality == pytest.approx(1.0, abs=1e-12)
+    assert "_results" not in copy.__dict__
+    flipped = PointCloud(positions=positions.copy(), normals=estimate)
+    assert graphsim(ref, flipped, config).quality < 0.9  # both stored: both read
+    # Off the reference's geometry, a stored side alone changes nothing.
+    noisy = apply_distortion(PointCloud(positions=positions), DistortionSpec("ggn", 0.004, 1))
+    plain = PointCloud(positions=positions.copy())
+    stored = PointCloud(positions=noisy.positions, normals=estimate)
+    assert graphsim(ref, noisy, config).to_report() == graphsim(plain, noisy, config).to_report()
+    assert graphsim(plain, stored, config).to_report() == \
+        graphsim(plain, noisy, config).to_report()

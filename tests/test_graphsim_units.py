@@ -505,7 +505,7 @@ def _prepared_case(name):
 def test_kept_reference_clusters_build_the_per_pair_graphs(name):
     from pcqa.cloud import bounding_box, same_geometry
     from pcqa.colorspace import decompose
-    from pcqa.graphsim import _reference_clusters
+    from pcqa.graphsim import _cluster, _kept_cluster
 
     ref, dist, keypoints = _prepared_case(name)
     keypoints = np.asarray(keypoints, dtype=np.intp)
@@ -515,13 +515,21 @@ def test_kept_reference_clusters_build_the_per_pair_graphs(name):
     dist_signal = decompose(dist, config.color_space).values
     same = same_geometry(ref, dist)
     assert same == (name == "lattice-cn")
+    # Copies keep nothing yet: each side of their graphs queries its own tree.
+    fresh_ref, fresh_dist = (PointCloud(positions=c.positions.copy(), colors=c.colors)
+                             for c in (ref, dist))
     twins = 0
-    for center, kept in zip(keypoints, _reference_clusters(ref, keypoints, radius)):
+    for center in keypoints:
+        kept = _kept_cluster(ref, int(center), radius)
+        idx, d = _cluster(ref, ref.positions[center], radius)
+        assert kept[0].dtype == np.int32 and np.array_equal(kept[0], idx)
+        assert kept[1].tobytes() == d.tobytes()
         # On one geometry graphsim hands the reference's kept cluster to both sides.
         fast = build_local_graph_pair(int(center), ref, dist, config, radius=radius,
-                                      ref_cluster=kept, dist_cluster=kept if same else None)
-        slow = build_local_graph_pair(int(center), ref, dist, config, radius=radius,
-                                      ref_cluster=None, dist_cluster=None)
+                                      dist_cluster=kept if same else None)
+        assert ref._results[("graphsim cluster", radius, int(center))] is kept
+        slow = build_local_graph_pair(int(center), fresh_ref, fresh_dist, config,
+                                      radius=radius)
         assert (fast.ref_cluster_size, fast.dist_cluster_size) == \
             (slow.ref_cluster_size, slow.dist_cluster_size)
         assert fast.params == slow.params

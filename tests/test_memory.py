@@ -92,8 +92,9 @@ def test_graphsim_keeps_12_bytes_per_reference_cluster_point():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # int32 indices and float64 distances, and per keypoint two array headers
-    # (about 310 B measured); intp indices would exceed it by 4 B a point.
+    # int32 indices and float64 distances, and per keypoint one kept entry: its key,
+    # value tuple and two array headers (about 380 B measured); intp indices would
+    # exceed it by 4 B a point.
     bound = 12 * points + 512 * len(keypoints)
     assert kept <= bound, (kept, bound, points)
 
@@ -155,4 +156,4 @@ def test_same_geometry_run_baselines_keeps_8_bytes_per_point():
     # A stimulus tree or a second match array would add 8 B a point or more.
     bound = 8 * N + 2048
     assert kept <= bound, (kept, bound)
-    assert "spatial_index" not in stim.__dict__
+    assert "_results" not in stim.__dict__  # no tree, box or match of its own

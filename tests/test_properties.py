@@ -183,3 +183,31 @@ def test_rigid_translation_leaves_quality_unchanged(seed, n, matching_k, preset,
     assert result.quality == pytest.approx(base.quality, rel=0, abs=tolerance)
     assert result.empty_graphs == base.empty_graphs
     assert result.skipped_keypoints == base.skipped_keypoints
+
+
+@pytest.mark.parametrize("signal", ["color", "coordinate"])
+@settings(max_examples=20)
+@given(seed=seeds, n=sizes, matching_k=matching_ks,
+       axes=st.permutations(range(3)),
+       signs=st.tuples(*[st.sampled_from((-1.0, 1.0))] * 3),
+       kind=st.sampled_from(KINDS), level=st.integers(min_value=0, max_value=5))
+def test_signed_axis_permutations_leave_quality_unchanged(signal, seed, n, matching_k,
+                                                          axes, signs, kind, level):
+    # Permuting and flipping axes keeps every extent, so the radius, and every
+    # distance up to the order of its three squared terms. Colour and coordinate
+    # qualities moved by at most 1.5e-16 relative over 16 transforms of a 2k cloud
+    # and each distortion kind. Other rotations change the box, so the radius
+    # moves; the normal signal is left out, as PCA normals are sign-fixed into +z.
+    ref = smooth_cloud(n, seed=seed)
+    dist = apply_distortion(ref, DistortionSpec(kind, LEVEL_PRESETS[kind][level], seed))
+    config = config_for("c2", signal, matching_k)
+    keypoints = fixed_keypoints(n, seed)
+
+    def turned(cloud):
+        return PointCloud(positions=cloud.positions[:, list(axes)] * signs, colors=cloud.colors)
+
+    base = graphsim(ref, dist, config, keypoints=keypoints)
+    result = graphsim(turned(ref), turned(dist), config, keypoints=keypoints)
+    assert result.quality == pytest.approx(base.quality, rel=1e-12, abs=0)
+    assert result.empty_graphs == base.empty_graphs
+    assert result.skipped_keypoints == base.skipped_keypoints

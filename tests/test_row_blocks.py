@@ -1,13 +1,14 @@
 """Bulk passes in fixed row blocks: k-NN queries, the streamed self rows, PCA
-normals and the keypoint filter give the same bits at any block size, and
-their temporaries stay block-sized as the cloud grows."""
+normals, the keypoint filter and graph matching give the same bits at any
+block size, and their temporaries stay block-sized as the cloud grows."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcqa import PointCloud, spatial
+from pcqa import (DistortionSpec, GraphSimConfig, PointCloud, ResampleConfig, apply_distortion,
+                  graphsim, spatial)
 from pcqa.baselines import estimate_normals
 from pcqa.resample import frequency_scores
 
@@ -64,6 +65,29 @@ def test_results_do_not_depend_on_block_edges(monkeypatch, lattice, block):
         assert blocked["nearest"][row] == exp_idx[0], row
     expected = dense_frequency_scores(pts, k=10, filter_length=4)
     assert np.allclose(blocked["scores"], expected, rtol=0, atol=1e-10)
+
+
+def _graphsim_reports(pts, colors):
+    """Reports of fresh clouds, so nothing kept from an earlier block size is read."""
+    ref = PointCloud(positions=pts, colors=colors)
+    stimuli = [PointCloud(positions=pts.copy(), colors=colors[::-1].copy())]  # same geometry
+    stimuli += [apply_distortion(ref, DistortionSpec(kind, level, seed=3))
+                for kind, level in (("ds", 0.7), ("ot", 2), ("ggn", 0.01))]
+    config = GraphSimConfig(neighborhood_fraction=0.4, signal_kind=("color", "normal"),
+                            resample=ResampleConfig(count=24))
+    return [graphsim(ref, stim, config).to_report(config) for stim in stimuli]
+
+
+def test_graphsim_reports_do_not_depend_on_block_edges(monkeypatch):
+    # Graphs on a lattice with repeats keep up to about 50 points (the matching_k
+    # cutoff): at 40 entries a block, most matching and k-NN rows are blocks of their own.
+    rng = np.random.default_rng(47)
+    pts = _shuffled_lattice(rng)
+    colors = rng.integers(0, 256, pts.shape).astype(np.float64)
+    default = _graphsim_reports(pts, colors)
+    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", 40)
+    assert _graphsim_reports(pts, colors) == default
+    assert all(len(report["per_graph"]) > 0 for report in default)
 
 
 def _transient_bytes(pts, compute):
