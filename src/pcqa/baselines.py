@@ -139,18 +139,17 @@ def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
                     plane_normals: np.ndarray | None = None) -> dict:
     """Per-point squared (forward, backward) errors over one match pair:
     "p2po" always, "p2pl" when reference `plane_normals` are given. Each
-    direction's (N, 3) arrays are made in place and let go before the next."""
+    direction works on coordinate columns, summed x + y + z in that order:
+    the bytes of an (N, 3) row sum, without its strided reduction."""
     squared = {"p2po": [], "p2pl": []}
     for backward, match in enumerate(matches):
         query, target = (ref, dist) if backward else (dist, ref)
-        err = target.positions[match]
-        np.subtract(query.positions, err, out=err)
+        e0, e1, e2 = (query.positions[:, c] - target.positions[match, c] for c in range(3))
         if plane_normals is not None:  # the match's normal forward, the query's own backward
-            plane = plane_normals.copy() if backward else plane_normals[match]
-            squared["p2pl"].append(np.multiply(plane, err, out=plane).sum(axis=1) ** 2)
-            del plane
-        squared["p2po"].append(np.multiply(err, err, out=err).sum(axis=1))
-        del err
+            n0, n1, n2 = (plane_normals[:, c] if backward else plane_normals[match, c]
+                          for c in range(3))
+            squared["p2pl"].append((n0 * e0 + n1 * e1 + n2 * e2) ** 2)
+        squared["p2po"].append(e0 * e0 + e1 * e1 + e2 * e2)
     return {kind: tuple(pair) for kind, pair in squared.items() if pair}
 
 

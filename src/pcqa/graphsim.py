@@ -173,13 +173,13 @@ class GradientMoments:
 
 @dataclass(frozen=True, eq=False)
 class GraphScore:
-    """Similarity components of one graph pair for one signal kind."""
+    """Similarity components of graph pairs for one signal kind, one row per pair."""
 
     sim_mass: np.ndarray
     sim_mean: np.ndarray
     sim_cov: np.ndarray
     per_channel: np.ndarray
-    pooled: float
+    pooled: np.ndarray
 
 
 @dataclass(eq=False)
@@ -364,10 +364,9 @@ def covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a - a.mean(axis=0)) * (b - b.mean(axis=0))).mean(axis=0)
 
 
-def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
-                dist_signal: SignalAttribute, pooling=POOLING_PRESETS["c2"],
-                *, channel_weights=None) -> GraphScore:
-    """Similarity of one graph pair under one signal.
+def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute,
+                pooling=POOLING_PRESETS["c2"], *, channel_weights=None) -> GraphScore:
+    """Similarities of a sequence of graph pairs under one signal, one row per pair.
 
     Three bounded ratios are computed per channel (each in [-1, 1], equal
     to 1 iff the compared statistics agree):
@@ -378,43 +377,86 @@ def score_graph(pair: LocalGraphPair, ref_signal: SignalAttribute,
 
     with (t1, t2, t3) = STABILIZERS, then pooled by the (feature, channel)
     rules of `pooling`, a POOLING_PRESETS value (the channel stage pools
-    absolute values).
+    absolute values). Pairs are scored together in batches of
+    row_blocks(len(pairs), 3 x largest side - 1) pairs; with 2-3 channels,
+    each row equals, bit for bit, the one `match_and_align`,
+    `gradient_moments` and `covariance` give for its pair alone.
     """
     feature_pooling, channel_pooling = pooling
-    t1, t2, t3 = STABILIZERS
-    ref_order, dist_order = match_and_align(pair)
-    center_value = ref_signal.values[pair.center_index]
-    m_ref = gradient_moments(pair.ref, ref_signal, ref_order)
-    m_dist = gradient_moments(pair.dist, dist_signal, dist_order,
-                              center_value=center_value)
-
-    def ratio(x, y, t):
-        return (2.0 * x * y + t) / (x * x + y * y + t)
-
-    sim_mass = ratio(m_ref.mass, m_dist.mass, t1)
-    sim_mean = ratio(m_ref.mean, m_dist.mean, t2)
-    cov = covariance(m_ref.matched, m_dist.matched)
-    sim_cov = (cov + t3) / (np.sqrt(m_ref.variance) * np.sqrt(m_dist.variance) + t3)
-
-    features = np.stack([sim_mass, sim_mean, sim_cov])
+    pairs = list(pairs)
+    if not pairs or any(p.ref.size == 0 or p.dist.size == 0 for p in pairs):
+        raise DomainError("cannot match an empty neighborhood")
+    width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
+    sim_mass, sim_mean, sim_cov = map(np.concatenate, zip(*(
+        _batch_similarities(pairs[b], ref_signal.values, dist_signal.values)
+        for b in row_blocks(len(pairs), width - 1))))
     if feature_pooling == "multiply":
-        per_channel = features.prod(axis=0)
+        per_channel = sim_mass * sim_mean * sim_cov
     else:
-        per_channel = features.mean(axis=0)
+        per_channel = (sim_mass + sim_mean + sim_cov) / 3
 
     if channel_weights is None:
-        channel_weights = np.ones(per_channel.shape[0])
+        channel_weights = np.ones(per_channel.shape[1])
     channel_weights = np.asarray(channel_weights, dtype=np.float64)
     if channel_pooling == "weighted-average":
-        pooled = float(
-            (channel_weights * np.abs(per_channel)).sum() / channel_weights.sum()
-        )
+        pooled = (channel_weights * np.abs(per_channel)).sum(axis=1) / channel_weights.sum()
     else:
-        pooled = float(np.prod(np.abs(per_channel)))
+        pooled = np.abs(per_channel).prod(axis=1)
     return GraphScore(
         sim_mass=sim_mass, sim_mean=sim_mean, sim_cov=sim_cov,
         per_channel=per_channel, pooled=pooled,
     )
+
+
+def _pad(parts, fill=0):
+    """(len(parts), longest, ...) stack of arrays, each filled past its end."""
+    sizes = np.array([len(part) for part in parts])
+    out = np.full((len(parts), sizes.max(), *parts[0].shape[1:]), fill, parts[0].dtype)
+    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(parts)
+    return out
+
+
+def _batch_similarities(pairs, ref_values, dist_values):
+    """(sim_mass, sim_mean, sim_cov), one row per pair, over arrays padded per
+    pair: zero past a side's end adds nothing to its sums (taken in row order),
+    and +inf target positions never win a match."""
+    t1, t2, t3 = STABILIZERS
+    sizes = np.array([(p.ref.size, p.dist.size) for p in pairs])
+    swap = sizes[:, 0] > sizes[:, 1]  # the distorted side is the baseline
+    m = sizes.min(axis=1)[:, None]
+    queries = _pad([(p.dist if s else p.ref).positions for p, s in zip(pairs, swap)])
+    targets = _pad([(p.ref if s else p.dist).positions for p, s in zip(pairs, swap)], np.inf)
+    rows = np.arange(queries.shape[1])
+    valid = rows < m
+    owner, row = np.nonzero(valid)
+    near = np.zeros(valid.shape, dtype=np.intp)
+    # Each baseline row against its own pair's targets, as `_nearest_rows` measures it.
+    for block in row_blocks(owner.size, 3 * targets.shape[1] - 1):
+        d = targets[owner[block]]
+        np.subtract(queries[owner[block], row[block]][:, None], d, out=d)
+        d *= d
+        near[owner[block], row[block]] = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2]).argmin(axis=1)
+    centers = ref_values[[p.center_index for p in pairs]][:, None]
+    batch, mask = np.arange(len(pairs))[:, None], valid[..., None]
+
+    def side(hoods, values, order):
+        gradients = np.sqrt(_pad([h.weights for h in hoods]))[..., None] * \
+            (values[_pad([h.indices for h in hoods])] - centers)
+        matched = gradients[batch, order] * mask
+        mean = matched.sum(axis=1) / m
+        return gradients.sum(axis=1), mean, (matched - mean[:, None]) * mask
+
+    mass_r, mean_r, dev_r = side([p.ref for p in pairs], ref_values,
+                                 np.where(swap[:, None], near, rows))
+    mass_d, mean_d, dev_d = side([p.dist for p in pairs], dist_values,
+                                 np.where(swap[:, None], rows, near))
+
+    def ratio(x, y, t):
+        return (2.0 * x * y + t) / (x * x + y * y + t)
+
+    cov = (dev_r * dev_d).sum(axis=1) / m
+    std = np.sqrt((dev_r ** 2).sum(axis=1) / m) * np.sqrt((dev_d ** 2).sum(axis=1) / m)
+    return ratio(mass_r, mass_d, t1), ratio(mean_r, mean_d, t2), (cov + t3) / (std + t3)
 
 
 def _signals(cloud: PointCloud, config: GraphSimConfig, geometry: PointCloud,
@@ -466,9 +508,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
                else np.ones(3) for s in ref_signals]
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    per_graph, graph_keypoints = [], []
-    channel_sums: dict[str, float] = {}
-    empty = skipped = 0
+    pairs, skipped = [], 0
     for center_index in map(int, keypoints.indices):
         pair = build_local_graph_pair(
             center_index, ref, dist, config, radius=radius,
@@ -476,34 +516,29 @@ def graphsim(ref: PointCloud, dist: PointCloud,
         )
         if pair.ref_cluster_size == 0:
             skipped += 1
-            continue
-        if pair.ref.size == 0 or pair.dist.size == 0:
-            empty += 1
-            pooled = 0.0
         else:
-            kind_scores = []
-            for rs, ds, w in zip(ref_signals, dist_signals, weights):
-                gs = score_graph(pair, rs, ds, config.pooling_rules, channel_weights=w)
-                kind_scores.append(gs.pooled)
-                for label, value in zip(rs.labels, gs.per_channel):
-                    key = f"{rs.kind}:{label}"
-                    channel_sums[key] = channel_sums.get(key, 0.0) + float(value)
-            pooled = sum(kind_scores) / len(kind_scores)
-        per_graph.append(pooled)
-        graph_keypoints.append(center_index)
-
-    if not per_graph:
+            pairs.append(pair)
+    if not pairs:
         raise DomainError(
             "no scorable keypoint graphs (every reference cluster was empty)"
         )
-    # Every scored graph adds each label once, so each label's count is the scored count.
-    means = {k: channel_sums[k] / (len(per_graph) - empty) for k in sorted(channel_sums)}
+    # A graph with an empty side scores 0 and adds no channel value.
+    scored = np.array([p.ref.size > 0 and p.dist.size > 0 for p in pairs])
+    kept = [p for p, ok in zip(pairs, scored) if ok]
+    per_graph, means = np.zeros(len(pairs)), {}
+    if kept:
+        scores = [score_graph(kept, rs, ds, config.pooling_rules, channel_weights=w)
+                  for rs, ds, w in zip(ref_signals, dist_signals, weights)]
+        per_graph[scored] = sum(gs.pooled for gs in scores) / len(scores)
+        for rs, gs in zip(ref_signals, scores):  # each label summed down the graphs in order
+            for label, total in zip(rs.labels, gs.per_channel.sum(axis=0)):
+                means[f"{rs.kind}:{label}"] = float(total) / len(kept)
     return SimilarityScore(
         quality=float(np.mean(per_graph)),
-        per_graph=np.asarray(per_graph),
-        graph_keypoints=np.asarray(graph_keypoints, dtype=np.intp),
-        per_channel_means=means,
-        empty_graphs=empty,
+        per_graph=per_graph,
+        graph_keypoints=np.array([p.center_index for p in pairs], dtype=np.intp),
+        per_channel_means=dict(sorted(means.items())),
+        empty_graphs=len(pairs) - len(kept),
         skipped_keypoints=skipped,
         keypoints=keypoints,
     )

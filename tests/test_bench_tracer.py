@@ -53,7 +53,24 @@ def test_counters_read_what_graphsim_and_the_baselines_return(spans):
     assert counts["graphsim.scored"] == len(score.per_graph) - score.empty_graphs
     assert counts["graphsim.local_graph_calls"] == len(score.per_graph) + score.skipped_keypoints
     assert counts["graphsim.cluster_points"] > 0
+    # All of a call's graphs are scored in one score_graph call per signal kind.
+    assert counts["graphsim.score_graph_calls"] == len(config.signal_kinds) == 1
     assert counts["baselines.run_calls"] == 1
     assert counts["spatial.nearest_rows"] == ref.count + dist.count
     totals = spans.layer_totals(tracer.spans)["pair"]
     assert totals["graphsim.graphsim_s"] >= totals["graphsim.score_graph_s"] > 0
+
+
+def test_graphsim_scores_its_graphs_in_one_call_per_signal_kind(spans):
+    ref = smooth_cloud(400, seed=2)
+    dist = apply_distortion(ref, DistortionSpec("ds", 0.5, seed=3))
+    config = GraphSimConfig(signal_kind="mixed", resample=ResampleConfig(count=6))
+    with spans.Tracer() as tracer:
+        tracer.unit = "pair"
+        score = pcqa.graphsim(ref, dist, config)
+        pcqa.graphsim(ref, dist, config)
+    counts = tracer.counts["pair"]
+    assert len(score.per_graph) - score.empty_graphs > 1
+    assert counts["graphsim.graphsim_calls"] == 2
+    assert counts["graphsim.score_graph_calls"] == 2 * len(config.signal_kinds) == 4
+    assert counts["graphsim.local_graph_calls"] == 2 * score.keypoints.count

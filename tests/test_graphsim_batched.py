@@ -1,0 +1,183 @@
+"""`graphsim` scores all keypoint graphs of a call in one batched `score_graph`
+pass per signal kind. Its similarities, per-graph scores, quality and
+per-channel means must equal, bit for bit, one pair at a time through the
+readable reference path (`build_local_graph_pair`, `match_and_align`,
+`gradient_moments`, `covariance`), and agree with the plain-loop oracle of
+tests/oracles.py to rounding.
+
+The clouds are integer lattices with repeated sites (every match ties) or
+continuous boxes, each with a void around its centre that holds one point:
+that point's reference cluster is empty until the radius reaches the void's
+edge, so its graph is skipped. Cropped stimuli and a matching_k of 1 leave
+graphs empty on the distorted or on the reference side.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcqa import (DistortionSpec, DomainError, GraphSimConfig, PointCloud, apply_distortion,
+                  bounding_box, build_local_graph_pair, graphsim)
+from pcqa.cloud import same_geometry
+from pcqa.colorspace import CHANNEL_WEIGHTS
+from pcqa.graphsim import (POOLING_PRESETS, STABILIZERS, _signals, covariance,
+                           gradient_moments, match_and_align, score_graph)
+
+from oracles import local_graph_oracle
+
+SIGNALS = ("color", "coordinate", "normal", "mixed", ("normal", "color"))
+STIMULI = ("same", "crop", "cn", "ggn", "ds", "ot")
+
+
+def _clouds(seed, n, lattice, stimulus):
+    """(reference, stimulus, void point index) on a 4-unit box."""
+    rng = np.random.default_rng(seed)
+    positions = (rng.integers(0, 5, (n, 3)).astype(np.float64) if lattice
+                 else rng.uniform(0.0, 4.0, (n, 3)))
+    centre = np.full(3, 2.0)
+    positions = np.vstack([positions[np.linalg.norm(positions - centre, axis=1) > 1.5], centre])
+    colors = rng.integers(0, 256, positions.shape).astype(np.float64)
+    ref = PointCloud(positions=positions, colors=colors)
+    if stimulus == "same":
+        dist = PointCloud(positions=positions.copy(), colors=colors[::-1].copy())
+    elif stimulus == "crop":  # no distorted points past x = 2
+        keep = positions[:, 0] <= 2.0
+        dist = PointCloud(positions=positions[keep], colors=colors[keep])
+    else:
+        level = {"cn": 0.1, "ggn": 0.02, "ds": 0.5, "ot": 3}[stimulus]
+        dist = apply_distortion(ref, DistortionSpec(stimulus, level, seed=seed % 1000))
+    return ref, dist, len(positions) - 1
+
+
+def _similarities(pair, rs, ds):
+    """(sim_mass, sim_mean, sim_cov) of one pair through the reference path."""
+    t1, t2, t3 = STABILIZERS
+    ref_order, dist_order = match_and_align(pair)
+    a = gradient_moments(pair.ref, rs, ref_order)
+    b = gradient_moments(pair.dist, ds, dist_order, center_value=rs.values[pair.center_index])
+
+    def ratio(x, y, t):
+        return (2.0 * x * y + t) / (x * x + y * y + t)
+
+    cov = covariance(a.matched, b.matched)
+    return (ratio(a.mass, b.mass, t1), ratio(a.mean, b.mean, t2),
+            (cov + t3) / (np.sqrt(a.variance) * np.sqrt(b.variance) + t3))
+
+
+def _pooled(sims, config, kind):
+    """(per-channel, pooled) of one graph under one kind, as pooled one at a time."""
+    feature, channel = config.pooling_rules
+    features = np.stack(sims)
+    per_channel = features.prod(axis=0) if feature == "multiply" else features.mean(axis=0)
+    w = np.asarray(CHANNEL_WEIGHTS[config.color_space] if kind == "color" else np.ones(3))
+    if channel == "weighted-average":
+        return per_channel, float((w * np.abs(per_channel)).sum() / w.sum())
+    return per_channel, float(np.prod(np.abs(per_channel)))
+
+
+def _score_one_at_a_time(ref, dist, config, keypoints, similarities):
+    """graphsim's result fields from a loop over keypoints, one graph pair at a time.
+
+    similarities(pair, center, radius, rs, ds) gives a graph's (mass, mean,
+    cov) similarities, None for a graph with an empty side, or "skipped"."""
+    same, stored = same_geometry(ref, dist), ref.has_normals and dist.has_normals
+    signals = list(zip(_signals(ref, config, ref, stored),
+                       _signals(dist, config, ref if same else dist, stored)))
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    per_graph, graph_keypoints, sums, skipped, empty, kept = [], [], {}, 0, 0, []
+    for center in map(int, keypoints):
+        pair = build_local_graph_pair(center, ref, dist, config, radius=radius)
+        kinds = [similarities(pair, center, radius, rs, ds) for rs, ds in signals]
+        if pair.ref_cluster_size == 0:
+            assert all(k == "skipped" for k in kinds)
+            skipped += 1
+            continue
+        graph_keypoints.append(center)
+        if pair.ref.size == 0 or pair.dist.size == 0:
+            assert all(k is None for k in kinds)
+            empty += 1
+            per_graph.append(0.0)
+            continue
+        kept.append(pair)
+        scores = []
+        for (rs, _), sims in zip(signals, kinds):
+            per_channel, pooled = _pooled(sims, config, rs.kind)
+            scores.append(pooled)
+            for label, value in zip(rs.labels, per_channel):
+                sums[f"{rs.kind}:{label}"] = sums.get(f"{rs.kind}:{label}", 0.0) + float(value)
+        per_graph.append(sum(scores) / len(scores))
+    means = {k: sums[k] / (len(per_graph) - empty) for k in sorted(sums)}
+    return per_graph, graph_keypoints, means, empty, skipped, kept, signals
+
+
+def _reference_path(pair, center, radius, rs, ds):
+    if pair.ref_cluster_size == 0:
+        return "skipped"
+    return None if pair.ref.size == 0 or pair.dist.size == 0 else _similarities(pair, rs, ds)
+
+
+def _oracle(ref, dist, config):
+    def similarities(pair, center, radius, rs, ds):
+        out = local_graph_oracle(ref.positions, dist.positions, rs.values, ds.values, center,
+                                 radius, config.matching_k, tau_scope=config.tau_scope)
+        if out is None:
+            return "skipped"
+        return None if out["score"] is None else tuple(out["similarities"].T)
+    return similarities
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 240), lattice=st.booleans(),
+       stimulus=st.sampled_from(STIMULI), signal=st.sampled_from(SIGNALS),
+       preset=st.sampled_from(sorted(POOLING_PRESETS)),
+       tau_scope=st.sampled_from(("union", "per-side")),
+       color_space=st.sampled_from(("gcm", "yuv", "rgb")),
+       matching_k=st.sampled_from((1, 3, 50, 10**4)),
+       fraction=st.sampled_from((0.15, 0.3, 0.6, 1.0)),
+       count=st.integers(1, 8))
+def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus, signal, preset,
+                                                     tau_scope, color_space, matching_k,
+                                                     fraction, count):
+    ref, dist, void = _clouds(seed, n, lattice, stimulus)
+    config = GraphSimConfig(neighborhood_fraction=fraction, matching_k=matching_k,
+                            color_space=color_space, pooling=preset, signal_kind=signal,
+                            tau_scope=tau_scope)
+    rng = np.random.default_rng(seed)
+    keypoints = rng.permutation(np.append(rng.choice(void, count, replace=False), void))
+    per_graph, graph_keypoints, means, empty, skipped, kept, signals = _score_one_at_a_time(
+        ref, dist, config, keypoints, _reference_path)
+    if not per_graph:
+        with pytest.raises(DomainError, match="no scorable keypoint graphs"):
+            graphsim(ref, dist, config, keypoints=keypoints)
+        return
+    result = graphsim(ref, dist, config, keypoints=keypoints)
+    assert np.array_equal(result.per_graph, per_graph)
+    assert result.quality == float(np.mean(per_graph))
+    assert result.per_channel_means == means
+    assert list(result.graph_keypoints) == graph_keypoints
+    assert (result.empty_graphs, result.skipped_keypoints) == (empty, skipped)
+    for rs, ds in signals:  # every field of the batch, row by row
+        batch = score_graph(kept, rs, ds) if kept else None
+        for row, pair in enumerate(kept):
+            for got, want in zip((batch.sim_mass, batch.sim_mean, batch.sim_cov),
+                                 _similarities(pair, rs, ds)):
+                assert np.array_equal(got[row], want)
+
+    o_graph, o_keypoints, o_means, o_empty, o_skipped, _, _ = _score_one_at_a_time(
+        ref, dist, config, keypoints, _oracle(ref, dist, config))
+    assert (o_keypoints, o_empty, o_skipped) == (graph_keypoints, empty, skipped)
+    assert np.allclose(result.per_graph, o_graph, rtol=1e-9, atol=1e-12)
+    assert result.per_channel_means.keys() == o_means.keys()
+    for key, value in o_means.items():
+        assert result.per_channel_means[key] == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+def test_empty_or_no_pairs_are_refused():
+    ref, dist, void = _clouds(3, 80, False, "same")
+    pair = build_local_graph_pair(void, ref, dist)
+    signal = _signals(ref, GraphSimConfig(), ref)[0]
+    assert pair.ref.size == 0
+    for pairs in ([], [pair]):
+        with pytest.raises(DomainError, match="cannot match an empty neighborhood"):
+            score_graph(pairs, signal, signal)

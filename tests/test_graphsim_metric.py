@@ -147,16 +147,14 @@ def test_per_channel_means_skip_empty_graphs():
     signals = list(zip(_signals(ref, config, ref), _signals(dist, config, dist)))
     assert [(rs.kind, ds.kind) for rs, ds in signals] == [("color", "color"),
                                                           ("coordinate", "coordinate")]
+    pairs = [build_local_graph_pair(int(center), ref, dist, config, radius=radius)
+             for center in keypoints]
+    pairs = [pair for pair in pairs if pair.ref.size > 0 and pair.dist.size > 0]
     values = {}
-    for center in keypoints:
-        pair = build_local_graph_pair(int(center), ref, dist, config, radius=radius)
-        if pair.ref_cluster_size == 0 or pair.dist_cluster_size == 0 \
-                or pair.ref.size == 0 or pair.dist.size == 0:
-            continue
-        for rs, ds in signals:  # channel weights touch only the pooled score
-            gs = score_graph(pair, rs, ds, ("multiply", "weighted-average"))
-            for label, value in zip(rs.labels, gs.per_channel):
-                values.setdefault(f"{rs.kind}:{label}", []).append(value)
+    for rs, ds in signals:  # channel weights touch only the pooled score
+        gs = score_graph(pairs, rs, ds, ("multiply", "weighted-average"))
+        for label, column in zip(rs.labels, gs.per_channel.T):
+            values[f"{rs.kind}:{label}"] = list(column)
     assert len(next(iter(values.values()))) == len(result.per_graph) - result.empty_graphs
     assert result.per_channel_means.keys() == values.keys()
     for label, per_graph in values.items():

@@ -236,11 +236,11 @@ def test_pipeline_matches_loop_oracle_channelwise():
         pair = build_local_graph_pair(center, ref, dist, config)
         assert np.allclose(pair.ref.weights, oracle["ref_weights"], rtol=1e-10)
         assert np.allclose(pair.dist.weights, oracle["dist_weights"], rtol=1e-10)
-        gs = score_graph(pair, ref_signal, dist_signal, pooling)
+        gs = score_graph([pair], ref_signal, dist_signal, pooling)
         sims = oracle["similarities"]
-        assert np.allclose(gs.sim_mass, sims[:, 0], rtol=1e-10)
-        assert np.allclose(gs.sim_mean, sims[:, 1], rtol=1e-10)
-        assert np.allclose(gs.sim_cov, sims[:, 2], rtol=1e-10)
+        assert np.allclose(gs.sim_mass[0], sims[:, 0], rtol=1e-10)
+        assert np.allclose(gs.sim_mean[0], sims[:, 1], rtol=1e-10)
+        assert np.allclose(gs.sim_cov[0], sims[:, 2], rtol=1e-10)
         checked += 1
     assert checked >= 2
 
@@ -252,10 +252,11 @@ def test_identical_pair_scores_one():
     from pcqa.colorspace import decompose
 
     signal = decompose(cloud, config.color_space)
-    gs = score_graph(pair, signal, signal, POOLING_PRESETS[config.pooling],
+    gs = score_graph([pair], signal, signal, POOLING_PRESETS[config.pooling],
                      channel_weights=CHANNEL_WEIGHTS[config.color_space])
+    assert gs.per_channel.shape == (1, 3) and gs.pooled.shape == (1,)
     assert np.allclose(gs.per_channel, 1.0, atol=1e-12)
-    assert gs.pooled == pytest.approx(1.0, abs=1e-12)
+    assert gs.pooled[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pooling_presets_cover_the_grid():
@@ -440,11 +441,11 @@ def test_similarity_ratio_when_one_mass_vanishes():
     )
     ref_signal = SignalAttribute(np.array([0.0, 1.0]), kind="color")
     dist_signal = SignalAttribute(np.array([0.0]), kind="color")
-    score = score_graph(pair, ref_signal, dist_signal)
+    score = score_graph([pair], ref_signal, dist_signal)
     # Reference mass 1 against distorted mass 0 under the 1e-3 stabilizer.
-    assert score.sim_mass[0] == pytest.approx(0.001 / 1.001, rel=1e-12)
-    assert score.sim_mean[0] == pytest.approx(0.001 / 1.001, rel=1e-12)
-    assert score.sim_cov[0] == 1.0
+    assert score.sim_mass[0, 0] == pytest.approx(0.001 / 1.001, rel=1e-12)
+    assert score.sim_mean[0, 0] == pytest.approx(0.001 / 1.001, rel=1e-12)
+    assert score.sim_cov[0, 0] == 1.0
 
 
 def test_doubling_keeps_mean_similarity_but_not_mass():
@@ -465,11 +466,11 @@ def test_doubling_keeps_mean_similarity_but_not_mass():
         ref_cluster_size=4, dist_cluster_size=8,
     )
     dist_values = np.repeat(intensities, 2)
-    score = score_graph(pair, base_signal,
+    score = score_graph([pair], base_signal,
                         SignalAttribute(dist_values, kind="color"))
-    assert score.sim_mean[0] == pytest.approx(1.0, abs=1e-12)
-    assert score.sim_cov[0] == pytest.approx(1.0, abs=1e-12)
-    assert score.sim_mass[0] < 1.0
+    assert score.sim_mean[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert score.sim_cov[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert score.sim_mass[0, 0] < 1.0
 
 
 def _prepared_case(name):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from pcqa import (DistortionSpec, GraphSimConfig, PointCloud, ResampleConfig, apply_distortion,
-                  bounding_box, graphsim, spatial)
+                  bounding_box, build_local_graph_pair, graphsim, spatial)
 from pcqa.baselines import _match_pair, estimate_normals, run_baselines
-from pcqa.graphsim import _cluster
+from pcqa.graphsim import _cluster, _signals, score_graph
 from pcqa.resample import frequency_scores, resample
 
 from helpers import random_cloud
@@ -97,6 +97,26 @@ def test_graphsim_keeps_12_bytes_per_reference_cluster_point():
     # exceed it by 4 B a point.
     bound = 12 * points + 512 * len(keypoints)
     assert kept <= bound, (kept, bound, points)
+
+
+@pytest.mark.parametrize("block", [spatial.BLOCK_ENTRIES, 2**14])
+def test_graph_scoring_peak_is_five_padded_arrays_of_one_batch(monkeypatch, block):
+    # At neighborhood_fraction 1 with no matching_k cutoff, each reference graph holds
+    # about 19k points, so one pair pads to about 58k entries a scoring array: four
+    # pairs a batch at the default block, and one pair, larger than the block, at 2**14.
+    # The sparse stimulus keeps the matching short.
+    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", block)
+    ref = random_cloud(N, seed=12)
+    dist = PointCloud(positions=ref.positions[::64] + 0.01, colors=ref.colors[::64])
+    config = GraphSimConfig(neighborhood_fraction=1.0, matching_k=10**6)
+    pairs = [build_local_graph_pair(int(i), ref, dist, config) for i in range(0, N, N // 8)]
+    signals = _signals(ref, config, ref)[0], _signals(dist, config, dist)[0]
+    batch = max(block, 3 * max(max(p.ref.size, p.dist.size) for p in pairs))
+    # Five float64 arrays of one batch: 3.5 at the default block and 4.3 at 2**14
+    # measured. All eight pairs in one batch would hold twice the default block's.
+    bound = 5 * 8 * batch
+    peak = _peak(lambda: score_graph(pairs, *signals))
+    assert peak <= bound, (peak, bound)
 
 
 def test_run_baselines_peak_above_matches_and_normals():

@@ -2,6 +2,7 @@
 normals, the keypoint filter and graph matching give the same bits at any
 block size, and their temporaries stay block-sized as the cloud grows."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -80,14 +81,25 @@ def _graphsim_reports(pts, colors):
 
 def test_graphsim_reports_do_not_depend_on_block_edges(monkeypatch):
     # Graphs on a lattice with repeats keep up to about 50 points (the matching_k
-    # cutoff): at 40 entries a block, most matching and k-NN rows are blocks of their own.
+    # cutoff), so one pair pads to about 150 entries a scoring array. At 1000 entries
+    # a block, a call's 24 graphs are scored in several batches of several pairs; at
+    # 40, every pair is a batch of its own and larger than a block, and most matching
+    # and k-NN rows are blocks of their own.
     rng = np.random.default_rng(47)
     pts = _shuffled_lattice(rng)
     colors = rng.integers(0, 256, pts.shape).astype(np.float64)
     default = _graphsim_reports(pts, colors)
-    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", 40)
-    assert _graphsim_reports(pts, colors) == default
     assert all(len(report["per_graph"]) > 0 for report in default)
+    module = importlib.import_module("pcqa.graphsim")
+    batch = module._batch_similarities
+    for block in (1000, 40):
+        sizes = []
+        monkeypatch.setattr(module, "_batch_similarities",
+                            lambda pairs, *signals: sizes.append(len(pairs)) or batch(pairs, *signals))
+        monkeypatch.setattr(spatial, "BLOCK_ENTRIES", block)
+        assert _graphsim_reports(pts, colors) == default, block
+        # 4 stimuli x 2 signal kinds make 8 score_graph calls.
+        assert len(sizes) > 8 and (max(sizes) > 1 if block == 1000 else set(sizes) == {1})
 
 
 def _transient_bytes(pts, compute):
