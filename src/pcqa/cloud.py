@@ -12,8 +12,8 @@ from .spatial import SpatialIndex
 MAX_COORDINATE = 1e150  # so 3 * (2 * MAX_COORDINATE) ** 2, the widest squared distance, is finite
 
 
-def _as_point_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _as_point_array(values, name: str, dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
     # Copy what the caller can still write to, so no point moves under the
     # cloud's cached tree and results; fresh or frozen arrays are kept.
     if (arr is values and arr.flags.writeable) or arr.base is not None \
@@ -23,6 +23,22 @@ def _as_point_array(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be an (N, 3) array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _as_color_array(values) -> np.ndarray:
+    """Read-only (N, 3) uint8 colours; other dtypes are checked as float64, then cast."""
+    if np.asarray(values).dtype != np.uint8:
+        col = _as_point_array(values, "colors")
+        ok = np.isfinite(col).all(axis=1)
+        ok &= (col >= 0.0).all(axis=1) & (col <= 255.0).all(axis=1)
+        if not ok.all():
+            raise ValidationError(f"color out of range [0, 255] at point {_first_bad_row(~ok)}")
+        integral = (col == np.rint(col)).all(axis=1)
+        if not integral.all():
+            raise ValidationError(f"non-integer color channel at point {_first_bad_row(~integral)}")
+        values = col.astype(np.uint8)
+        values.setflags(write=False)  # fresh, so kept below
+    return _as_point_array(values, "colors", np.uint8)
 
 
 def _first_bad_row(mask: np.ndarray) -> int:
@@ -48,8 +64,8 @@ class PointCloud:
     positions
         (N, 3) float64 coordinates, each finite and at most MAX_COORDINATE in magnitude.
     colors
-        Optional (N, 3) array of integer-valued channels in [0, 255],
-        stored as float64. Downstream color math rescales to [0, 1].
+        Optional (N, 3) integer channels in [0, 255], stored as uint8, which
+        wraps: cast before arithmetic. Colour math rescales to [0, 1].
     normals
         Optional (N, 3) array of unit vectors (norm within 1e-6 of 1).
     """
@@ -65,22 +81,11 @@ class PointCloud:
         n = pos.shape[0]
 
         if self.colors is not None:
-            col = _as_point_array(self.colors, "colors")
+            col = _as_color_array(self.colors)
             object.__setattr__(self, "colors", col)
             if col.shape[0] != n:
                 raise ValidationError(
                     f"colors length {col.shape[0]} does not match {n} points"
-                )
-            ok = np.isfinite(col).all(axis=1)
-            ok &= (col >= 0.0).all(axis=1) & (col <= 255.0).all(axis=1)
-            if not ok.all():
-                raise ValidationError(
-                    f"color out of range [0, 255] at point {_first_bad_row(~ok)}"
-                )
-            integral = (col == np.rint(col)).all(axis=1)
-            if not integral.all():
-                raise ValidationError(
-                    f"non-integer color channel at point {_first_bad_row(~integral)}"
                 )
 
         if self.normals is not None:

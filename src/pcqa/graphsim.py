@@ -365,7 +365,7 @@ def covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute,
-                pooling=POOLING_PRESETS["c2"], *, channel_weights=None) -> GraphScore:
+                pooling=POOLING_PRESETS["c2"], *, channel_weights=None, matches=None) -> GraphScore:
     """Similarities of a sequence of graph pairs under one signal, one row per pair.
 
     Three bounded ratios are computed per channel (each in [-1, 1], equal
@@ -380,16 +380,14 @@ def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute
     absolute values). Pairs are scored together in batches of
     row_blocks(len(pairs), 3 x largest side - 1) pairs; with 2-3 channels,
     each row equals, bit for bit, the one `match_and_align`,
-    `gradient_moments` and `covariance` give for its pair alone.
+    `gradient_moments` and `covariance` give for its pair alone. `matches`,
+    `_match_batches(pairs)` of these pairs, lets signal kinds share one matching.
     """
     feature_pooling, channel_pooling = pooling
     pairs = list(pairs)
-    if not pairs or any(p.ref.size == 0 or p.dist.size == 0 for p in pairs):
-        raise DomainError("cannot match an empty neighborhood")
-    width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
     sim_mass, sim_mean, sim_cov = map(np.concatenate, zip(*(
-        _batch_similarities(pairs[b], ref_signal.values, dist_signal.values)
-        for b in row_blocks(len(pairs), width - 1))))
+        _batch_similarities(pairs[b], ref_signal.values, dist_signal.values, match)
+        for b, match in matches or _match_batches(pairs))))
     if feature_pooling == "multiply":
         per_channel = sim_mass * sim_mean * sim_cov
     else:
@@ -416,18 +414,23 @@ def _pad(parts, fill=0):
     return out
 
 
-def _batch_similarities(pairs, ref_values, dist_values):
-    """(sim_mass, sim_mean, sim_cov), one row per pair, over arrays padded per
-    pair: zero past a side's end adds nothing to its sums (taken in row order),
-    and +inf target positions never win a match."""
-    t1, t2, t3 = STABILIZERS
+def _match_batches(pairs) -> list:
+    """`score_graph`'s batches as (slice, `_batch_match`) items."""
+    if not pairs or any(p.ref.size == 0 or p.dist.size == 0 for p in pairs):
+        raise DomainError("cannot match an empty neighborhood")
+    width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
+    return [(b, _batch_match(pairs[b])) for b in row_blocks(len(pairs), width - 1)]
+
+
+def _batch_match(pairs):
+    """(swap, baseline rows, valid rows, nearest target of each row) of a batch, all
+    padded per pair; matching reads positions only, and +inf padding never wins."""
     sizes = np.array([(p.ref.size, p.dist.size) for p in pairs])
     swap = sizes[:, 0] > sizes[:, 1]  # the distorted side is the baseline
     m = sizes.min(axis=1)[:, None]
     queries = _pad([(p.dist if s else p.ref).positions for p, s in zip(pairs, swap)])
     targets = _pad([(p.ref if s else p.dist).positions for p, s in zip(pairs, swap)], np.inf)
-    rows = np.arange(queries.shape[1])
-    valid = rows < m
+    valid = np.arange(queries.shape[1]) < m
     owner, row = np.nonzero(valid)
     near = np.zeros(valid.shape, dtype=np.intp)
     # Each baseline row against its own pair's targets, as `_nearest_rows` measures it.
@@ -436,6 +439,16 @@ def _batch_similarities(pairs, ref_values, dist_values):
         np.subtract(queries[owner[block], row[block]][:, None], d, out=d)
         d *= d
         near[owner[block], row[block]] = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2]).argmin(axis=1)
+    return swap, m, valid, near
+
+
+def _batch_similarities(pairs, ref_values, dist_values, match):
+    """(sim_mass, sim_mean, sim_cov), one row per pair, over arrays padded per
+    pair as `match` is: zero past a side's end adds nothing to its sums (taken
+    in row order)."""
+    t1, t2, t3 = STABILIZERS
+    swap, m, valid, near = match
+    rows = np.arange(valid.shape[1])
     centers = ref_values[[p.center_index for p in pairs]][:, None]
     batch, mask = np.arange(len(pairs))[:, None], valid[..., None]
 
@@ -527,7 +540,8 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     kept = [p for p, ok in zip(pairs, scored) if ok]
     per_graph, means = np.zeros(len(pairs)), {}
     if kept:
-        scores = [score_graph(kept, rs, ds, config.pooling_rules, channel_weights=w)
+        pooling, matches = config.pooling_rules, _match_batches(kept)  # one for every kind
+        scores = [score_graph(kept, rs, ds, pooling, channel_weights=w, matches=matches)
                   for rs, ds, w in zip(ref_signals, dist_signals, weights)]
         per_graph[scored] = sum(gs.pooled for gs in scores) / len(scores)
         for rs, gs in zip(ref_signals, scores):  # each label summed down the graphs in order

@@ -3,7 +3,7 @@
 Supports ``format ascii 1.0`` and ``format binary_little_endian 1.0`` with a
 leading ``element vertex``. Coordinates may be declared ``float`` or
 ``double`` and are always parsed into float64. Colors are accepted as
-``uchar red/green/blue`` (``r/g/b`` aliases allowed), normals as
+``uchar red/green/blue`` (``r/g/b`` aliases allowed) and kept as uint8, normals as
 ``float``/``double`` ``nx/ny/nz``. Unknown fixed-size vertex properties are
 parsed for stride and discarded; elements after the vertex block are ignored.
 """
@@ -37,7 +37,7 @@ _NORMAL_NAMES = ("nx", "ny", "nz")
 
 
 def _split_header(data: bytes, path: str):
-    """Return (header lines, body bytes, header line count)."""
+    """Return (header lines, body offset in `data`, header line count)."""
     marker = data.find(b"end_header")
     if marker < 0:
         raise ParseError(f"{path}: no end_header line found")
@@ -46,7 +46,7 @@ def _split_header(data: bytes, path: str):
         raise ParseError(f"{path}: end_header line is not terminated")
     header_text = data[:newline].decode("ascii", errors="replace")
     lines = [line.rstrip("\r") for line in header_text.split("\n")]
-    return lines, data[newline + 1:], len(lines)
+    return lines, newline + 1, len(lines)
 
 
 def load_ply(path: str) -> PointCloud:
@@ -60,7 +60,7 @@ def load_ply(path: str) -> PointCloud:
     with open(path, "rb") as handle:
         data = handle.read()
 
-    lines, body, header_lines = _split_header(data, path)
+    lines, start, header_lines = _split_header(data, path)
     if not lines or lines[0].strip() != "ply":
         raise ParseError(f"{path}: line 1: expected 'ply' magic")
 
@@ -150,21 +150,21 @@ def load_ply(path: str) -> PointCloud:
 
     if fmt == "ascii":
         table = _read_ascii_rows(
-            path, body, vertex_count, len(vertex_props), header_lines
+            path, data[start:], vertex_count, len(vertex_props), header_lines
         )
         def column(name):
             return table[:, names.index(name)]
     else:
         dtype = np.dtype([(f"f{i}", "<" + code) for i, (_, code) in enumerate(vertex_props)])
         needed = vertex_count * dtype.itemsize
-        if len(body) < needed:
+        if len(data) - start < needed:
             raise TruncationError(
                 f"{path}: vertex data truncated: expected {needed} bytes, "
-                f"found {len(body)}"
+                f"found {len(data) - start}"
             )
-        record = np.frombuffer(body, dtype=dtype, count=vertex_count)
-        def column(name):
-            return record[f"f{names.index(name)}"].astype(np.float64)
+        record = np.frombuffer(data, dtype=dtype, count=vertex_count, offset=start)
+        def column(name):  # as stored: PointCloud widens floats, colours stay u1
+            return record[f"f{names.index(name)}"]
 
     positions = np.column_stack([column(c) for c in _COORD_NAMES])
     colors = None

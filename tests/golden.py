@@ -187,7 +187,9 @@ def distortion_reports() -> dict[str, dict]:
             for level in LEVEL_PRESETS[kind][1::3]:
                 got = apply_distortion(cloud, DistortionSpec(kind, level, seed=11))
                 out[f"{ref_name}/{kind}/{level}"] = {
-                    "positions": got.positions.tolist(), "colors": got.colors.tolist()}
+                    "positions": got.positions.tolist(),
+                    # uint8 colours as the float values they are, so the file keeps its bytes
+                    "colors": got.colors.astype(np.float64).tolist()}
     return out
 
 

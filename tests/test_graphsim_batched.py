@@ -12,6 +12,8 @@ edge, so its graph is skipped. Cropped stimuli and a matching_k of 1 leave
 graphs empty on the distorted or on the reference side.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,3 +183,17 @@ def test_empty_or_no_pairs_are_refused():
     for pairs in ([], [pair]):
         with pytest.raises(DomainError, match="cannot match an empty neighborhood"):
             score_graph(pairs, signal, signal)
+
+
+@pytest.mark.parametrize("signal", ["color", "mixed", ("color", "coordinate", "normal")])
+def test_one_matching_serves_every_signal_kind(monkeypatch, signal):
+    # Matching reads positions only, so a call matches each batch once, whatever
+    # the number of signal kinds.
+    module = importlib.import_module("pcqa.graphsim")
+    batch_match, batches = module._batch_match, []
+    monkeypatch.setattr(module, "_batch_match",
+                        lambda pairs: batches.append(len(pairs)) or batch_match(pairs))
+    ref, dist, void = _clouds(5, 200, False, "ggn")
+    keypoints = np.arange(0, void, 20)
+    score = graphsim(ref, dist, GraphSimConfig(signal_kind=signal), keypoints=keypoints)
+    assert batches == [len(score.per_graph) - score.empty_graphs] and batches[0] > 1

@@ -2,7 +2,8 @@
 the baselines keep at most one cloud-sized temporary beyond what they need,
 and the tie path of the k-NN queries stays block-sized on a lattice. What
 graphsim keeps on a reference is 12 B per reference cluster point; what the
-baselines keep for a stimulus of the reference's geometry, 8 B per point.
+baselines keep for a stimulus of the reference's geometry, 8 B per point; what
+a loaded coloured cloud keeps, 27 B per point.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so the
 figures are deterministic. Every module a pass imports is loaded first."""
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from pcqa import (DistortionSpec, GraphSimConfig, PointCloud, ResampleConfig, apply_distortion,
-                  bounding_box, build_local_graph_pair, graphsim, spatial)
+                  bounding_box, build_local_graph_pair, graphsim, load_ply, save_ply, spatial)
 from pcqa.baselines import _match_pair, estimate_normals, run_baselines
 from pcqa.graphsim import _cluster, _signals, score_graph
 from pcqa.resample import frequency_scores, resample
@@ -177,3 +178,22 @@ def test_same_geometry_run_baselines_keeps_8_bytes_per_point():
     bound = 8 * N + 2048
     assert kept <= bound, (kept, bound)
     assert "_results" not in stim.__dict__  # no tree, box or match of its own
+
+
+def test_a_loaded_coloured_cloud_keeps_27_bytes_per_point(tmp_path):
+    n = 50_000
+    path = tmp_path / "cloud.ply"
+    save_ply(random_cloud(n, seed=13), path)  # binary: double x, y, z and uchar colours
+    load_ply(path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cloud = load_ply(path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # float64 positions and uint8 colours, plus two array headers and the cloud
+    # object (496 B measured); float64 colours would keep 21 B a point more.
+    bound = (ROW3 + 3) * n + 2048
+    assert kept <= bound, (kept, bound)
+    assert cloud.colors.dtype == np.uint8

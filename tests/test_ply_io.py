@@ -195,6 +195,17 @@ def test_ascii_round_trip_close(tmp_path):
     assert np.array_equal(back.colors, cloud.colors)
 
 
+@pytest.mark.parametrize("fmt", ["binary", "ascii"])
+def test_round_trip_keeps_the_colour_bytes(tmp_path, fmt):
+    rng = np.random.default_rng(5)
+    colors = np.stack([np.arange(256), rng.permutation(256), 255 - np.arange(256)], axis=1)
+    cloud = PointCloud(positions=rng.uniform(0, 1, (256, 3)), colors=colors.astype(np.uint8))
+    save_ply(cloud, tmp_path / "c.ply", format=fmt)
+    back = load_ply(tmp_path / "c.ply")
+    assert back.colors.dtype == np.uint8 and not back.colors.flags.writeable
+    assert back.colors.tobytes() == cloud.colors.tobytes()
+
+
 def test_empty_cloud_round_trip(tmp_path):
     cloud = PointCloud(positions=np.empty((0, 3)))
     path = tmp_path / "empty.ply"
@@ -257,7 +268,7 @@ def test_ascii_fast_path_reads_as_the_loop(tmp_path, monkeypatch, name):
             cloud = load_ply(path)
         except (ParseError, ValidationError) as exc:
             return type(exc), str(exc)
-        return tuple(None if a is None else a.view(np.uint64).tobytes()
+        return tuple(None if a is None else (a.dtype.str, a.tobytes())
                      for a in (cloud.positions, cloud.colors, cloud.normals))
 
     loop = ply_io._read_ascii_lines
