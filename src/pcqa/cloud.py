@@ -29,14 +29,13 @@ def _as_color_array(values) -> np.ndarray:
     """Read-only (N, 3) uint8 colours; other dtypes are checked as float64, then cast."""
     if np.asarray(values).dtype != np.uint8:
         col = _as_point_array(values, "colors")
-        ok = np.isfinite(col).all(axis=1)
-        ok &= (col >= 0.0).all(axis=1) & (col <= 255.0).all(axis=1)
+        ok = (col >= 0.0).all(axis=1) & (col <= 255.0).all(axis=1)  # False for NaN and inf
         if not ok.all():
             raise ValidationError(f"color out of range [0, 255] at point {_first_bad_row(~ok)}")
-        integral = (col == np.rint(col)).all(axis=1)
+        values = col.astype(np.uint8)  # truncates, so it equals col only where col is integral
+        integral = (values == col).all(axis=1)
         if not integral.all():
             raise ValidationError(f"non-integer color channel at point {_first_bad_row(~integral)}")
-        values = col.astype(np.uint8)
         values.setflags(write=False)  # fresh, so kept below
     return _as_point_array(values, "colors", np.uint8)
 

@@ -406,10 +406,10 @@ def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute
     )
 
 
-def _pad(parts, fill=0):
-    """(len(parts), longest, ...) stack of arrays, each filled past its end."""
+def _pad(parts):
+    """(len(parts), longest, ...) stack of arrays, each zero past its end."""
     sizes = np.array([len(part) for part in parts])
-    out = np.full((len(parts), sizes.max(), *parts[0].shape[1:]), fill, parts[0].dtype)
+    out = np.zeros((len(parts), sizes.max(), *parts[0].shape[1:]), parts[0].dtype)
     out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(parts)
     return out
 
@@ -423,23 +423,11 @@ def _match_batches(pairs) -> list:
 
 
 def _batch_match(pairs):
-    """(swap, baseline rows, valid rows, nearest target of each row) of a batch, all
-    padded per pair; matching reads positions only, and +inf padding never wins."""
-    sizes = np.array([(p.ref.size, p.dist.size) for p in pairs])
-    swap = sizes[:, 0] > sizes[:, 1]  # the distorted side is the baseline
-    m = sizes.min(axis=1)[:, None]
-    queries = _pad([(p.dist if s else p.ref).positions for p, s in zip(pairs, swap)])
-    targets = _pad([(p.ref if s else p.dist).positions for p, s in zip(pairs, swap)], np.inf)
-    valid = np.arange(queries.shape[1]) < m
-    owner, row = np.nonzero(valid)
-    near = np.zeros(valid.shape, dtype=np.intp)
-    # Each baseline row against its own pair's targets, as `_nearest_rows` measures it.
-    for block in row_blocks(owner.size, 3 * targets.shape[1] - 1):
-        d = targets[owner[block]]
-        np.subtract(queries[owner[block], row[block]][:, None], d, out=d)
-        d *= d
-        near[owner[block], row[block]] = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2]).argmin(axis=1)
-    return swap, m, valid, near
+    """(matched counts, valid rows, ref_order, dist_order) of a batch: each pair's
+    `match_and_align`, padded per pair."""
+    ref_order, dist_order = map(_pad, zip(*map(match_and_align, pairs)))
+    m = np.array([min(p.ref.size, p.dist.size) for p in pairs])[:, None]
+    return m, np.arange(ref_order.shape[1]) < m, ref_order, dist_order
 
 
 def _batch_similarities(pairs, ref_values, dist_values, match):
@@ -447,8 +435,7 @@ def _batch_similarities(pairs, ref_values, dist_values, match):
     pair as `match` is: zero past a side's end adds nothing to its sums (taken
     in row order)."""
     t1, t2, t3 = STABILIZERS
-    swap, m, valid, near = match
-    rows = np.arange(valid.shape[1])
+    m, valid, ref_order, dist_order = match
     centers = ref_values[[p.center_index for p in pairs]][:, None]
     batch, mask = np.arange(len(pairs))[:, None], valid[..., None]
 
@@ -459,10 +446,8 @@ def _batch_similarities(pairs, ref_values, dist_values, match):
         mean = matched.sum(axis=1) / m
         return gradients.sum(axis=1), mean, (matched - mean[:, None]) * mask
 
-    mass_r, mean_r, dev_r = side([p.ref for p in pairs], ref_values,
-                                 np.where(swap[:, None], near, rows))
-    mass_d, mean_d, dev_d = side([p.dist for p in pairs], dist_values,
-                                 np.where(swap[:, None], rows, near))
+    mass_r, mean_r, dev_r = side([p.ref for p in pairs], ref_values, ref_order)
+    mass_d, mean_d, dev_d = side([p.dist for p in pairs], dist_values, dist_order)
 
     def ratio(x, y, t):
         return (2.0 * x * y + t) / (x * x + y * y + t)

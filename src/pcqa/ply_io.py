@@ -166,14 +166,13 @@ def load_ply(path: str) -> PointCloud:
         def column(name):  # as stored: PointCloud widens floats, colours stay u1
             return record[f"f{names.index(name)}"]
 
-    positions = np.column_stack([column(c) for c in _COORD_NAMES])
-    colors = None
-    if has_colors:
-        colors = np.column_stack([column(c) for c in ("red", "green", "blue")])
-    normals = None
-    if has_normals:
-        normals = np.column_stack([column(c) for c in _NORMAL_NAMES])
-    return PointCloud(positions=positions, colors=colors, normals=normals)
+    def stack(names):  # frozen and fresh, so the cloud keeps it rather than copying it
+        out = np.column_stack([column(c) for c in names])
+        out.setflags(write=False)
+        return out
+    return PointCloud(positions=stack(_COORD_NAMES),
+                      colors=stack(("red", "green", "blue")) if has_colors else None,
+                      normals=stack(_NORMAL_NAMES) if has_normals else None)
 
 
 def _read_ascii_rows(path, body, count, width, header_lines):

@@ -565,6 +565,43 @@ class TestEval:
         assert mos_csv in diag["message"]
 
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("", "SchemaError", "empty file, expected a header row"),
+        ("content,distortion,mos\ncat,cn_1\n", "ParseError", "row 2: expected 3 fields, found 2"),
+    ], ids=["empty", "short-row"])
+    def test_malformed_mos_csv_exits_2_with_one_diagnostic(self, capsys, tmp_path,
+                                                           text, error, message):
+        scores_dir, mos_csv = self.build_corpus(tmp_path)
+        Path(mos_csv).write_text(text)
+        code, out, err = run(capsys, "eval", scores_dir, mos_csv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": error, "message": f"{mos_csv}: {message}"}
+
+    @pytest.mark.parametrize("scores", [[0.5], "0.5", None], ids=["list", "string", "null"])
+    def test_a_report_without_a_scores_object_is_skipped(self, capsys, tmp_path, scores):
+        scores_dir, mos_csv = self.build_corpus(tmp_path)
+        _, plain, _ = run(capsys, "eval", scores_dir, mos_csv)
+        other = {"content": "cat", "distortion": "cn_1", "scores": scores}
+        (Path(scores_dir) / "zz_other.json").write_text(json.dumps(other))
+        assert run(capsys, "eval", scores_dir, mos_csv) == (0, plain, "")
+        for path in Path(scores_dir).glob("[cd]*.json"):  # now no report has one
+            path.write_text(json.dumps(other))
+        code, out, err = run(capsys, "eval", scores_dir, mos_csv)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "DomainError", "message":
+                                   f"no score reports with a 'scores' object found in {scores_dir}"}
+
+    def test_a_duplicate_metric_for_one_key_exits_3_naming_the_file(self, capsys, tmp_path):
+        scores_dir, mos_csv = self.build_corpus(tmp_path)
+        twin = Path(scores_dir) / "zz_twin.json"
+        twin.write_text(json.dumps({"content": "dog", "distortion": "cn_2",
+                                    "scores": {"graphsim": 0.5}}))
+        code, out, err = run(capsys, "eval", scores_dir, mos_csv)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "DomainError", "message":
+                                   f"{twin}: duplicate score for metric 'graphsim' "
+                                   "at key ('dog', 'cn_2')"}
+
     def test_near_constant_mos_warns_on_stderr(self, capsys, tmp_path):
         # MOS values that differ only at roundoff scale: the correlation is
         # flagged on stderr, as scipy.stats.pearsonr flagged it.

@@ -19,6 +19,16 @@ def test_missing_column(tmp_path):
         load_mos_csv(write(tmp_path, "content,distortion\na,cn-1\n"))
 
 
+def test_empty_file(tmp_path):
+    with pytest.raises(SchemaError, match="empty file, expected a header row"):
+        load_mos_csv(write(tmp_path, ""))
+
+
+def test_short_row_names_row(tmp_path):
+    with pytest.raises(ParseError, match="row 3: expected 3 fields, found 2$"):
+        load_mos_csv(write(tmp_path, "content,distortion,mos\na,cn-1,5\nb,6\n"))
+
+
 def test_non_numeric_mos_names_row(tmp_path):
     with pytest.raises(ParseError, match="row 3"):
         load_mos_csv(write(tmp_path, "content,distortion,mos\na,cn-1,5\nb,cn-1,abc\n"))

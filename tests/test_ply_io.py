@@ -67,11 +67,45 @@ def test_big_endian_rejected(tmp_path):
         load_ply(path)
 
 
-def test_malformed_header_names_line(tmp_path):
+XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+@pytest.mark.parametrize("header, message", [
+    ("ply\nformat ascii 1.0\nelement vertex notanumber\nend_header\n",
+     "line 3: bad element count 'notanumber'"),
+    ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "end_header",
+     "end_header line is not terminated"),
+    ("ply\nformat ascii\nelement vertex 0\n" + XYZ + "end_header\n",
+     "line 2: malformed format line"),
+    ("ply\nformat ascii 2.0\nelement vertex 0\n" + XYZ + "end_header\n",
+     "line 2: unsupported format 'ascii 2.0'"),
+    ("ply\nformat ascii 1.0\nelement vertex\n" + XYZ + "end_header\n",
+     "line 3: malformed element line"),
+    ("ply\nformat ascii 1.0\nelement vertex -1\n" + XYZ + "end_header\n",
+     "line 3: negative element count"),
+    ("ply\nformat ascii 1.0\n" + XYZ + "element vertex 0\nend_header\n",
+     "line 3: property declared before any element"),
+    ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "property float\nend_header\n",
+     "line 7: malformed property line"),
+    ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "property quad w\nend_header\n",
+     "line 7: unknown property type 'quad'"),
+    ("ply\nelement vertex 0\n" + XYZ + "end_header\n", "header has no format line"),
+    ("ply\nformat ascii 1.0\nelement vertex 0\nproperty int x\nproperty float y\n"
+     "property float z\nend_header\n", "coordinate property 'x' must be float or double"),
+], ids=["bad-count", "unterminated", "malformed-format", "unsupported-format",
+        "malformed-element", "negative-count", "property-first", "malformed-property",
+        "unknown-type", "no-format", "integer-coordinate"])
+def test_malformed_header_names_line(tmp_path, capsys, header, message):
     path = tmp_path / "bad.ply"
-    path.write_text("ply\nformat ascii 1.0\nelement vertex notanumber\nend_header\n")
-    with pytest.raises(ParseError, match="line 3"):
+    path.write_text(header)
+    with pytest.raises(ParseError, match=f"^{path}: {message}$"):
         load_ply(path)
+    # Through the CLI: exit 2 and one JSON diagnostic, no traceback.
+    code = main(["distort", str(path), "--kind", "cn", "--level", "0.1",
+                 "--output", str(tmp_path / "out.ply")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ParseError", "message": f"{path}: {message}"}
 
 
 def test_missing_magic(tmp_path):
@@ -328,3 +362,19 @@ def test_truncated_or_junked_files_fail_as_parse_errors(fuzz_dir, fmt, junk, cut
     assert "Traceback" not in err.getvalue()
     diag = json.loads(err.getvalue().splitlines()[-1])
     assert (diag["error"], diag["message"]) == (type(failure).__name__, str(failure))
+
+
+@pytest.mark.parametrize("fmt", ["binary", "ascii"])
+def test_the_cloud_keeps_the_arrays_load_ply_stacks(tmp_path, monkeypatch, fmt):
+    # Each stacked array is fresh and frozen, so PointCloud keeps it, not a copy.
+    cloud = random_cloud(50, seed=6, normals=True)
+    save_ply(cloud, tmp_path / "c.ply", format=fmt)
+    column_stack, stacked = np.column_stack, []
+    monkeypatch.setattr(np, "column_stack",
+                        lambda columns: stacked.append(column_stack(columns)) or stacked[-1])
+    loaded = load_ply(tmp_path / "c.ply")
+    positions, colors, normals = stacked
+    assert loaded.positions is positions and loaded.normals is normals
+    # Binary colours are u1 as stored; ascii ones are parsed as float64, then cast.
+    assert (loaded.colors is colors) == (fmt == "binary")
+    assert np.array_equal(loaded.colors, colors)

@@ -104,6 +104,19 @@ def test_degenerate_cloud_warns_and_falls_back():
     assert np.all(keypoints.scores == 0.0)
 
 
+def test_too_few_positive_scores_fall_back_to_a_uniform_draw():
+    # Two outliers off a coincident group: only they score above zero.
+    cloud = PointCloud(positions=np.vstack([np.zeros((40, 3)), [[5.0, 0, 0], [0, 5.0, 0]]]))
+    config = ResampleConfig(count=5, graph_k=5, seed=3)
+    scores = frequency_scores(cloud, config)
+    assert np.count_nonzero(scores) == 2 < config.count
+    with pytest.warns(DegenerateCloudWarning, match="only 2 points have positive scores"):
+        keypoints = resample(cloud, config)
+    uniform = np.sort(np.random.default_rng(3).choice(42, size=5, replace=False))
+    assert np.array_equal(keypoints.indices, uniform)
+    assert np.array_equal(keypoints.scores, scores[uniform])
+
+
 def test_large_coincident_cloud_scores_zero():
     # Every row's k-th distance is 0: the whole group of 20k duplicates is
     # tied, and the exact table must not cost the square of its size.
