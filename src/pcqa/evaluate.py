@@ -8,7 +8,6 @@ scores, and RMSE on the mapped scores.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
@@ -57,62 +56,97 @@ class LogisticFit:
         return _logistic(x, *self.params)
 
 
-def _linear_fallback(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
-    design = np.column_stack([x, np.ones_like(x)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return (0.0, 1.0, 0.0, float(slope), float(intercept))
+MAX_ITERATIONS = 100  # Levenberg-Marquardt steps of the run that logistic_fit keeps
+
+
+def _solve_linear(x: np.ndarray, y: np.ndarray, b2: float, b3: float) -> tuple[np.ndarray, float]:
+    """The five parameters, b1, b4 and b5 by least squares for fixed (b2, b3), and their SSE."""
+    s = _logistic(x, 1.0, b2, b3, 0.0, 0.0)
+    (b1, b4, b5), *_ = np.linalg.lstsq(np.column_stack([s, x, np.ones_like(x)]), y, rcond=None)
+    params = np.array([b1, b2, b3, b4, b5])
+    return params, float(np.sum((y - _logistic(x, *params)) ** 2))
+
+
+def _refine(x, y, params, sse, lo, hi, steps=MAX_ITERATIONS):
+    """Levenberg-Marquardt on the analytic Jacobian and Hessian, with (b2, b3) kept in
+    [lo, hi] and b1, b4, b5 solved again at each trial; returns (params, sse, iterations)."""
+    damping = 1e-3
+    for iteration in range(1, steps + 1):
+        b1, b2, b3 = params[:3]
+        s = _logistic(x, 1.0, b2, b3, 0.0, 0.0)
+        u, ds = x - b3, 0.25 - s * s  # ds/dz at z = b2 * u
+        dds = -2.0 * s * ds
+        r = y - _logistic(x, *params)
+        jac = np.column_stack([s, b1 * ds * u, -b1 * b2 * ds, x, np.ones_like(x)])
+        cross = -b1 * (ds + b2 * dds * u)
+        second = np.array([[0.0 * u, ds * u, -b2 * ds],  # the map's second derivatives
+                           [ds * u, b1 * dds * u * u, cross],
+                           [-b2 * ds, cross, b1 * b2 * b2 * dds]])
+        hess, grad = jac.T @ jac, jac.T @ r
+        hess[:3, :3] -= second @ r
+        # A parameter at a bound that the step would cross is held there.
+        theta, slope = params[1:3], grad[1:3]
+        pinned = 1 + np.flatnonzero(((theta <= lo) & (slope < 0)) | ((theta >= hi) & (slope > 0)))
+        hess[pinned], hess[:, pinned], grad[pinned] = 0.0, 0.0, 0.0
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0
+        while True:
+            step = np.linalg.solve(hess / np.outer(scale, scale) + damping * np.eye(5),
+                                   grad / scale) / scale
+            trial, trial_sse = _solve_linear(x, y, *np.clip(params[1:3] + step[1:3], lo, hi))
+            if trial_sse <= sse * (1.0 + 1e-15):
+                break
+            if (damping := damping * 10.0) > 1e16:
+                return params, sse, iteration
+        moved = max(abs(trial[1] - b2) / trial[1], abs(trial[2] - b3) * trial[1])
+        params, sse, damping = trial, trial_sse, max(damping / 10.0, 1e-12)
+        if moved <= 1e-10:
+            return params, sse, iteration
+    return params, sse, steps
 
 
 def logistic_fit(predictions: Sequence[float], ratings: Sequence[float]) -> LogisticFit:
     """Fit the five-parameter map, falling back to least squares.
 
-    The nonlinear fit starts from a sign-aware guess: amplitude covering
-    the rating range, slope scaled by the score spread, knee at the median
-    score. When the optimizer fails to converge or converges worse than a
-    straight line, the straight line wins.
+    b1, b4 and b5 are the least-squares solve for fixed (b2, b3) (variable
+    projection). With b1 carrying the sign, b2 stays in [0.5, 100] / ptp(x)
+    and b3 within one score range of the scores. The best point of each
+    quarter of the slopes of a 24 x 24 grid over that box takes 5
+    Levenberg-Marquardt steps; the lowest SSE then runs until a step moves b2
+    by at most 1e-10 of itself and b3 by at most 1e-10 / b2, until no damped
+    step keeps the SSE within 1e-15 of its value, or for MAX_ITERATIONS steps.
+    Constant scores or ratings give the constant map; fewer than five points,
+    or a fit worse than the straight line, give the line.
     """
     x = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(ratings, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DomainError("predictions and ratings must be 1-d and the same length")
+    if x.shape != y.shape or x.ndim != 1 or not np.isfinite([x, y]).all():
+        raise DomainError("predictions and ratings must be finite, 1-d and the same length")
     if x.size < MIN_GROUP_SIZE:
         raise DomainError(f"need at least {MIN_GROUP_SIZE} pairs to fit, got {x.size}")
 
-    if np.ptp(x) == 0.0:
-        # Constant predictor: nothing to regress on.
-        return LogisticFit((0.0, 1.0, 0.0, 0.0, float(np.mean(y))), fallback=True, degenerate=True)
+    if (span := np.ptp(x)) == 0.0 or np.ptp(y) == 0.0:  # nothing to regress on, or to
+        return LogisticFit((0.0, 1.0, 0.0, 0.0, float(np.mean(y))), fallback=True,
+                           degenerate=bool(span == 0.0))
 
-    direction = 1.0 if np.corrcoef(x, y)[0, 1] >= 0 else -1.0
-    spread = float(np.std(x))
-    initial = (
-        direction * float(np.ptp(y)),
-        1.0 / spread if spread > 0 else 1.0,
-        float(np.median(x)),
-        0.0,
-        float(np.mean(y)),
-    )
-
-    linear = _linear_fallback(x, y)
+    (slope, intercept), *_ = np.linalg.lstsq(np.column_stack([x, np.ones_like(x)]), y, rcond=None)
+    linear = (0.0, 1.0, 0.0, float(slope), float(intercept))
     linear_sse = float(np.sum((_logistic(x, *linear) - y) ** 2))
-
-    if x.size < 5:
-        # Fewer points than parameters: only the straight line is
-        # identifiable.
+    if x.size < 5:  # fewer points than parameters: only the straight line is identifiable
         return LogisticFit(linear, fallback=True)
 
-    from scipy import optimize
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", optimize.OptimizeWarning)
-            params, _ = optimize.curve_fit(_logistic, x, y, p0=initial, maxfev=20000)
-        params = tuple(float(p) for p in params)
-        sse = float(np.sum((_logistic(x, *params) - y) ** 2))
-    except (RuntimeError, optimize.OptimizeWarning):
-        params, sse = None, math.inf
-
-    if params is None or not math.isfinite(sse) or sse > linear_sse:
-        return LogisticFit(linear, fallback=True)
-    return LogisticFit(params)
+    lo, hi = np.array([0.5 / span, x.min() - span]), np.array([100.0 / span, x.max() + span])
+    b2, b3 = np.meshgrid(np.geomspace(lo[0], hi[0], 24), np.linspace(lo[1], hi[1], 24),
+                         indexing="ij")
+    line = np.linalg.qr(np.column_stack([np.ones_like(x), x]))[0]
+    s = _logistic(x, 1.0, b2.reshape(-1, 1), b3.reshape(-1, 1), 0.0, 0.0)
+    s, rest = s - (s @ line) @ line.T, y - line @ (line.T @ y)  # both off the straight line
+    gain = ((s @ rest) ** 2 / np.maximum(np.einsum("ij,ij->i", s, s), 1e-300)).reshape(4, 144)
+    runs = [_refine(x, y, *_solve_linear(x, y, b2.flat[i], b3.flat[i]), lo, hi, steps=5)
+            for i in np.argmax(gain, axis=1) + 144 * np.arange(4)]
+    params, sse, _ = _refine(x, y, *min(runs, key=lambda run: run[1])[:2], lo, hi)
+    fit = LogisticFit(tuple(float(p) for p in params))
+    return fit if sse <= linear_sse else LogisticFit(linear, fallback=True)  # a NaN SSE too
 
 
 class NearConstantInputWarning(RuntimeWarning):

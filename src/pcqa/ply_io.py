@@ -184,7 +184,8 @@ def _read_ascii_rows(path, body, count, width, header_lines):
     comes up short, goes through the loop, as does a body of fewer lines than
     `count`, so the header alone never sizes a buffer."""
     plain = not body.translate(None, b"0123456789+-.eE \t\r\n")
-    if plain and count <= body.count(b"\n") + 1 and body.count(b"\r") == body.count(b"\r\n"):
+    if plain and count <= body.count(b"\n") + 1 and (  # no \r, the common case, skips two counts
+            b"\r" not in body or body.count(b"\r") == body.count(b"\r\n")):
         with warnings.catch_warnings(), contextlib.suppress(ValueError):
             warnings.simplefilter("ignore")  # blank lines and empty bodies warn
             table = np.loadtxt(io.BytesIO(body), comments=None,

@@ -21,11 +21,15 @@ on a copy of its positions, as a PLY load gives one.
 The resample sweep keeps each reference's keypoints (indices and scores)
 under both methods and two seeds. The distortions sweep keeps the positions
 and colours that every distortion kind gives at two levels, on the first
-DISTORTED points of the volume and the lattice. The evaluate sweep keeps one
-`evaluate_records` block of a four-record table under both fit scopes.
+DISTORTED points of the volume and the lattice. The evaluate sweep keeps the
+`evaluate_records` blocks of a four-record table, where every fit is the
+straight line, and of a 64-record table on the logistic path, each under
+both fit scopes.
 
 Indices and counts must match exactly; floats within RTOL relative, since
-SIMD `exp`/`log` may differ by an ulp between CPUs.
+SIMD `exp`/`log` may differ by an ulp between CPUs, and the logistic blocks
+within LOGISTIC_RTOL: nudging every score or rating of that table by one ulp
+moves none of its floats by more than 4.1e-13 relative.
 
     python tests/golden.py            # compare with the committed file
     python tests/golden.py --update   # rewrite tests/golden/*.json
@@ -61,6 +65,7 @@ from pcqa.distort import KINDS, LEVEL_PRESETS  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
+LOGISTIC_RTOL = 1e-9
 KEYPOINTS = 12
 STIMULI = {"cn": 0.08, "ggn": 0.008, "ds": 0.55, "ot": 7}
 DISTORTED = 150
@@ -193,38 +198,62 @@ def distortion_reports() -> dict[str, dict]:
     return out
 
 
+def logistic_records() -> list[dict]:
+    """64 records of 4 contents x 4 distortions, 4 each, whose ratings follow a
+    logistic of the score (knee shifted per content) plus rating noise, so
+    every fit, overall and per group, takes the logistic path."""
+    rng = np.random.default_rng(27)
+    records = []
+    for c in range(4):
+        for d in range(4):
+            for _ in range(4):
+                score = float(rng.uniform(0.2, 1.0))
+                mos = 1.0 + 4.0 / (1.0 + np.exp(-9.0 * (score - 0.55 - 0.03 * c)))
+                records.append({"content": f"c{c}", "distortion": f"d{d}", "score": score,
+                                "mos": float(mos + rng.normal(0.0, 0.25))})
+    return records
+
+
 def evaluate_reports() -> dict[str, dict]:
-    """Four records, so that every fit is the straight-line one: the logistic fit
-    stops at a tolerance, and an ulp of `exp` moves its parameters by up to 5e-5.
-    The fourth record's content and the second's distortion fall below the
-    smallest group; the others form one group on each axis, with a tied score."""
+    """The four-record table's blocks, named by fit scope, and the logistic ones.
+    With four records every fit is the straight line. The fourth record's
+    content and the second's distortion fall below the smallest group; the
+    others form one group on each axis, with a tied score."""
     rows = (("slab", "ot", 0.62, 3.9), ("slab", "ds", 0.35, 2.2),
             ("slab", "ot", 0.62, 3.4), ("lattice", "ot", 0.80, 4.5))
     records = [dict(zip(("content", "distortion", "score", "mos"), row)) for row in rows]
-    return {scope: evaluate_records(records, fit_scope=scope).to_dict()
-            for scope in ("global", "per-group")}
+    out = {}
+    for scope in ("global", "per-group"):
+        out[scope] = evaluate_records(records, fit_scope=scope).to_dict()
+        out[f"logistic {scope}"] = evaluate_records(logistic_records(), fit_scope=scope).to_dict()
+    return out
+
+
+def tolerance(name: str) -> float:
+    """The relative tolerance that the report `name` is compared at."""
+    return LOGISTIC_RTOL if name.startswith("logistic") else RTOL
 
 
 SWEEPS = {"graphsim": reports, "baselines": baseline_reports, "resample": resample_reports,
           "distortions": distortion_reports, "evaluate": evaluate_reports}
 
 
-def differences(want, got, path=""):
+def differences(want, got, path="", rtol=RTOL):
     """(path, relative difference) for every leaf where got differs from want:
-    floats beyond RTOL relative, anything else at all (inf when not comparable)."""
+    floats beyond rtol relative, anything else at all (inf when not comparable)."""
     if isinstance(want, dict) and isinstance(got, dict):
         if want.keys() != got.keys():
             return [(path, float("inf"))]
-        return [d for key in want for d in differences(want[key], got[key], f"{path}/{key}")]
+        return [d for key in want for d in differences(want[key], got[key], f"{path}/{key}", rtol)]
     if isinstance(want, list) and isinstance(got, list):
         if len(want) != len(got):
             return [(path, float("inf"))]
         return [d for i, (w, g) in enumerate(zip(want, got))
-                for d in differences(w, g, f"{path}[{i}]")]
+                for d in differences(w, g, f"{path}[{i}]", rtol)]
     if type(want) is float and type(got) is float:
         scale = max(abs(want), abs(got))
         rel = 0.0 if want == got else abs(want - got) / scale
-        return [(path, rel)] if rel > RTOL else []
+        return [(path, rel)] if rel > rtol else []
     return [] if type(want) is type(got) and want == got else [(path, float("inf"))]
 
 
@@ -255,7 +284,7 @@ def main(argv) -> int:
         worst: dict[str, float] = {}
         changed = 0
         for name in sorted(want.keys() | got.keys()):
-            found = differences(want.get(name), got.get(name))
+            found = differences(want.get(name), got.get(name), rtol=tolerance(name))
             changed += bool(found)
             for at, rel in found:
                 field = at.split("[")[0] or "(whole report)"

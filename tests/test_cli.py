@@ -620,6 +620,25 @@ class TestEval:
         assert diag["warning"] == "NearConstantInputWarning"
         assert "nearly constant" in diag["message"]
 
+    def test_constant_mos_fits_without_runtime_warnings(self, capsys, tmp_path):
+        # Every MOS equal: the constant map fits them exactly, and no step of the
+        # fit divides by their zero spread.
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        rows = ["content,distortion,mos"]
+        for i in range(6):
+            rows.append(f"cat,d{i},3.0")
+            (scores_dir / f"{i}.json").write_text(json.dumps(
+                {"content": "cat", "distortion": f"d{i}", "scores": {"graphsim": 0.1 * i}}))
+        mos_csv = tmp_path / "mos.csv"
+        mos_csv.write_text("\n".join(rows) + "\n")
+        target = tmp_path / "eval.json"
+        code, _, err = run(capsys, "eval", str(scores_dir), str(mos_csv), "--output", str(target))
+        assert code == 0
+        assert "RuntimeWarning" not in err
+        overall = json.loads(target.read_text())["metrics"]["graphsim"]["overall"]
+        assert (overall["plcc"], overall["srocc"], overall["rmse"]) == (0.0, 0.0, 0.0)
+
 
     def test_unfittable_metric_is_named(self, capsys, tmp_path):
         # m-p2po is infinite on identical pairs: two finite scores are left to fit.

@@ -8,8 +8,10 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from pcqa import DomainError, evaluate_records, evaluate_scores, logistic_fit
-from pcqa.evaluate import NearConstantInputWarning, plcc, rmse, srocc
+from pcqa import evaluate as evaluate_module
+from pcqa.evaluate import MAX_ITERATIONS, NearConstantInputWarning, plcc, rmse, srocc
 
+from golden import LOGISTIC_RTOL, logistic_records
 from oracles import spearman as spearman_oracle
 
 
@@ -67,6 +69,101 @@ class TestLogisticFit:
         fit = logistic_fit(x, y)
         assert len(fit.params) == 5
         assert np.isfinite(fit.params).all()
+
+    def test_non_finite_input_is_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            logistic_fit([1.0, 2.0, np.nan, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_constant_ratings_fit_the_constant_map_without_warnings(self):
+        x = np.linspace(0.1, 0.6, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_scores(x, np.full(6, 3.0))
+        assert (report.plcc, report.srocc, report.rmse) == (0.0, 0.0, 0.0)
+        assert report.fit_fallback and not report.degenerate
+
+    def test_fit_repeats_under_one_ulp_nudges(self):
+        # The golden logistic table: the fit runs to its minimum, so moving every
+        # rating (or score) by one ulp moves the outputs by rounding only. The
+        # golden file compares these blocks at LOGISTIC_RTOL.
+        records = logistic_records()
+        x = np.array([r["score"] for r in records])
+        y = np.array([r["mos"] for r in records])
+        base = evaluate_scores(x, y)
+        assert not base.fit_fallback
+        for nx, ny in ((x, np.nextafter(y, np.inf)), (x, np.nextafter(y, -np.inf)),
+                       (np.nextafter(x, np.inf), y)):
+            got = evaluate_scores(nx, ny)
+            for want, have in ((base.fit_params, got.fit_params), (base.plcc, got.plcc),
+                               (base.rmse, got.rmse)):
+                np.testing.assert_allclose(have, want, rtol=LOGISTIC_RTOL, atol=0)
+
+
+def study_table(seed, n=50):
+    """A seeded n-record table: ratings follow a steep logistic, a straight line,
+    a concave curve or a gentle logistic on a 0-40 score scale, plus noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, n)
+    if seed % 4 == 0:
+        y = 1 + 4 / (1 + np.exp(-8 * (x - 0.5))) + rng.normal(0, 0.3, n)
+    elif seed % 4 == 1:
+        y = 1 + 4 * x + rng.normal(0, 0.4, n)
+    elif seed % 4 == 2:
+        y = 5 - 3 * x ** 2 + rng.normal(0, 0.3, n)
+    else:
+        x = 40 * x
+        y = 1 + 4 / (1 + np.exp(-(x - 25) / 3)) + rng.normal(0, 0.5, n)
+    return x, y
+
+
+def curve_fit_params(x, y):
+    """The fit `pcqa eval` made before: scipy's curve_fit from a sign-aware guess,
+    the straight line when it fails or ends worse than the line."""
+    from scipy import optimize
+    line = np.polyfit(x, y, 1)
+    line_params = (0.0, 1.0, 0.0, *line)
+    guess = (np.sign(np.corrcoef(x, y)[0, 1]) * np.ptp(y), 1 / np.std(x), np.median(x), 0.0,
+             np.mean(y))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", optimize.OptimizeWarning)
+            params, _ = optimize.curve_fit(evaluate_module._logistic, x, y, p0=guess, maxfev=20000)
+    except RuntimeError:
+        return line_params
+    return min((tuple(params), line_params), key=lambda p: sse(x, y, p))
+
+
+def sse(x, y, params):
+    return float(np.sum((y - evaluate_module._logistic(x, *params)) ** 2))
+
+
+def test_fit_is_at_least_as_good_as_curve_fit(monkeypatch):
+    # On 40 seeded 50-record tables the fit's SSE is never above curve_fit's,
+    # except where curve_fit's slope or knee lies outside the box the fit keeps
+    # (b2 * ptp(x) in [0.5, 100], the knee within one score range): there the
+    # map is a near-cubic, a near-step or a near-exponential. Each run that
+    # logistic_fit keeps converges before the cap.
+    kept = []
+    refine = evaluate_module._refine
+
+    def counting(*args, **kwargs):
+        run = refine(*args, **kwargs)
+        if not kwargs:  # the run that is kept, not a 5-step start
+            kept.append(run[2])
+        return run
+
+    monkeypatch.setattr(evaluate_module, "_refine", counting)
+    outside = []
+    for seed in range(40):
+        x, y = study_table(seed)
+        ours, theirs = logistic_fit(x, y).params, curve_fit_params(x, y)
+        if sse(x, y, ours) > sse(x, y, theirs):
+            span = np.ptp(x)
+            b2, b3 = abs(theirs[1]) * span, theirs[2]
+            assert not (0.5 <= b2 <= 100 and x.min() - span <= b3 <= x.max() + span), seed
+            outside.append(seed)
+    assert len(kept) == 40 and max(kept) < MAX_ITERATIONS
+    assert set(outside) <= {2}  # here curve_fit's knee sits two score ranges above the scores
 
 
 class TestCorrelations:

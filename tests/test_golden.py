@@ -10,8 +10,9 @@ import golden
 def _assert_sweep_equals_the_golden_file(sweep):
     want, got = golden.load(sweep), golden.SWEEPS[sweep]()
     assert sorted(got) == sorted(want)
-    differing = {name: golden.differences(want[name], got[name])[:3]
-                 for name in want if golden.differences(want[name], got[name])}
+    found = {name: golden.differences(want[name], got[name], rtol=golden.tolerance(name))
+             for name in want}
+    differing = {name: diffs[:3] for name, diffs in found.items() if diffs}
     assert not differing, (len(differing), dict(list(differing.items())[:5]))
 
 
@@ -36,6 +37,8 @@ def test_evaluation_equals_the_golden_file():
 
 
 def test_the_comparison_is_exact_on_ints_and_relative_on_floats():
+    assert golden.tolerance("logistic global") == golden.LOGISTIC_RTOL
+    assert golden.tolerance("global") == golden.RTOL
     rtol = golden.RTOL
     assert golden.differences({"a": [1, 2.0]}, {"a": [1, 2.0 * (1 + rtol / 2)]}) == []
     assert golden.differences({"a": [1, 2.0]}, {"a": [1, 2.0 * (1 + 4 * rtol)]})[0][0] == "/a[1]"

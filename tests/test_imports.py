@@ -49,3 +49,25 @@ def test_distort_runs_without_scipy_spatial(tmp_path):
     assert target.exists()
     assert "pcqa.distort" in loaded
     assert not [m for m in loaded if m == "scipy.spatial" or m.startswith("scipy.spatial.")]
+
+
+def test_eval_runs_without_scipy(tmp_path):
+    # The logistic fit is numpy only: `pcqa eval` on five reports loads no scipy module.
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    rows = ["content,distortion,mos"]
+    for i in range(5):
+        rows.append(f"c,d{i},{1.0 + i + 0.1 * (i % 2)}")
+        (reports / f"{i}.json").write_text(json.dumps(
+            {"content": "c", "distortion": f"d{i}", "scores": {"graphsim": 0.2 * i + 0.01}}))
+    (tmp_path / "mos.csv").write_text("\n".join(rows) + "\n")
+    target = tmp_path / "eval.json"
+    loaded = loaded_after(
+        "from pcqa.cli import main\n"
+        f"assert main(['eval', {str(reports)!r}, {str(tmp_path / 'mos.csv')!r},"
+        f" '--output', {str(target)!r}]) == 0"
+    )
+    report = json.loads(target.read_text())
+    assert report["metrics"]["graphsim"]["overall"]["fit"]["fallback"] is False
+    assert "pcqa.evaluate" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []

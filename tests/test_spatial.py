@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from pcqa import (
+    DistortionSpec,
     DomainError,
     GraphSimConfig,
     PointCloud,
     ResampleConfig,
     SpatialIndex,
+    apply_distortion,
     estimate_normals,
     frequency_scores,
     graphsim,
@@ -16,6 +18,7 @@ from pcqa import (
     psnr_yuv,
     run_baselines,
 )
+from pcqa.jsonutil import canonical_dumps
 
 from helpers import random_cloud, streamed_self_table
 from oracles import brute_knn, brute_radius
@@ -316,3 +319,49 @@ class TestCloudOwnsItsTree:
     def test_empty_cloud_has_no_tree(self):
         with pytest.raises(DomainError):
             PointCloud(positions=np.empty((0, 3))).spatial_index
+
+
+def _one_worker_tree(calls):
+    """A cKDTree subclass whose bulk queries run on one thread whatever
+    `workers` they ask for; each query is counted in `calls`."""
+    from scipy.spatial import cKDTree
+
+    class OneWorkerTree(cKDTree):
+        def query(self, *args, **kwargs):
+            calls.append("query")
+            return super().query(*args, **dict(kwargs, workers=1))
+
+        def query_ball_point(self, *args, **kwargs):
+            calls.append("query_ball_point")
+            return super().query_ball_point(*args, **dict(kwargs, workers=1))
+
+    return OneWorkerTree
+
+
+def _worker_reports(reference, kind, level):
+    """Report bytes of graphsim (color and normal signals) and run_baselines on a
+    fresh copy of `reference` against its `kind` stimulus, so no cache carries over."""
+    ref = PointCloud(positions=np.array(reference.positions), colors=reference.colors)
+    stim = apply_distortion(ref, DistortionSpec(kind, level, seed=3))
+    config = GraphSimConfig(signal_kind=("color", "normal"), resample=ResampleConfig(count=24))
+    baselines = {metric: [r.value, r.forward_db, r.backward_db]
+                 for metric, r in run_baselines(ref, stim).items()}
+    return canonical_dumps(graphsim(ref, stim, config).to_report(config)), canonical_dumps(baselines)
+
+
+@pytest.mark.parametrize("kind,level", [("ggn", 0.008), ("ot", 6)])
+@pytest.mark.parametrize("shape", ["lattice", "continuous"])
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch, shape, kind, level):
+    # Bulk queries ask cKDTree for every core; each row is answered on its own,
+    # so one thread must give the same bytes, ties on a lattice included.
+    rng = np.random.default_rng(17)
+    if shape == "lattice":  # 1,728 sites for 2,500 points: repeated points and ties
+        positions = rng.integers(0, 12, (2500, 3)).astype(np.float64)
+    else:
+        positions = rng.uniform(0.0, 10.0, (2500, 3))
+    reference = PointCloud(positions=positions, colors=rng.integers(0, 256, (2500, 3)).astype(np.uint8))
+    default = _worker_reports(reference, kind, level)
+    calls = []
+    monkeypatch.setattr("scipy.spatial.cKDTree", _one_worker_tree(calls))
+    assert _worker_reports(reference, kind, level) == default
+    assert "query" in calls and "query_ball_point" in calls
