@@ -211,7 +211,7 @@ def combine_channel_psnr(y_db: float, u_db: float, v_db: float) -> float:
 def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
     if not (ref.has_colors and dist.has_colors):
         raise DomainError("psnr_yuv requires colors on both clouds")
-    ref_yuv = to_yuv(ref.colors / 255.0) * 255.0
+    ref_yuv = ref._cached(("yuv 0-255",), lambda: to_yuv(ref.colors / 255.0) * 255.0)
     dist_yuv = to_yuv(dist.colors / 255.0) * 255.0
 
     def direction(from_yuv, to_yuv_values, matches):
@@ -256,9 +256,6 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     box = bounding_box(ref) if matches[0] is matches[1] else \
         merged_bounding_box(bounding_box(ref), bounding_box(dist))  # one geometry: one box
     results: dict[str, BaselineResult] = {}
-    if "psnr-yuv" in metrics:  # first: its YUV arrays are gone before the normals are made
-        results["psnr-yuv"] = _color_psnr(ref, dist, matches)
-
     geometry = [m for m in metrics if m != "psnr-yuv"]
     ref_normals = None
     if any(m.endswith("p2pl") for m in geometry):
@@ -273,4 +270,7 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
             forward_db=geometry_psnr(pair.forward, box),
             backward_db=geometry_psnr(pair.backward, box),
         )
+    del squared  # last, so the reference's kept YUV table is made after these are freed
+    if "psnr-yuv" in metrics:
+        results["psnr-yuv"] = _color_psnr(ref, dist, matches)
     return {m: results[m] for m in metrics}

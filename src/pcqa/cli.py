@@ -313,19 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = args.func(args)
-        for w in caught:
-            _diag({"warning": w.category.__name__, "message": str(w.message)})
-        return code
-    except (ParseError, ValidationError, OSError) as exc:
-        _diag({"error": type(exc).__name__, "message": str(exc)})
-        return 2
-    except DomainError as exc:
-        _diag({"error": type(exc).__name__, "message": str(exc)})
-        return 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, error = args.func(args), None
+        except (ParseError, ValidationError, OSError) as exc:
+            code, error = 2, exc
+        except DomainError as exc:
+            code, error = 3, exc
+    # A failed command's warnings often explain it: they come first, then the error.
+    for w in caught:
+        _diag({"warning": w.category.__name__, "message": str(w.message)})
+    if error is not None:
+        _diag({"error": type(error).__name__, "message": str(error)})
+    return code
 
 
 if __name__ == "__main__":

@@ -121,11 +121,14 @@ class PointCloud:
 
     def _cached(self, key: tuple, compute):
         """compute() on the first call per key, kept in `_results` for the cloud's
-        lifetime, its ndarrays read-only; a compute that raises stores nothing."""
+        lifetime; its ndarrays (the value, a tuple's items or an object's attributes)
+        are made read-only. A compute that raises stores nothing."""
         store = self.__dict__.setdefault("_results", {})
         if key not in store:
             value = compute()
-            for arr in value if isinstance(value, tuple) else (value,):
+            parts = value if isinstance(value, tuple) else \
+                (value, *getattr(value, "__dict__", {}).values())
+            for arr in parts:
                 if isinstance(arr, np.ndarray):
                     arr.setflags(write=False)
             store[key] = value

@@ -458,13 +458,17 @@ def _batch_similarities(pairs, ref_values, dist_values, match):
 
 
 def _signals(cloud: PointCloud, config: GraphSimConfig, geometry: PointCloud,
-             stored: bool = True) -> list:
+             stored: bool = True, keep: bool = False) -> list:
     """The cloud's signal of each configured kind. Normals are the cloud's stored
     ones when it has them and `stored` holds, else the estimate kept on
-    `geometry`, a cloud with the same positions."""
+    `geometry`, a cloud with the same positions. With `keep` (the reference), the
+    colour signal is kept on the cloud per colour space."""
     def signal(kind):
+        space = config.color_space
+        if kind == "color" and keep:
+            return cloud._cached(("color signal", space), lambda: decompose(cloud, space))
         if kind == "color":
-            return decompose(cloud, config.color_space)
+            return decompose(cloud, space)
         if kind == "coordinate":
             return SignalAttribute(cloud.positions, kind, ("x", "y", "z"))
         normals = cloud.normals if stored and cloud.has_normals else \
@@ -499,8 +503,8 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     same = same_geometry(ref, dist)  # then its clusters and normals are the reference's
     # Normals of one kind: stored (oriented) on both sides, else estimated on both.
     stored = ref.has_normals and dist.has_normals
-    # After the keypoint stage, so decomposed colours are never live beside the filter.
-    ref_signals = _signals(ref, config, ref, stored)
+    # After the keypoint stage: a first call's colours are never live beside the filter.
+    ref_signals = _signals(ref, config, ref, stored, keep=True)
     dist_signals = _signals(dist, config, ref if same else dist, stored)
     weights = [np.asarray(CHANNEL_WEIGHTS[config.color_space]) if s.kind == "color"
                else np.ones(3) for s in ref_signals]

@@ -80,7 +80,7 @@ class ResampleConfig:
 
 @dataclass(frozen=True, eq=False)
 class KeypointSet:
-    """Selected keypoint indices with their selection scores."""
+    """Selected keypoint indices with their selection scores (read-only when kept by `resample`)."""
 
     indices: np.ndarray
     scores: np.ndarray
@@ -174,32 +174,36 @@ def resample(cloud: PointCloud, config: ResampleConfig | None = None) -> Keypoin
     score; if the scores cannot support the requested count (all zero, or
     fewer positive scores than keypoints) sampling falls back to uniform
     with a warning. Under "random", draws are uniform and scores are
-    recorded as 1.
+    recorded as 1. The set is kept on the cloud per config, so a repeated
+    call returns the same read-only set; its warnings are emitted again.
     """
     config = config or ResampleConfig()
     n = cloud.count
     if n == 0:
         raise DomainError("cannot resample an empty cloud")
     beta = config.resolve_count(n)
-    rng = np.random.default_rng(config.seed)
 
-    p = None
+    weighted = False
     if config.method == "high-pass":
         scores = frequency_scores(cloud, config)
         total = scores.sum()
         positive = int(np.count_nonzero(scores))
-        if total > 0.0 and positive >= beta:
-            p = scores / total
-        elif total > 0.0:
+        weighted = total > 0.0 and positive >= beta
+        if total > 0.0 and not weighted:
             warnings.warn(
                 f"only {positive} points have positive scores for {beta} "
                 "keypoints; falling back to uniform sampling",
                 DegenerateCloudWarning,
             )
-    chosen = np.sort(rng.choice(n, size=beta, replace=False, p=p))
-    if config.method == "random":
-        return KeypointSet(indices=chosen, scores=np.ones(beta))
-    return KeypointSet(indices=chosen, scores=scores[chosen])
+
+    def draw():
+        rng, p = np.random.default_rng(config.seed), scores / total if weighted else None
+        chosen = np.sort(rng.choice(n, size=beta, replace=False, p=p))
+        if config.method == "random":
+            return KeypointSet(indices=chosen, scores=np.ones(beta))
+        return KeypointSet(indices=chosen, scores=scores[chosen])
+    # The draw depends on the cloud and the config alone; the warnings above repeat per call.
+    return cloud._cached(("keypoints", config), draw)
 
 
 def write_keypoints_csv(path: str, cloud: PointCloud, keypoints: KeypointSet) -> None:

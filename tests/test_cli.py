@@ -453,6 +453,39 @@ class TestResample:
         assert diag["warning"] == "DegenerateCloudWarning"
 
 
+ZERO_SCORES_WARNING = ('{"message": "degenerate geometry: all frequency scores are zero", '
+                       '"warning": "DegenerateCloudWarning"}\n')
+
+
+@pytest.fixture
+def coincident_ply(tmp_path):
+    path = tmp_path / "c.ply"
+    save_ply(PointCloud(positions=np.zeros((50, 3)), colors=np.full((50, 3), 7, np.uint8)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("distorted, code, error", [
+    (None, 3, "DomainError"),  # the pair itself: no cluster, so no scorable graph
+    ("missing.ply", 2, "FileNotFoundError"),  # read after the keypoint stage warned
+])
+def test_failed_command_prints_its_warnings_before_the_error(
+        capsys, coincident_ply, tmp_path, distorted, code, error):
+    distorted = coincident_ply if distorted is None else str(tmp_path / distorted)
+    got, out, err = run(capsys, "score", coincident_ply, distorted, "--beta", "3")
+    assert (got, out) == (code, "")
+    warning, failure = err.splitlines(keepends=True)
+    assert warning == ZERO_SCORES_WARNING
+    assert json.loads(failure)["error"] == error
+
+
+def test_successful_command_prints_its_warnings_after_its_output(capsys, coincident_ply,
+                                                                 tmp_path):
+    code, out, err = run(capsys, "resample", coincident_ply, "--count", "3",
+                         "--output", str(tmp_path / "keys.csv"))
+    assert code == 0 and json.loads(out)["count"] == 3
+    assert err == ZERO_SCORES_WARNING
+
+
 class TestEval:
     @staticmethod
     def build_corpus(tmp_path, skip=()):

@@ -1,9 +1,10 @@
 """Whole-cloud transients, one at a time: the keypoint filter, graphsim and
 the baselines keep at most one cloud-sized temporary beyond what they need,
 and the tie path of the k-NN queries stays block-sized on a lattice. What
-graphsim keeps on a reference is 12 B per reference cluster point; what the
-baselines keep for a stimulus of the reference's geometry, 8 B per point; what
-a loaded coloured cloud keeps, 27 B per point.
+graphsim keeps on a reference is 12 B per reference cluster point, 16 B per
+keypoint and 24 B per point for its colour signal; what the baselines keep for a
+stimulus of the reference's geometry, 32 B per point (the self-match and the
+reference's YUV table); what a loaded coloured cloud keeps, 27 B per point.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so the
 figures are deterministic. Every module a pass imports is loaded first."""
@@ -71,7 +72,7 @@ def test_graphsim_holds_no_decomposed_colors_during_the_filter_beside_kept_clust
     config = GraphSimConfig()
     twin = PointCloud(positions=ref.positions)
     keypoints = resample(twin, config.resample).indices  # ref's own filter is still to run
-    graphsim(ref, dist, config, keypoints=keypoints)  # ref keeps these keypoints' clusters
+    graphsim(ref, dist, config, keypoints=keypoints)  # ref keeps these clusters and colours
     fresh = PointCloud(positions=ref.positions)
     fresh.spatial_index  # like ref's, built before the peak is read
     filter_peak = _peak(lambda: frequency_scores(fresh))
@@ -79,10 +80,11 @@ def test_graphsim_holds_no_decomposed_colors_during_the_filter_beside_kept_clust
     assert peak < filter_peak + ROW3 * N, (peak, filter_peak)
 
 
-def test_graphsim_keeps_12_bytes_per_reference_cluster_point():
+def test_graphsim_keeps_24_bytes_per_point_16_per_keypoint_12_per_cluster_point():
     ref, dist = random_cloud(N, seed=9), random_cloud(N, seed=10)
     config = GraphSimConfig(resample=ResampleConfig(count=100))
-    keypoints = resample(ref, config.resample).indices  # the filter scores, kept first
+    frequency_scores(ref, config.resample)  # the filter scores, kept first
+    keypoints = resample(PointCloud(positions=ref.positions), config.resample).indices
     dist.spatial_index
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     points = sum(_cluster(ref, ref.positions[i], radius)[0].size for i in keypoints)
@@ -93,11 +95,14 @@ def test_graphsim_keeps_12_bytes_per_reference_cluster_point():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # int32 indices and float64 distances, and per keypoint one kept entry: its key,
-    # value tuple and two array headers (about 380 B measured); intp indices would
-    # exceed it by 4 B a point.
-    bound = 12 * points + 512 * len(keypoints)
+    # Per cluster point int32 indices and float64 distances, and per keypoint one kept
+    # entry: its key, value tuple and two array headers (about 380 B measured); intp
+    # indices would exceed it by 4 B a point. Per reference point the kept colour
+    # signal, one (N, 3) float64 table; per keypoint its kept intp index and float64
+    # score; and the two entries' objects and headers.
+    bound = 12 * points + 512 * len(keypoints) + ROW3 * N + 16 * len(keypoints) + 2048
     assert kept <= bound, (kept, bound, points)
+    assert set(dist._results) == {("spatial index",)}  # the stimulus keeps only its tree
 
 
 @pytest.mark.parametrize("block", [spatial.BLOCK_ENTRIES, 2**14])
@@ -160,7 +165,7 @@ def test_tie_path_on_a_lattice_stays_block_sized(monkeypatch):
         assert np.array_equal(idx[row], want_idx) and np.array_equal(dist[row], want_d), row
 
 
-def test_same_geometry_run_baselines_keeps_8_bytes_per_point():
+def test_same_geometry_run_baselines_keeps_32_bytes_per_point():
     ref = random_cloud(N, seed=11)
     stim = PointCloud(positions=np.array(ref.positions), colors=ref.colors[::-1].copy())
     estimate_normals(ref, 12)  # the reference's tree, normals and box, kept first
@@ -172,10 +177,11 @@ def test_same_geometry_run_baselines_keeps_8_bytes_per_point():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # The self-match, one intp per point, and its array header; beside it only
-    # numpy's and the worker threads' small bookkeeping (1.1-1.5 kB measured).
-    # A stimulus tree or a second match array would add 8 B a point or more.
-    bound = 8 * N + 2048
+    # The self-match, one intp per point, and the reference's 0-255 YUV table, one
+    # (N, 3) float64 array, with their array headers; beside them only numpy's and
+    # the worker threads' small bookkeeping (1.1-1.5 kB measured). A stimulus tree
+    # or a second match array would add 8 B a point or more.
+    bound = (8 + ROW3) * N + 2048
     assert kept <= bound, (kept, bound)
     assert "_results" not in stim.__dict__  # no tree, box or match of its own
 

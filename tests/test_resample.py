@@ -131,7 +131,8 @@ def test_large_coincident_cloud_scores_zero():
 def test_resample_deterministic_per_seed():
     cloud = random_cloud(400, seed=5)
     a = resample(cloud, config=ResampleConfig(count=20, seed=9))
-    b = resample(cloud, config=ResampleConfig(count=20, seed=9))
+    # A second cloud of the same points, so the draw is made again rather than kept.
+    b = resample(random_cloud(400, seed=5), config=ResampleConfig(count=20, seed=9))
     c = resample(cloud, config=ResampleConfig(count=20, seed=10))
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.scores, b.scores)
