@@ -251,6 +251,8 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
     unknown = [m for m in metrics if m not in METRIC_IDS]
     if unknown:
         raise DomainError(f"unknown baseline metric(s): {', '.join(unknown)}")
+    if not metrics or len(set(metrics)) < len(metrics):
+        raise DomainError(f"name each baseline metric once and at least one, got {list(metrics)}")
     _check_pair(ref, dist, normals_k)
     matches = _match_pair(ref, dist)
     box = bounding_box(ref) if matches[0] is matches[1] else \

@@ -22,6 +22,7 @@ proportional, which keeps quality strictly ordered.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class DistortionSpec:
             raise DomainError(f"unknown distortion kind '{self.kind}'")
         if not math.isfinite(self.level):
             raise DomainError(f"{self.kind} level must be finite, got {self.level}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.kind == "ot":
             if self.level != int(self.level) or not 1 <= self.level <= 16:
                 raise DomainError(

@@ -30,7 +30,7 @@ from .baselines import estimate_normals
 from .cloud import PointCloud, bounding_box, same_geometry
 from .colorspace import CHANNEL_WEIGHTS, SPACES, decompose
 from .errors import DomainError
-from .graph import GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
+from .graph import _TINY, GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
 from .resample import KeypointSet, ResampleConfig, resample
 from .spatial import row_blocks
 
@@ -252,24 +252,21 @@ def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
 
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
                            config: GraphSimConfig | None = None, *,
-                           radius: float | None = None,
-                           dist_cluster: tuple | None = None) -> LocalGraphPair:
+                           radius: float | None = None) -> LocalGraphPair:
     """Build the local graph pair around one reference keypoint.
 
     Both clusters exclude points lying exactly at the keypoint position,
     so identical clouds produce identical neighbor index sets. The shared
     edge-weight cutoff comes from the matching_k rule over the cluster
     distances; the Gaussian variance is cutoff^2 / 2. The reference side is
-    the `_kept_cluster` entry; `dist_cluster`, when given, stands in for the
-    distorted side's `_cluster` (the kept entry, when both share positions).
+    the `_kept_cluster` entry.
     """
     config = config or GraphSimConfig()
     if radius is None:
         radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    center = ref.positions[center_index]
 
     r_idx, r_d = _kept_cluster(ref, center_index, radius)
-    d_idx, d_d = _cluster(dist, center, radius) if dist_cluster is None else dist_cluster
+    d_idx, d_d = _cluster(dist, ref.positions[center_index], radius)
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
     params = GraphParams(cutoff)
 
@@ -302,16 +299,16 @@ def match_and_align(pair: LocalGraphPair):
     index arrays into the respective neighborhood arrays, equal length
     min(|ref|, |dist|).
     """
-    nr, nd = pair.ref.size, pair.dist.size
-    if nr == 0 or nd == 0:
+    if pair.ref.size == 0 or pair.dist.size == 0:
         raise DomainError("cannot match an empty neighborhood")
-    if nr <= nd:
-        ref_order = np.arange(nr, dtype=np.intp)
-        dist_order = _nearest_rows(pair.ref.positions, pair.dist.positions)
-    else:
-        dist_order = np.arange(nd, dtype=np.intp)
-        ref_order = _nearest_rows(pair.dist.positions, pair.ref.positions)
-    return ref_order, dist_order
+    return _align(pair.ref.positions, pair.dist.positions)
+
+
+def _align(ref_positions: np.ndarray, dist_positions: np.ndarray):
+    """`match_and_align` of two non-empty neighbourhoods given by their positions."""
+    if len(ref_positions) <= len(dist_positions):
+        return np.arange(len(ref_positions)), _nearest_rows(ref_positions, dist_positions)
+    return _nearest_rows(dist_positions, ref_positions), np.arange(len(dist_positions))
 
 
 def _nearest_rows(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -365,7 +362,7 @@ def covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute,
-                pooling=POOLING_PRESETS["c2"], *, channel_weights=None, matches=None) -> GraphScore:
+                pooling=POOLING_PRESETS["c2"], *, channel_weights=None) -> GraphScore:
     """Similarities of a sequence of graph pairs under one signal, one row per pair.
 
     Three bounded ratios are computed per channel (each in [-1, 1], equal
@@ -380,14 +377,14 @@ def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute
     absolute values). Pairs are scored together in batches of
     row_blocks(len(pairs), 3 x largest side - 1) pairs; with 2-3 channels,
     each row equals, bit for bit, the one `match_and_align`,
-    `gradient_moments` and `covariance` give for its pair alone. `matches`,
-    `_match_batches(pairs)` of these pairs, lets signal kinds share one matching.
+    `gradient_moments` and `covariance` give for its pair alone. `pairs` may
+    also be the batch tuples of `_graph_batches`, which every signal kind reads.
     """
     feature_pooling, channel_pooling = pooling
     pairs = list(pairs)
+    batches = pairs if pairs and isinstance(pairs[0], tuple) else _pair_batches(pairs)
     sim_mass, sim_mean, sim_cov = map(np.concatenate, zip(*(
-        _batch_similarities(pairs[b], ref_signal.values, dist_signal.values, match)
-        for b, match in matches or _match_batches(pairs))))
+        _batch_similarities(*batch, ref_signal.values, dist_signal.values) for batch in batches)))
     if feature_pooling == "multiply":
         per_channel = sim_mass * sim_mean * sim_cov
     else:
@@ -406,48 +403,84 @@ def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute
     )
 
 
-def _pad(parts):
-    """(len(parts), longest, ...) stack of arrays, each zero past its end."""
-    sizes = np.array([len(part) for part in parts])
-    out = np.zeros((len(parts), sizes.max(), *parts[0].shape[1:]), parts[0].dtype)
-    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(parts)
+def _pad(parts, fill=0):
+    """(len(parts), longest or 1, ...) stack of arrays, each `fill` past its end."""
+    out = np.full((len(parts), max(1, *map(len, parts)), *parts[0].shape[1:]), fill, parts[0].dtype)
+    for row, part in zip(out, parts):  # faster than one masked write at any batch size
+        row[:len(part)] = part
     return out
 
 
-def _match_batches(pairs) -> list:
-    """`score_graph`'s batches as (slice, `_batch_match`) items."""
-    if not pairs or any(p.ref.size == 0 or p.dist.size == 0 for p in pairs):
-        raise DomainError("cannot match an empty neighborhood")
-    width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
-    return [(b, _batch_match(pairs[b])) for b in row_blocks(len(pairs), width - 1)]
-
-
-def _batch_match(pairs):
-    """(matched counts, valid rows, ref_order, dist_order) of a batch: each pair's
-    `match_and_align`, padded per pair."""
-    ref_order, dist_order = map(_pad, zip(*map(match_and_align, pairs)))
-    m = np.array([min(p.ref.size, p.dist.size) for p in pairs])[:, None]
+def _match(orders):
+    """(matched counts, valid rows, ref_order, dist_order), each pair's orders padded."""
+    ref_order, dist_order = map(_pad, zip(*orders))
+    m = np.array([len(order) for order, _ in orders])[:, None]
     return m, np.arange(ref_order.shape[1]) < m, ref_order, dist_order
 
 
-def _batch_similarities(pairs, ref_values, dist_values, match):
+def _pair_batches(pairs):
+    """`score_graph`'s batches of built pairs, made one at a time."""
+    if not pairs or any(p.ref.size == 0 or p.dist.size == 0 for p in pairs):
+        raise DomainError("cannot match an empty neighborhood")
+    width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
+    for batch in (pairs[b] for b in row_blocks(len(pairs), width - 1)):
+        yield (np.array([p.center_index for p in batch]),
+               *[(_pad([h.indices for h in hoods]), _pad([h.weights for h in hoods]))
+                 for hoods in ([p.ref for p in batch], [p.dist for p in batch])],
+               _match([match_and_align(p) for p in batch]))
+
+
+def _graph_batches(ref, dist, keys, radius, config, same):
+    """(batches, cluster sizes, kept sizes (len(keys), 2)) of the graphs around `keys`:
+    `build_local_graph_pair` and `match_and_align` per keypoint without a pair object,
+    from clusters padded per row_blocks; graphs with two non-empty sides are batched."""
+    sides = [[_kept_cluster(ref, c, radius) for c in keys]]
+    sides.append(sides[0] if same else [_cluster(dist, ref.positions[c], radius) for c in keys])
+    sizes = np.array([[len(c[0]) for c in side] for side in sides], np.intp).T
+    variance, kept = np.zeros(len(keys)), np.zeros_like(sizes)
+    k = min(config.matching_k, 2 * sizes.max(initial=1))  # no union is longer; a C integer
+
+    def top(x, n):  # per sorted row its matching_k-th distance, or its largest, or 0 if none
+        return np.where(n > 0, x[np.arange(len(x)), np.minimum(k, n) - 1], 0.0)
+
+    for rows in row_blocks(len(keys), 2 * sizes.max(initial=0)):
+        d, (nr, nd) = [_pad([c[1] for c in side[rows]], np.inf) for side in sides], sizes[rows].T
+        cut = (top(np.sort(np.hstack([x[:, :k] for x in d]), axis=1), nr + nd)
+               if config.tau_scope == "union" else np.maximum(top(d[0], nr), top(d[1], nd)))
+        kept[rows] = np.stack([(x <= cut[:, None]).sum(axis=1) for x in d], axis=1)
+        variance[rows] = np.maximum(cut * cut / 2.0, _TINY)  # as GraphParams.variance
+
+    def prefix(j, rows, field, fill=0):  # each row's kept part of side j's cluster field
+        return _pad([sides[j][i][field][:m] for i, m in zip(rows, kept[rows, j].tolist())], fill)
+
+    scored, batches = np.flatnonzero(kept.min(axis=1) > 0).tolist(), []
+    for rows in (scored[b] for b in row_blocks(len(scored), 3 * kept[scored].max(initial=1) - 1)):
+        # Per side the kept indices and their edge_weight, 0 at the inf past a row's end.
+        padded = [(prefix(j, rows, 0), np.exp(-prefix(j, rows, 1, np.inf) ** 2
+                                              / variance[rows, None])) for j in (0, 1)]
+        batches.append((keys[rows], *padded, _match([
+            _align(ref.positions[sides[0][i][0][:a]], dist.positions[sides[1][i][0][:b]])
+            for i, (a, b) in zip(rows, kept[rows].tolist())])))
+    return batches, sizes, kept
+
+
+def _batch_similarities(centers, ref_side, dist_side, match, ref_values, dist_values):
     """(sim_mass, sim_mean, sim_cov), one row per pair, over arrays padded per
     pair as `match` is: zero past a side's end adds nothing to its sums (taken
     in row order)."""
     t1, t2, t3 = STABILIZERS
     m, valid, ref_order, dist_order = match
-    centers = ref_values[[p.center_index for p in pairs]][:, None]
-    batch, mask = np.arange(len(pairs))[:, None], valid[..., None]
+    centers = ref_values[centers][:, None]
+    batch, mask = np.arange(len(m))[:, None], valid[..., None]
 
-    def side(hoods, values, order):
-        gradients = np.sqrt(_pad([h.weights for h in hoods]))[..., None] * \
-            (values[_pad([h.indices for h in hoods])] - centers)
+    def side(values, order, indices, weights):
+        gradients = np.sqrt(weights)[..., None] * (values[indices] - centers)
         matched = gradients[batch, order] * mask
         mean = matched.sum(axis=1) / m
         return gradients.sum(axis=1), mean, (matched - mean[:, None]) * mask
 
-    mass_r, mean_r, dev_r = side([p.ref for p in pairs], ref_values, ref_order)
-    mass_d, mean_d, dev_d = side([p.dist for p in pairs], dist_values, dist_order)
+    mass_r, mean_r, dev_r = side(ref_values, ref_order, *ref_side)
+    mass_d, mean_d, dev_d = side(dist_values, dist_order, *dist_side)
 
     def ratio(x, y, t):
         return (2.0 * x * y + t) / (x * x + y * y + t)
@@ -510,38 +543,26 @@ def graphsim(ref: PointCloud, dist: PointCloud,
                else np.ones(3) for s in ref_signals]
 
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    pairs, skipped = [], 0
-    for center_index in map(int, keypoints.indices):
-        pair = build_local_graph_pair(
-            center_index, ref, dist, config, radius=radius,
-            dist_cluster=_kept_cluster(ref, center_index, radius) if same else None,
-        )
-        if pair.ref_cluster_size == 0:
-            skipped += 1
-        else:
-            pairs.append(pair)
-    if not pairs:
-        raise DomainError(
-            "no scorable keypoint graphs (every reference cluster was empty)"
-        )
+    batches, sizes, kept = _graph_batches(ref, dist, keypoints.indices, radius, config, same)
+    graphed = sizes[:, 0] > 0  # an empty reference cluster skips its keypoint
+    if not graphed.any():
+        raise DomainError("no scorable keypoint graphs (every reference cluster was empty)")
     # A graph with an empty side scores 0 and adds no channel value.
-    scored = np.array([p.ref.size > 0 and p.dist.size > 0 for p in pairs])
-    kept = [p for p, ok in zip(pairs, scored) if ok]
-    per_graph, means = np.zeros(len(pairs)), {}
-    if kept:
-        pooling, matches = config.pooling_rules, _match_batches(kept)  # one for every kind
-        scores = [score_graph(kept, rs, ds, pooling, channel_weights=w, matches=matches)
+    scored = kept[graphed].min(axis=1) > 0
+    per_graph, means, count = np.zeros(graphed.sum()), {}, int(scored.sum())
+    if batches:  # one matching for every kind
+        scores = [score_graph(batches, rs, ds, config.pooling_rules, channel_weights=w)
                   for rs, ds, w in zip(ref_signals, dist_signals, weights)]
         per_graph[scored] = sum(gs.pooled for gs in scores) / len(scores)
         for rs, gs in zip(ref_signals, scores):  # each label summed down the graphs in order
             for label, total in zip(rs.labels, gs.per_channel.sum(axis=0)):
-                means[f"{rs.kind}:{label}"] = float(total) / len(kept)
+                means[f"{rs.kind}:{label}"] = float(total) / count
     return SimilarityScore(
         quality=float(np.mean(per_graph)),
         per_graph=per_graph,
-        graph_keypoints=np.array([p.center_index for p in pairs], dtype=np.intp),
+        graph_keypoints=keypoints.indices[graphed],
         per_channel_means=dict(sorted(means.items())),
-        empty_graphs=len(pairs) - len(kept),
-        skipped_keypoints=skipped,
+        empty_graphs=len(per_graph) - count,
+        skipped_keypoints=int((~graphed).sum()),
         keypoints=keypoints,
     )

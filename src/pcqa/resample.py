@@ -11,6 +11,7 @@ proportional to that score (or uniformly, for the ablation method).
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -49,6 +50,10 @@ class ResampleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("count", "filter_length", "graph_k", "seed"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.count is not None and self.count < 1:
             raise DomainError(f"keypoint count must be >= 1, got {self.count}")
         if self.count is None and not 0 < self.ratio <= 1:

@@ -245,6 +245,14 @@ class TestRunBaselines:
         with pytest.raises(DomainError, match="ssim"):
             run_baselines(cloud, cloud, ("m-p2po", "ssim"))
 
+    @pytest.mark.parametrize("metrics", [(), [], ("m-p2po", "m-p2po"),
+                                         ["psnr-yuv", "h-p2po", "psnr-yuv"]])
+    def test_empty_or_repeated_metric_list_rejected(self, metrics):
+        # An empty list would return no metric and a repeat would be reported once.
+        cloud = random_cloud(50, seed=23)
+        with pytest.raises(DomainError, match="name each baseline metric once and at least one"):
+            run_baselines(cloud, cloud, metrics)
+
     def test_empty_cloud_rejected(self):
         cloud = random_cloud(50, seed=22)
         with pytest.raises(DomainError, match="non-empty"):

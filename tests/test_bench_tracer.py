@@ -51,8 +51,13 @@ def test_counters_read_what_graphsim_and_the_baselines_return(spans):
     assert counts["graphsim.graphsim_calls"] == 1
     assert counts["graphsim.keypoints"] == score.keypoints.count == 6
     assert counts["graphsim.scored"] == len(score.per_graph) - score.empty_graphs
-    assert counts["graphsim.local_graph_calls"] == len(score.per_graph) + score.skipped_keypoints
-    assert counts["graphsim.cluster_points"] > 0
+    # The graphs are built as padded arrays, not by build_local_graph_pair, so its span
+    # and the cluster sizes read from its pairs count nothing. Each keypoint's clusters
+    # are one radius query a side: the reference's kept, the stimulus's not.
+    assert "graphsim.local_graph_calls" not in counts
+    assert "graphsim.cluster_points" not in counts
+    assert counts["spatial.radius_query_calls"] == \
+        2 * (len(score.per_graph) + score.skipped_keypoints)
     # All of a call's graphs are scored in one score_graph call per signal kind.
     assert counts["graphsim.score_graph_calls"] == len(config.signal_kinds) == 1
     assert counts["baselines.run_calls"] == 1
@@ -73,4 +78,6 @@ def test_graphsim_scores_its_graphs_in_one_call_per_signal_kind(spans):
     assert len(score.per_graph) - score.empty_graphs > 1
     assert counts["graphsim.graphsim_calls"] == 2
     assert counts["graphsim.score_graph_calls"] == 2 * len(config.signal_kinds) == 4
-    assert counts["graphsim.local_graph_calls"] == 2 * score.keypoints.count
+    assert "graphsim.local_graph_calls" not in counts
+    # The second call reads the reference's kept clusters and queries the stimulus only.
+    assert counts["spatial.radius_query_calls"] == 3 * score.keypoints.count

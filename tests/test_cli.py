@@ -342,6 +342,14 @@ class TestBaseline:
         assert diag["error"] == "ValidationError"
         assert "--metrics" in diag["message"]
 
+    def test_repeated_metric_exits_3(self, capsys, ply_pair):
+        ref, dist = ply_pair
+        code, out, err = run(capsys, "baseline", ref, dist, "--metrics", "m-p2po,h-p2po,m-p2po")
+        assert (code, out) == (3, "")
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError"
+        assert "name each baseline metric once" in diag["message"]
+
     def test_unknown_metric_exits_3(self, capsys, ply_pair):
         ref, dist = ply_pair
         code, _, err = run(capsys, "baseline", ref, dist, "--metrics", "vmaf")

@@ -135,7 +135,7 @@ def _oracle(ref, dist, config):
        preset=st.sampled_from(sorted(POOLING_PRESETS)),
        tau_scope=st.sampled_from(("union", "per-side")),
        color_space=st.sampled_from(("gcm", "yuv", "rgb")),
-       matching_k=st.sampled_from((1, 3, 50, 10**4)),
+       matching_k=st.sampled_from((1, 3, 50, 10**4, 10**30)),
        fraction=st.sampled_from((0.15, 0.3, 0.6, 1.0)),
        count=st.integers(1, 8))
 def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus, signal, preset,
@@ -190,10 +190,35 @@ def test_one_matching_serves_every_signal_kind(monkeypatch, signal):
     # Matching reads positions only, so a call matches each batch once, whatever
     # the number of signal kinds.
     module = importlib.import_module("pcqa.graphsim")
-    batch_match, batches = module._batch_match, []
-    monkeypatch.setattr(module, "_batch_match",
-                        lambda pairs: batches.append(len(pairs)) or batch_match(pairs))
+    match, batches = module._match, []
+    monkeypatch.setattr(module, "_match",
+                        lambda orders: batches.append(len(orders)) or match(orders))
     ref, dist, void = _clouds(5, 200, False, "ggn")
     keypoints = np.arange(0, void, 20)
     score = graphsim(ref, dist, GraphSimConfig(signal_kind=signal), keypoints=keypoints)
     assert batches == [len(score.per_graph) - score.empty_graphs] and batches[0] > 1
+
+
+@pytest.mark.parametrize("signal", ["color", "mixed"])
+def test_graphsim_builds_no_pair_object(monkeypatch, signal):
+    # The call's graphs are built as padded arrays: with the per-pair builder and its
+    # pair type made to raise, the report is the same, and each signal kind is
+    # scored in one score_graph call.
+    module = importlib.import_module("pcqa.graphsim")
+    ref, dist, void = _clouds(6, 200, False, "crop")
+    config = GraphSimConfig(neighborhood_fraction=0.3, signal_kind=signal)
+    keypoints = np.append(np.arange(0, void, 15), void)
+    want = graphsim(ref, dist, config, keypoints=keypoints).to_report(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graphsim built a pair object")
+
+    kinds = []
+    monkeypatch.setattr(module, "build_local_graph_pair", refuse)
+    monkeypatch.setattr(module, "LocalGraphPair", refuse)
+    monkeypatch.setattr(module, "score_graph", lambda pairs, rs, ds, *args, **kwargs:
+                        kinds.append(rs.kind) or score_graph(pairs, rs, ds, *args, **kwargs))
+    got = graphsim(ref, dist, config, keypoints=keypoints)
+    assert got.to_report(config) == want
+    assert got.skipped_keypoints == 1 and 0 < got.empty_graphs < len(got.per_graph)
+    assert kinds == list(config.signal_kinds)

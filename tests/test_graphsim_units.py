@@ -525,9 +525,7 @@ def test_kept_reference_clusters_build_the_per_pair_graphs(name):
         idx, d = _cluster(ref, ref.positions[center], radius)
         assert kept[0].dtype == np.int32 and np.array_equal(kept[0], idx)
         assert kept[1].tobytes() == d.tobytes()
-        # On one geometry graphsim hands the reference's kept cluster to both sides.
-        fast = build_local_graph_pair(int(center), ref, dist, config, radius=radius,
-                                      dist_cluster=kept if same else None)
+        fast = build_local_graph_pair(int(center), ref, dist, config, radius=radius)
         assert ref._results[("graphsim cluster", radius, int(center))] is kept
         slow = build_local_graph_pair(int(center), fresh_ref, fresh_dist, config,
                                       radius=radius)

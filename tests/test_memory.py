@@ -17,7 +17,7 @@ import pytest
 from pcqa import (DistortionSpec, GraphSimConfig, PointCloud, ResampleConfig, apply_distortion,
                   bounding_box, build_local_graph_pair, graphsim, load_ply, save_ply, spatial)
 from pcqa.baselines import _match_pair, estimate_normals, run_baselines
-from pcqa.graphsim import _cluster, _signals, score_graph
+from pcqa.graphsim import _cluster, _graph_batches, _kept_cluster, _signals, score_graph
 from pcqa.resample import frequency_scores, resample
 
 from helpers import random_cloud
@@ -123,6 +123,34 @@ def test_graph_scoring_peak_is_five_padded_arrays_of_one_batch(monkeypatch, bloc
     bound = 5 * 8 * batch
     peak = _peak(lambda: score_graph(pairs, *signals))
     assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("block", [spatial.BLOCK_ENTRIES, 2**14])
+def test_graph_build_transients_are_one_batch(monkeypatch, block):
+    # graphsim builds a call's graphs as padded arrays. At neighborhood_fraction 1 with
+    # no matching_k cutoff each of 16 reference graphs holds about 18k points. Beside
+    # the batches it returns, the build holds one row_blocks chunk of padded cluster
+    # distances, or one batch in the making and one pair's matching: 3.3 MB at the
+    # default block and 0.9 MB at 2**14 measured. A padded or flat copy of every
+    # cluster would add 12 B a cluster point or more (3.5 MB).
+    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", block)
+    ref = random_cloud(N, seed=12)
+    dist = PointCloud(positions=ref.positions[::64] + 0.01, colors=ref.colors[::64])
+    config = GraphSimConfig(neighborhood_fraction=1.0, matching_k=10**6)
+    keys = np.arange(0, N, N // 16)
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    for key in keys:  # the reference's kept clusters and the stimulus tree, made first
+        _kept_cluster(ref, int(key), radius)
+    dist.spatial_index
+    tracemalloc.start()
+    try:
+        batches, sizes, kept = _graph_batches(ref, dist, keys, radius, config, False)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(batches) > 1 and sizes[:, 0].sum() > 16 * N // 2
+    bound = 5 * 8 * max(block, 3 * kept.max())  # five float64 arrays of one batch
+    assert peak - current <= bound, (peak - current, bound)
 
 
 def test_run_baselines_peak_above_matches_and_normals():

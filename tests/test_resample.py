@@ -1,10 +1,12 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from pcqa import (
     DegenerateCloudWarning,
+    DistortionSpec,
     DomainError,
     KeypointSet,
     PointCloud,
@@ -25,6 +27,22 @@ def test_count_resolution_floor_rule():
     assert config.resolve_count(1000) == 1
     assert config.resolve_count(500) == 1  # floor would give 0; floor of one applies
     assert ResampleConfig(count=25).resolve_count(100) == 25
+
+
+@pytest.mark.parametrize("field, make", [
+    ("count", lambda v: ResampleConfig(count=v)),
+    ("filter_length", lambda v: ResampleConfig(filter_length=v)),
+    ("graph_k", lambda v: ResampleConfig(graph_k=v)),
+    ("seed", lambda v: ResampleConfig(seed=v)),
+    ("seed", lambda v: DistortionSpec("ggn", 0.01, seed=v)),
+], ids=["count", "filter_length", "graph_k", "seed", "distortion-seed"])
+@pytest.mark.parametrize("value", [2.5, 4.0, "4"])
+def test_integer_fields_reject_non_integral_values(field, make, value):
+    # Caught here, not as a numpy TypeError once the draw or the noise generator runs.
+    message = rf"{field} must be an integer.*, got {re.escape(repr(value))}"
+    with pytest.raises(DomainError, match=message):
+        make(value)
+    make(np.int64(4))
 
 
 def test_explicit_count_cannot_exceed_cloud():
