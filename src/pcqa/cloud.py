@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .spatial import SpatialIndex
-
-MAX_COORDINATE = 1e150  # so 3 * (2 * MAX_COORDINATE) ** 2, the widest squared distance, is finite
+from .spatial import MAX_COORDINATE, SpatialIndex
 
 
 def _as_point_array(values, name: str, dtype=np.float64) -> np.ndarray:

@@ -3,13 +3,15 @@
 A thin layer over scipy's cKDTree. Every query, single or bulk, orders
 neighbors by (distance, index) as a brute-force float64 scan does: where
 a distance tie could let the tree's order show, candidates are re-measured
-in plain numpy and sorted by that rule. Bulk queries run on every core;
-each row is answered alone, so results do not depend on the core count.
+in plain numpy and sorted by that rule. Bulk queries run on every core,
+within a bound from pilot rows of their block that only prunes the search:
+a row's answer depends on that row alone, so not on the core count.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 
 import numpy as np
 
@@ -19,6 +21,18 @@ from .errors import DomainError
 # chunks, PCA normals, keypoint filter, graph matching). Measured (tracemalloc): a
 # filter block holds about 10.5 MiB of temporaries, a normals block 7.5 MiB, at any N.
 BLOCK_ENTRIES = 2**18
+PILOT_STRIDE = 256  # a bulk block's every 256th row bounds the search of the rest
+MAX_COORDINATE = 1e150  # so 3 * (2 * MAX_COORDINATE) ** 2, the widest squared distance, is finite
+
+
+def _checked(queries) -> np.ndarray:
+    """float64 query coordinates; DomainError unless each is finite and |x| <= MAX_COORDINATE."""
+    queries = np.asarray(queries, dtype=np.float64)
+    # One point's values are read faster in Python than by two reductions.
+    ends = queries.ravel().tolist() if queries.size <= 3 else [queries.min(), queries.max()]
+    if not all(-MAX_COORDINATE <= x <= MAX_COORDINATE for x in ends):  # NaN fails it too
+        raise DomainError(f"query coordinates must be finite with |x| <= {MAX_COORDINATE:g}")
+    return queries
 
 
 def row_blocks(n: int, k: int):
@@ -70,9 +84,9 @@ class SpatialIndex:
         Returns (indices, distances) sorted by (distance, index). A radius
         of zero returns exact coordinate duplicates of the query location.
         """
-        if radius < 0:
+        if not radius >= 0:  # NaN fails it too
             raise DomainError(f"radius must be >= 0, got {radius}")
-        query = np.asarray(query, dtype=np.float64)
+        query = _checked(query)
         margin = radius * (1 + 1e-12) + max(radius, 1.0) * 1e-15
         candidates = np.asarray(
             self._tree.query_ball_point(query, margin), dtype=np.intp
@@ -93,13 +107,15 @@ class SpatialIndex:
         Each row holds its min(k, count) nearest points by (distance, index),
         as a brute-force scan orders them, on any core count. A row is redone
         by _resolve when one of its k + 1 tree distances (inf past the cloud
-        size) is at most d * (1 + 1e-12) + 1e-300, d being the one before it;
-        others keep the tree's values. Rows go in row_blocks, each written
-        straight into the outputs, which the index does not keep.
+        size or the search bound) is at most d * (1 + 1e-12) + 1e-300, d being
+        the one before it; others keep the tree's values. Rows go in row_blocks,
+        each written straight into the outputs, which the index does not keep.
         """
+        if not isinstance(k, numbers.Integral):
+            raise DomainError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise DomainError(f"k must be >= 1, got {k}")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = np.atleast_2d(_checked(queries))
         kk = min(int(k), self.count)
         dist, idx = np.empty((len(queries), kk)), np.empty((len(queries), kk), np.intp)
         for rows in row_blocks(len(queries), kk):
@@ -115,7 +131,18 @@ class SpatialIndex:
             yield (rows, *self.query_array(self._positions[rows], k))
 
     def _query_rows(self, queries, kk: int):
-        dist, idx = self._tree.query(queries, k=kk + 1, workers=-1)
+        # Past PILOT_STRIDE rows, a block is searched within 1.25 times its pilot rows'
+        # largest kk-th distance, floored so the tree's squared bound stays normal; rows
+        # not clear of it by a 1e-9 margin are asked again. The bound only prunes, and an
+        # inf (kk + 1)-th distance lies past it, so past the tie test's margin: no row moves.
+        bound = np.inf
+        if len(queries) > PILOT_STRIDE:
+            pilot = self._tree.query(queries[::PILOT_STRIDE], k=[kk], workers=-1)[0]
+            bound = 1.25 * pilot.max() + 1e-140
+        dist, idx = self._tree.query(queries, k=kk + 1, distance_upper_bound=bound, workers=-1)
+        again = np.flatnonzero(dist[:, kk - 1] * (1 + 1e-9) + 1e-300 >= bound)
+        if again.size:
+            dist[again], idx[again] = self._tree.query(queries[again], k=kk + 1, workers=-1)
         tied = np.nonzero((dist[:, 1:] <= dist[:, :-1] * (1 + 1e-12) + 1e-300).any(axis=1))[0]
         dist, idx = dist[:, :kk], idx[:, :kk]
         # _resolve holds ~150 B a candidate, 1.5-2.7 kk a lattice row: ~7.5 MiB a chunk.

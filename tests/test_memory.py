@@ -1,6 +1,7 @@
 """Whole-cloud transients, one at a time: the keypoint filter, graphsim and
 the baselines keep at most one cloud-sized temporary beyond what they need,
-and the tie path of the k-NN queries stays block-sized on a lattice. What
+the tie path of the k-NN queries stays block-sized on a lattice, and a nearest
+pass holds one block beside its result, plus the rows it asks again. What
 graphsim keeps on a reference is 12 B per reference cluster point, 16 B per
 keypoint and 24 B per point for its colour signal; what the baselines keep for a
 stimulus of the reference's geometry, 32 B per point (the self-match and the
@@ -191,6 +192,32 @@ def test_tie_path_on_a_lattice_stays_block_sized(monkeypatch):
     for row in np.concatenate([edges - 1, edges]):
         want_idx, want_d = brute_knn(pts, pts[row], 11)
         assert np.array_equal(idx[row], want_idx) and np.array_equal(dist[row], want_d), row
+
+
+@pytest.mark.parametrize("asked_again", [False, True], ids=["none-asked-again", "all-asked-again"])
+def test_nearest_holds_one_block_and_the_rows_it_asks_again(monkeypatch, asked_again):
+    # A nearest pass keeps its result, 16 B a row (the distance and index columns).
+    # Beyond it, it holds one block at a time: 48 B a block row for the block's
+    # (rows, 2) distances and indices and the tie test's two float temporaries, and
+    # 64 B a row it asks again for that row's index, query copy and (1, 2) outputs;
+    # 97.5 B a block row measured when every row but the pilots is asked again. The
+    # queries are the cloud's own points, so each pilot distance is 0 and the bound
+    # is the 1e-140 floor: no row is asked again, or all but the pilots are once
+    # those are moved off their points.
+    monkeypatch.setattr(spatial, "BLOCK_ENTRIES", 2**14)  # three blocks of 8192 rows
+    cloud = random_cloud(N, seed=14)
+    index = cloud.spatial_index
+    queries = np.array(cloud.positions)
+    rows = spatial.BLOCK_ENTRIES // 2
+    again = 0
+    if asked_again:
+        moved = np.arange(N) % spatial.PILOT_STRIDE != 0
+        queries[moved] += np.random.default_rng(15).normal(0, 1e-3, (moved.sum(), 3))
+        again = rows - rows // spatial.PILOT_STRIDE
+    peak = _peak(lambda: index.nearest(queries))
+    # Beside them, numpy's and cKDTree's small buffers and headers (9-12 kB measured).
+    bound = 16 * N + 48 * rows + 64 * again + 16 * 1024
+    assert peak <= bound, (peak, bound)
 
 
 def test_same_geometry_run_baselines_keeps_32_bytes_per_point():

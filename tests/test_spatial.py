@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcqa import (
     DistortionSpec,
@@ -17,8 +20,10 @@ from pcqa import (
     p2_errors,
     psnr_yuv,
     run_baselines,
+    spatial,
 )
 from pcqa.jsonutil import canonical_dumps
+from pcqa.spatial import MAX_COORDINATE
 
 from helpers import random_cloud, streamed_self_table
 from oracles import brute_knn, brute_radius
@@ -64,6 +69,32 @@ def test_knn_invalid_k():
             next(index.self_knn_blocks(k, 1))
 
 
+def test_knn_k_must_be_an_integer():
+    # A float k is refused, not truncated; numpy integers are integers.
+    index = PointCloud(positions=np.arange(12.0).reshape(4, 3)).spatial_index
+    for call in (lambda k: index.knn([0, 0, 0], k), lambda k: index.query_array(np.zeros((2, 3)), k),
+                 lambda k: next(index.self_knn_blocks(k, 1))):
+        with pytest.raises(DomainError, match=r"k must be an integer, got 2\.5"):
+            call(2.5)
+    assert index.knn([0, 0, 0], np.int64(2))[0].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.01 * MAX_COORDINATE])
+def test_query_rows_must_be_finite_and_in_range(bad):
+    # scipy would raise a bare ValueError on a non-finite row, and rows past
+    # MAX_COORDINATE overflow the tree's squared distances.
+    index = PointCloud(positions=np.arange(12.0).reshape(4, 3)).spatial_index
+    rows = np.zeros((300, 3))
+    rows[123, 1] = bad
+    for call in (lambda: index.query_array(rows, 2), lambda: index.nearest(rows),
+                 lambda: index.knn(rows[123], 1), lambda: index.radius_query(rows[123], 1.0)):
+        with pytest.raises(DomainError, match="query coordinates must be finite"):
+            call()
+    edge = np.full((1, 3), -MAX_COORDINATE)
+    assert index.nearest(edge).tolist() == [0]
+    assert index.query_array(np.empty((0, 3)), 2)[0].shape == (0, 2)
+
+
 def test_radius_query_against_scan():
     rng = np.random.default_rng(13)
     for _ in range(50):
@@ -95,6 +126,12 @@ def test_radius_zero_finds_duplicates():
 def test_negative_radius_rejected():
     with pytest.raises(DomainError):
         PointCloud(positions=np.zeros((1, 3))).spatial_index.radius_query([0, 0, 0], -1.0)
+
+
+def test_nan_radius_rejected():
+    # A NaN radius would find nothing rather than fail.
+    with pytest.raises(DomainError, match="radius must be >= 0, got nan"):
+        PointCloud(positions=np.zeros((1, 3))).spatial_index.radius_query([0, 0, 0], np.nan)
 
 
 def test_nearest_matches_single_knn():
@@ -321,39 +358,57 @@ class TestCloudOwnsItsTree:
             PointCloud(positions=np.empty((0, 3))).spatial_index
 
 
-def _one_worker_tree(calls):
-    """A cKDTree subclass whose bulk queries run on one thread whatever
-    `workers` they ask for; each query is counted in `calls`."""
+def _recording_tree(calls, **forced):
+    """A cKDTree subclass that records each query in `calls` as (method, k, keyword
+    arguments); keyword arguments in `forced`, such as workers=1, replace the
+    query's own."""
     from scipy.spatial import cKDTree
 
-    class OneWorkerTree(cKDTree):
-        def query(self, *args, **kwargs):
-            calls.append("query")
-            return super().query(*args, **dict(kwargs, workers=1))
+    class RecordingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            calls.append(("query", k, kwargs))
+            return super().query(x, k, **dict(kwargs, **forced))
 
         def query_ball_point(self, *args, **kwargs):
-            calls.append("query_ball_point")
-            return super().query_ball_point(*args, **dict(kwargs, workers=1))
+            calls.append(("query_ball_point", None, kwargs))
+            return super().query_ball_point(*args, **dict(kwargs, **forced))
 
-    return OneWorkerTree
+    return RecordingTree
+
+
+def _knn_passes(calls):
+    """The recorded k-NN queries of _query_rows as (pilots, bounds, re-asks): a
+    pilot asks a list of columns, a block's main pass states its bound (inf
+    without a pilot) and a re-ask does neither."""
+    knn = [(k, kwargs) for method, k, kwargs in calls if method == "query"]
+    pilots = sum(isinstance(k, list) for k, _ in knn)
+    bounds = [kwargs["distance_upper_bound"] for _, kwargs in knn if "distance_upper_bound" in kwargs]
+    return pilots, bounds, len(knn) - pilots - len(bounds)
 
 
 def _worker_reports(reference, kind, level):
     """Report bytes of graphsim (color and normal signals) and run_baselines on a
-    fresh copy of `reference` against its `kind` stimulus, so no cache carries over."""
+    fresh copy of `reference` against its `kind` stimulus, so no cache carries over.
+    An "outlier" stimulus is the ggn one with one point moved far off, past any
+    pilot bound, so that its row is asked again."""
     ref = PointCloud(positions=np.array(reference.positions), colors=reference.colors)
-    stim = apply_distortion(ref, DistortionSpec(kind, level, seed=3))
+    stim = apply_distortion(ref, DistortionSpec(kind.replace("outlier", "ggn"), level, seed=3))
+    if kind == "outlier":
+        positions = np.array(stim.positions)
+        positions[1000] += 50.0  # not a pilot row: 1000 is no multiple of 256
+        stim = PointCloud(positions=positions, colors=stim.colors)
     config = GraphSimConfig(signal_kind=("color", "normal"), resample=ResampleConfig(count=24))
     baselines = {metric: [r.value, r.forward_db, r.backward_db]
                  for metric, r in run_baselines(ref, stim).items()}
     return canonical_dumps(graphsim(ref, stim, config).to_report(config)), canonical_dumps(baselines)
 
 
-@pytest.mark.parametrize("kind,level", [("ggn", 0.008), ("ot", 6)])
+@pytest.mark.parametrize("kind,level", [("ggn", 0.008), ("ot", 6), ("outlier", 0.008)])
 @pytest.mark.parametrize("shape", ["lattice", "continuous"])
 def test_reports_do_not_depend_on_the_worker_count(monkeypatch, shape, kind, level):
     # Bulk queries ask cKDTree for every core; each row is answered on its own,
-    # so one thread must give the same bytes, ties on a lattice included.
+    # within a bound from its block's pilot rows that only prunes, so one thread
+    # must give the same bytes: ties on a lattice and re-asked rows included.
     rng = np.random.default_rng(17)
     if shape == "lattice":  # 1,728 sites for 2,500 points: repeated points and ties
         positions = rng.integers(0, 12, (2500, 3)).astype(np.float64)
@@ -362,6 +417,72 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch, shape, kind, lev
     reference = PointCloud(positions=positions, colors=rng.integers(0, 256, (2500, 3)).astype(np.uint8))
     default = _worker_reports(reference, kind, level)
     calls = []
-    monkeypatch.setattr("scipy.spatial.cKDTree", _one_worker_tree(calls))
+    monkeypatch.setattr("scipy.spatial.cKDTree", _recording_tree(calls, workers=1))
     assert _worker_reports(reference, kind, level) == default
-    assert "query" in calls and "query_ball_point" in calls
+    pilots, bounds, again = _knn_passes(calls)
+    assert pilots and any(method == "query_ball_point" for method, _, _ in calls)
+    if kind == "outlier":
+        assert again
+
+
+# Each case of test_bounded_rows_equal_unbounded_rows, and what it must reach.
+PILOT_CASES = ("lattice", "coincident", "scaled", "beyond-the-bound", "small-block", "k-is-count")
+
+
+def _pilot_case(case, rng, n, m, k):
+    """(points, queries, k) of one case. Every case but small-block asks more than
+    PILOT_STRIDE rows, so its blocks are searched within a pilot bound."""
+    if case == "lattice":  # shuffled sites with duplicates: ties everywhere
+        points = rng.integers(0, int(rng.integers(2, 7)), (n, 3)).astype(np.float64)
+        return points, points[rng.permutation(n)], k
+    if case == "coincident":  # every pilot distance is 0: the bound is the 1e-140 floor
+        points = np.full((n, 3), rng.uniform(-5, 5))
+        return points, np.repeat(points[:1], m, axis=0), k
+    if case == "scaled":  # tiny, huge, and up to MAX_COORDINATE
+        scale = rng.choice([2.0**-400, 2.0**400, MAX_COORDINATE])
+        return rng.uniform(-1, 1, (n, 3)) * scale, rng.uniform(-1, 1, (m, 3)) * scale, k
+    points = rng.uniform(0, 1, (n, 3))
+    queries = points[rng.integers(0, n, m)] + rng.normal(0, 0.01, (m, 3))
+    if case == "beyond-the-bound":  # rows far past the pilots' distances, none a pilot
+        far = rng.choice(np.flatnonzero(np.arange(m) % spatial.PILOT_STRIDE), 5)
+        queries[far] += rng.uniform(5, 50, (5, 3))
+    elif case == "small-block":
+        queries = queries[:spatial.PILOT_STRIDE]
+    elif case == "k-is-count":
+        points = points[:int(rng.integers(1, 40))]
+        k = len(points) + int(rng.integers(0, 3))
+    return points, queries, k
+
+
+@pytest.mark.parametrize("case", PILOT_CASES)
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(300, 900), m=st.integers(257, 1200),
+       k=st.sampled_from([1, 2, 5, 11, 12]))
+def test_bounded_rows_equal_unbounded_rows(case, seed, n, m, k):
+    # The pilot bound only prunes: every row equals the plain unbounded query of
+    # the same block (no pilot when a block has at most PILOT_STRIDE rows), and
+    # sampled rows equal the scan.
+    points, queries, k = _pilot_case(case, np.random.default_rng(seed), n, m, k)
+    calls = []
+    with mock.patch("scipy.spatial.cKDTree", _recording_tree(calls)):  # the site tree too
+        index = PointCloud(positions=points).spatial_index
+        dist, idx = index.query_array(queries, k)
+    pilots, bounds, again = _knn_passes(calls)
+    with mock.patch.object(spatial, "PILOT_STRIDE", len(queries)):
+        unbounded = index.query_array(queries, k)
+    assert np.array_equal(dist, unbounded[0]) and np.array_equal(idx, unbounded[1])
+    for row in np.random.default_rng(seed).choice(len(queries), 6):
+        want_idx, want_d = brute_knn(points, queries[row], k)
+        assert np.array_equal(idx[row], want_idx) and np.array_equal(dist[row], want_d), row
+
+    assert (pilots == 0) == (case == "small-block")
+    if case == "lattice":  # rows tied, so _resolve asked its ball query
+        assert any(method == "query_ball_point" for method, _, _ in calls)
+    elif case == "coincident":
+        assert bounds == [1e-140]
+    elif case == "scaled":  # the widest squared distance, so the squared bound, is finite
+        assert all(np.isfinite(np.float64(b) ** 2) for b in bounds)
+    elif case == "beyond-the-bound":
+        assert again
+    elif case == "k-is-count":
+        assert idx.shape == (len(queries), len(points))
