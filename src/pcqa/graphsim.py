@@ -157,6 +157,18 @@ class LocalGraphPair:
 
 
 @dataclass(frozen=True, eq=False)
+class GraphTable:
+    """A call's keypoint graphs, one row per keypoint in draw order: each side's
+    cluster size and kept size (n, 2), the edge-weight cutoff (n,), and the padded
+    batches of the rows with two non-empty kept sides, which `score_graph` reads."""
+
+    sizes: np.ndarray
+    kept: np.ndarray
+    cutoffs: np.ndarray
+    batches: list
+
+
+@dataclass(frozen=True, eq=False)
 class GradientMoments:
     """Per-channel gradient statistics of one local graph.
 
@@ -361,9 +373,9 @@ def covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a - a.mean(axis=0)) * (b - b.mean(axis=0))).mean(axis=0)
 
 
-def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute,
-                pooling=POOLING_PRESETS["c2"], *, channel_weights=None) -> GraphScore:
-    """Similarities of a sequence of graph pairs under one signal, one row per pair.
+def score_graph(table: GraphTable, ref_signal: SignalAttribute, dist_signal: SignalAttribute,
+                pooling: tuple[str, str], channel_weights: np.ndarray) -> GraphScore:
+    """Similarities of a table's batched graph pairs under one signal, one row per pair.
 
     Three bounded ratios are computed per channel (each in [-1, 1], equal
     to 1 iff the compared statistics agree):
@@ -374,25 +386,19 @@ def score_graph(pairs, ref_signal: SignalAttribute, dist_signal: SignalAttribute
 
     with (t1, t2, t3) = STABILIZERS, then pooled by the (feature, channel)
     rules of `pooling`, a POOLING_PRESETS value (the channel stage pools
-    absolute values). Pairs are scored together in batches of
-    row_blocks(len(pairs), 3 x largest side - 1) pairs; with 2-3 channels,
+    absolute values, weighed by `channel_weights`). The table's batches hold
+    row_blocks(pairs, 3 x largest kept side - 1) pairs; with 2-3 channels,
     each row equals, bit for bit, the one `match_and_align`,
-    `gradient_moments` and `covariance` give for its pair alone. `pairs` may
-    also be the batch tuples of `_graph_batches`, which every signal kind reads.
+    `gradient_moments` and `covariance` give for its pair alone.
     """
     feature_pooling, channel_pooling = pooling
-    pairs = list(pairs)
-    batches = pairs if pairs and isinstance(pairs[0], tuple) else _pair_batches(pairs)
-    sim_mass, sim_mean, sim_cov = map(np.concatenate, zip(*(
-        _batch_similarities(*batch, ref_signal.values, dist_signal.values) for batch in batches)))
+    sim_mass, sim_mean, sim_cov = map(np.concatenate, zip(*(_batch_similarities(
+        *batch, ref_signal.values, dist_signal.values) for batch in table.batches)))
     if feature_pooling == "multiply":
         per_channel = sim_mass * sim_mean * sim_cov
     else:
         per_channel = (sim_mass + sim_mean + sim_cov) / 3
 
-    if channel_weights is None:
-        channel_weights = np.ones(per_channel.shape[1])
-    channel_weights = np.asarray(channel_weights, dtype=np.float64)
     if channel_pooling == "weighted-average":
         pooled = (channel_weights * np.abs(per_channel)).sum(axis=1) / channel_weights.sum()
     else:
@@ -418,26 +424,14 @@ def _match(orders):
     return m, np.arange(ref_order.shape[1]) < m, ref_order, dist_order
 
 
-def _pair_batches(pairs):
-    """`score_graph`'s batches of built pairs, made one at a time."""
-    if not pairs or any(p.ref.size == 0 or p.dist.size == 0 for p in pairs):
-        raise DomainError("cannot match an empty neighborhood")
-    width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
-    for batch in (pairs[b] for b in row_blocks(len(pairs), width - 1)):
-        yield (np.array([p.center_index for p in batch]),
-               *[(_pad([h.indices for h in hoods]), _pad([h.weights for h in hoods]))
-                 for hoods in ([p.ref for p in batch], [p.dist for p in batch])],
-               _match([match_and_align(p) for p in batch]))
-
-
-def _graph_batches(ref, dist, keys, radius, config, same):
-    """(batches, cluster sizes, kept sizes (len(keys), 2)) of the graphs around `keys`:
-    `build_local_graph_pair` and `match_and_align` per keypoint without a pair object,
-    from clusters padded per row_blocks; graphs with two non-empty sides are batched."""
+def _graph_table(ref, dist, keys, radius, config, same) -> GraphTable:
+    """The GraphTable of the graphs around `keys`: `build_local_graph_pair` and
+    `match_and_align` per keypoint without a pair object, from clusters padded per
+    row_blocks; graphs with two non-empty sides are batched."""
     sides = [[_kept_cluster(ref, c, radius) for c in keys]]
     sides.append(sides[0] if same else [_cluster(dist, ref.positions[c], radius) for c in keys])
     sizes = np.array([[len(c[0]) for c in side] for side in sides], np.intp).T
-    variance, kept = np.zeros(len(keys)), np.zeros_like(sizes)
+    cutoffs, kept = np.zeros(len(keys)), np.zeros_like(sizes)
     k = min(config.matching_k, 2 * sizes.max(initial=1))  # no union is longer; a C integer
 
     def top(x, n):  # per sorted row its matching_k-th distance, or its largest, or 0 if none
@@ -448,7 +442,8 @@ def _graph_batches(ref, dist, keys, radius, config, same):
         cut = (top(np.sort(np.hstack([x[:, :k] for x in d]), axis=1), nr + nd)
                if config.tau_scope == "union" else np.maximum(top(d[0], nr), top(d[1], nd)))
         kept[rows] = np.stack([(x <= cut[:, None]).sum(axis=1) for x in d], axis=1)
-        variance[rows] = np.maximum(cut * cut / 2.0, _TINY)  # as GraphParams.variance
+        cutoffs[rows] = cut
+    variance = np.maximum(cutoffs * cutoffs / 2.0, _TINY)  # as GraphParams.variance
 
     def prefix(j, rows, field, fill=0):  # each row's kept part of side j's cluster field
         return _pad([sides[j][i][field][:m] for i, m in zip(rows, kept[rows, j].tolist())], fill)
@@ -461,7 +456,7 @@ def _graph_batches(ref, dist, keys, radius, config, same):
         batches.append((keys[rows], *padded, _match([
             _align(ref.positions[sides[0][i][0][:a]], dist.positions[sides[1][i][0][:b]])
             for i, (a, b) in zip(rows, kept[rows].tolist())])))
-    return batches, sizes, kept
+    return GraphTable(sizes, kept, cutoffs, batches)
 
 
 def _batch_similarities(centers, ref_side, dist_side, match, ref_values, dist_values):
@@ -533,6 +528,9 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     if outside.any():
         raise DomainError(f"keypoint index {keypoints.indices[outside][0]} "
                           f"is outside [0, {ref.count})")
+    if bounding_box(ref).min_extent == 0:
+        raise DomainError("smallest reference bounding-box extent is 0, so the cluster radius is 0")
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     same = same_geometry(ref, dist)  # then its clusters and normals are the reference's
     # Normals of one kind: stored (oriented) on both sides, else estimated on both.
     stored = ref.has_normals and dist.has_normals
@@ -542,16 +540,15 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     weights = [np.asarray(CHANNEL_WEIGHTS[config.color_space]) if s.kind == "color"
                else np.ones(3) for s in ref_signals]
 
-    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    batches, sizes, kept = _graph_batches(ref, dist, keypoints.indices, radius, config, same)
-    graphed = sizes[:, 0] > 0  # an empty reference cluster skips its keypoint
+    table = _graph_table(ref, dist, keypoints.indices, radius, config, same)
+    graphed = table.sizes[:, 0] > 0  # an empty reference cluster skips its keypoint
     if not graphed.any():
         raise DomainError("no scorable keypoint graphs (every reference cluster was empty)")
     # A graph with an empty side scores 0 and adds no channel value.
-    scored = kept[graphed].min(axis=1) > 0
+    scored = table.kept[graphed].min(axis=1) > 0
     per_graph, means, count = np.zeros(graphed.sum()), {}, int(scored.sum())
-    if batches:  # one matching for every kind
-        scores = [score_graph(batches, rs, ds, config.pooling_rules, channel_weights=w)
+    if table.batches:  # one matching for every kind
+        scores = [score_graph(table, rs, ds, config.pooling_rules, w)
                   for rs, ds, w in zip(ref_signals, dist_signals, weights)]
         per_graph[scored] = sum(gs.pooled for gs in scores) / len(scores)
         for rs, gs in zip(ref_signals, scores):  # each label summed down the graphs in order

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from pcqa import PointCloud
+from pcqa.graphsim import GraphTable, _match, _pad, match_and_align
+from pcqa.spatial import row_blocks
 
 
 def random_cloud(n, seed=0, span=10.0, colored=True, normals=False):
@@ -28,6 +30,21 @@ def streamed_self_table(index, k):
     for rows, d, i in index.self_knn_blocks(k, k):
         dist[rows], idx[rows] = d, i
     return dist, idx
+
+
+def pair_table(pairs):
+    """The GraphTable of built `LocalGraphPair`s, for `score_graph`: their sizes and
+    cutoffs, and their batches padded one pair at a time through `match_and_align`,
+    which refuses a pair with an empty side."""
+    width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
+    batches = [(np.array([p.center_index for p in batch]),
+                *[(_pad([h.indices for h in hoods]), _pad([h.weights for h in hoods]))
+                  for hoods in ([p.ref for p in batch], [p.dist for p in batch])],
+                _match([match_and_align(p) for p in batch]))
+               for batch in (pairs[b] for b in row_blocks(len(pairs), width - 1))]
+    return GraphTable(sizes=np.array([[p.ref_cluster_size, p.dist_cluster_size] for p in pairs]),
+                      kept=np.array([[p.ref.size, p.dist.size] for p in pairs]),
+                      cutoffs=np.array([p.params.cutoff for p in pairs]), batches=batches)
 
 
 def smooth_cloud(n, seed=0, span=10.0):

@@ -16,7 +16,7 @@ from pcqa.cli import build_parser, main
 from pcqa.evaluate import MIN_GROUP_SIZE, logistic_fit, plcc, rmse, srocc
 from pcqa.jsonutil import canonical_dumps
 
-from helpers import random_cloud
+from helpers import planar_cloud, random_cloud
 
 
 @pytest.fixture
@@ -132,6 +132,18 @@ class TestScore:
         assert out == ""
         diag = last_stderr_json(err)
         assert diag["error"] == "DomainError" and "colors" in diag["message"]
+
+    def test_zero_extent_reference_exits_3_naming_its_extent(self, capsys, tmp_path):
+        # A z = 0 coloured cloud: its cluster radius is 0, refused with that cause.
+        cloud = planar_cloud(2000)
+        path = str(tmp_path / "flat.ply")
+        save_ply(PointCloud(positions=cloud.positions,
+                            colors=np.random.default_rng(3).integers(0, 256, (2000, 3))), path)
+        code, out, err = run(capsys, "score", path, path)
+        assert (code, out) == (3, "")
+        assert last_stderr_json(err) == {
+            "error": "DomainError",
+            "message": "smallest reference bounding-box extent is 0, so the cluster radius is 0"}
 
     @pytest.mark.parametrize("damage", ["missing", "truncated"])
     def test_unreadable_distorted_exits_2_without_traceback(self, ply_pair, tmp_path, damage):
@@ -473,7 +485,7 @@ def coincident_ply(tmp_path):
 
 
 @pytest.mark.parametrize("distorted, code, error", [
-    (None, 3, "DomainError"),  # the pair itself: no cluster, so no scorable graph
+    (None, 3, "DomainError"),  # the pair itself: a zero extent, so a zero cluster radius
     ("missing.ply", 2, "FileNotFoundError"),  # read after the keypoint stage warned
 ])
 def test_failed_command_prints_its_warnings_before_the_error(

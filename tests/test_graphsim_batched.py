@@ -23,7 +23,7 @@ from pcqa import (DistortionSpec, DomainError, GraphSimConfig, PointCloud, apply
                   bounding_box, build_local_graph_pair, graphsim)
 from pcqa.cloud import same_geometry
 from pcqa.colorspace import CHANNEL_WEIGHTS
-from pcqa.graphsim import (POOLING_PRESETS, STABILIZERS, _signals, covariance,
+from pcqa.graphsim import (POOLING_PRESETS, STABILIZERS, _graph_table, _signals, covariance,
                            gradient_moments, match_and_align, score_graph)
 
 from oracles import local_graph_oracle
@@ -149,6 +149,21 @@ def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus,
     keypoints = rng.permutation(np.append(rng.choice(void, count, replace=False), void))
     per_graph, graph_keypoints, means, empty, skipped, kept, signals = _score_one_at_a_time(
         ref, dist, config, keypoints, _reference_path)
+    # The call's own table: per keypoint the pair's cluster and kept sizes and its
+    # cutoff, bit for bit; batched, in order, exactly the rows with two kept sides.
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    table = _graph_table(ref, dist, keypoints, radius, config, same_geometry(ref, dist))
+    pairs = [build_local_graph_pair(int(c), ref, dist, config, radius=radius) for c in keypoints]
+    assert table.sizes.tolist() == [[p.ref_cluster_size, p.dist_cluster_size] for p in pairs]
+    assert table.kept.tolist() == [[p.ref.size, p.dist.size] for p in pairs]
+    assert table.cutoffs.tolist() == [p.params.cutoff for p in pairs]
+    scored = table.kept.min(axis=1) > 0
+    assert len(kept) == scored.sum() == sum(len(batch[0]) for batch in table.batches)
+    if kept:  # each batch: (centres, ref side, dist side, (matched counts, ...))
+        centres, matched = (np.concatenate(parts) for parts in zip(
+            *((batch[0], batch[3][0].ravel()) for batch in table.batches)))
+        assert np.array_equal(centres, keypoints[scored])
+        assert np.array_equal(matched, table.kept[scored].min(axis=1)) and matched.min() > 0
     if not per_graph:
         with pytest.raises(DomainError, match="no scorable keypoint graphs"):
             graphsim(ref, dist, config, keypoints=keypoints)
@@ -159,8 +174,8 @@ def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus,
     assert result.per_channel_means == means
     assert list(result.graph_keypoints) == graph_keypoints
     assert (result.empty_graphs, result.skipped_keypoints) == (empty, skipped)
-    for rs, ds in signals:  # every field of the batch, row by row
-        batch = score_graph(kept, rs, ds) if kept else None
+    for rs, ds in signals:  # every field of the table's scores, row by row
+        batch = score_graph(table, rs, ds, config.pooling_rules, np.ones(3)) if kept else None
         for row, pair in enumerate(kept):
             for got, want in zip((batch.sim_mass, batch.sim_mean, batch.sim_cov),
                                  _similarities(pair, rs, ds)):
@@ -173,16 +188,6 @@ def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus,
     assert result.per_channel_means.keys() == o_means.keys()
     for key, value in o_means.items():
         assert result.per_channel_means[key] == pytest.approx(value, rel=1e-9, abs=1e-12)
-
-
-def test_empty_or_no_pairs_are_refused():
-    ref, dist, void = _clouds(3, 80, False, "same")
-    pair = build_local_graph_pair(void, ref, dist)
-    signal = _signals(ref, GraphSimConfig(), ref)[0]
-    assert pair.ref.size == 0
-    for pairs in ([], [pair]):
-        with pytest.raises(DomainError, match="cannot match an empty neighborhood"):
-            score_graph(pairs, signal, signal)
 
 
 @pytest.mark.parametrize("signal", ["color", "mixed", ("color", "coordinate", "normal")])
@@ -216,8 +221,8 @@ def test_graphsim_builds_no_pair_object(monkeypatch, signal):
     kinds = []
     monkeypatch.setattr(module, "build_local_graph_pair", refuse)
     monkeypatch.setattr(module, "LocalGraphPair", refuse)
-    monkeypatch.setattr(module, "score_graph", lambda pairs, rs, ds, *args, **kwargs:
-                        kinds.append(rs.kind) or score_graph(pairs, rs, ds, *args, **kwargs))
+    monkeypatch.setattr(module, "score_graph", lambda table, rs, ds, *args:
+                        kinds.append(rs.kind) or score_graph(table, rs, ds, *args))
     got = graphsim(ref, dist, config, keypoints=keypoints)
     assert got.to_report(config) == want
     assert got.skipped_keypoints == 1 and 0 < got.empty_graphs < len(got.per_graph)

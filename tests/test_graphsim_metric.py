@@ -18,7 +18,7 @@ from pcqa.errors import DomainError
 from pcqa.graphsim import _signals, score_graph
 from pcqa.jsonutil import canonical_dumps
 
-from helpers import random_cloud, smooth_cloud
+from helpers import pair_table, random_cloud, smooth_cloud
 
 
 @pytest.mark.parametrize("seed,n", [(0, 800), (1, 2000), (2, 5000)])
@@ -152,7 +152,7 @@ def test_per_channel_means_skip_empty_graphs():
     pairs = [pair for pair in pairs if pair.ref.size > 0 and pair.dist.size > 0]
     values = {}
     for rs, ds in signals:  # channel weights touch only the pooled score
-        gs = score_graph(pairs, rs, ds, ("multiply", "weighted-average"))
+        gs = score_graph(pair_table(pairs), rs, ds, ("multiply", "weighted-average"), np.ones(3))
         for label, column in zip(rs.labels, gs.per_channel.T):
             values[f"{rs.kind}:{label}"] = list(column)
     assert len(next(iter(values.values()))) == len(result.per_graph) - result.empty_graphs

@@ -21,7 +21,7 @@ from pcqa.graphsim import (
 )
 from pcqa.colorspace import CHANNEL_WEIGHTS
 
-from helpers import random_cloud
+from helpers import pair_table, planar_cloud, random_cloud
 from oracles import local_graph_oracle
 
 
@@ -176,13 +176,19 @@ def test_cutoff_per_side_takes_worse_side():
 
 
 def test_flat_cloud_radius_degenerates_loudly():
-    # A strictly planar cloud has a zero smallest box extent, so the
-    # derived cluster radius is zero and nothing can be scored.
+    # A strictly planar cloud has a zero smallest box extent, so the derived
+    # cluster radius is zero: after the keypoint stage, the graph build refuses it
+    # by that cause rather than by "no scorable keypoint graphs".
     rng = np.random.default_rng(21)
     flat = np.column_stack([rng.uniform(0, 5, (80, 2)), np.zeros(80)])
     ref = PointCloud(positions=flat, colors=rng.integers(0, 256, (80, 3)).astype(float))
-    with pytest.raises(DomainError, match="scorable"):
-        graphsim(ref, ref, keypoints=np.array([0, 1, 2]))
+    plane = PointCloud(positions=planar_cloud(2000).positions,
+                       colors=rng.integers(0, 256, (2000, 3)).astype(float))
+    for cloud, keypoints in ((ref, np.array([0, 1, 2])), (plane, None)):
+        for signal in ("color", "coordinate"):
+            with pytest.raises(DomainError, match="^smallest reference bounding-box extent "
+                                                  "is 0, so the cluster radius is 0$"):
+                graphsim(cloud, cloud, GraphSimConfig(signal_kind=signal), keypoints=keypoints)
 
 
 def test_variance_is_half_squared_cutoff():
@@ -236,7 +242,7 @@ def test_pipeline_matches_loop_oracle_channelwise():
         pair = build_local_graph_pair(center, ref, dist, config)
         assert np.allclose(pair.ref.weights, oracle["ref_weights"], rtol=1e-10)
         assert np.allclose(pair.dist.weights, oracle["dist_weights"], rtol=1e-10)
-        gs = score_graph([pair], ref_signal, dist_signal, pooling)
+        gs = score_graph(pair_table([pair]), ref_signal, dist_signal, pooling, np.ones(3))
         sims = oracle["similarities"]
         assert np.allclose(gs.sim_mass[0], sims[:, 0], rtol=1e-10)
         assert np.allclose(gs.sim_mean[0], sims[:, 1], rtol=1e-10)
@@ -252,8 +258,8 @@ def test_identical_pair_scores_one():
     from pcqa.colorspace import decompose
 
     signal = decompose(cloud, config.color_space)
-    gs = score_graph([pair], signal, signal, POOLING_PRESETS[config.pooling],
-                     channel_weights=CHANNEL_WEIGHTS[config.color_space])
+    gs = score_graph(pair_table([pair]), signal, signal, POOLING_PRESETS[config.pooling],
+                     np.asarray(CHANNEL_WEIGHTS[config.color_space]))
     assert gs.per_channel.shape == (1, 3) and gs.pooled.shape == (1,)
     assert np.allclose(gs.per_channel, 1.0, atol=1e-12)
     assert gs.pooled[0] == pytest.approx(1.0, abs=1e-12)
@@ -441,7 +447,8 @@ def test_similarity_ratio_when_one_mass_vanishes():
     )
     ref_signal = SignalAttribute(np.array([0.0, 1.0]), kind="color")
     dist_signal = SignalAttribute(np.array([0.0]), kind="color")
-    score = score_graph([pair], ref_signal, dist_signal)
+    score = score_graph(pair_table([pair]), ref_signal, dist_signal, POOLING_PRESETS["c2"],
+                        np.ones(1))
     # Reference mass 1 against distorted mass 0 under the 1e-3 stabilizer.
     assert score.sim_mass[0, 0] == pytest.approx(0.001 / 1.001, rel=1e-12)
     assert score.sim_mean[0, 0] == pytest.approx(0.001 / 1.001, rel=1e-12)
@@ -466,8 +473,9 @@ def test_doubling_keeps_mean_similarity_but_not_mass():
         ref_cluster_size=4, dist_cluster_size=8,
     )
     dist_values = np.repeat(intensities, 2)
-    score = score_graph([pair], base_signal,
-                        SignalAttribute(dist_values, kind="color"))
+    score = score_graph(pair_table([pair]), base_signal,
+                        SignalAttribute(dist_values, kind="color"), POOLING_PRESETS["c2"],
+                        np.ones(1))
     assert score.sim_mean[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert score.sim_cov[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert score.sim_mass[0, 0] < 1.0

@@ -18,10 +18,11 @@ import pytest
 from pcqa import (DistortionSpec, GraphSimConfig, PointCloud, ResampleConfig, apply_distortion,
                   bounding_box, build_local_graph_pair, graphsim, load_ply, save_ply, spatial)
 from pcqa.baselines import _match_pair, estimate_normals, run_baselines
-from pcqa.graphsim import _cluster, _graph_batches, _kept_cluster, _signals, score_graph
+from pcqa.graphsim import (POOLING_PRESETS, _cluster, _graph_table, _kept_cluster, _signals,
+                           score_graph)
 from pcqa.resample import frequency_scores, resample
 
-from helpers import random_cloud
+from helpers import pair_table, random_cloud
 from oracles import brute_knn
 
 N = 20_000
@@ -119,10 +120,12 @@ def test_graph_scoring_peak_is_five_padded_arrays_of_one_batch(monkeypatch, bloc
     pairs = [build_local_graph_pair(int(i), ref, dist, config) for i in range(0, N, N // 8)]
     signals = _signals(ref, config, ref)[0], _signals(dist, config, dist)[0]
     batch = max(block, 3 * max(max(p.ref.size, p.dist.size) for p in pairs))
-    # Five float64 arrays of one batch: 3.5 at the default block and 4.3 at 2**14
-    # measured. All eight pairs in one batch would hold twice the default block's.
+    # Five float64 arrays of one batch: with the table built beforehand, 2.0 at the
+    # default block and 2.5 at 2**14 measured. All eight pairs in one batch would
+    # hold twice the default block's.
     bound = 5 * 8 * batch
-    peak = _peak(lambda: score_graph(pairs, *signals))
+    table = pair_table(pairs)
+    peak = _peak(lambda: score_graph(table, *signals, POOLING_PRESETS["c2"], np.ones(3)))
     assert peak <= bound, (peak, bound)
 
 
@@ -145,12 +148,12 @@ def test_graph_build_transients_are_one_batch(monkeypatch, block):
     dist.spatial_index
     tracemalloc.start()
     try:
-        batches, sizes, kept = _graph_batches(ref, dist, keys, radius, config, False)
+        table = _graph_table(ref, dist, keys, radius, config, False)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(batches) > 1 and sizes[:, 0].sum() > 16 * N // 2
-    bound = 5 * 8 * max(block, 3 * kept.max())  # five float64 arrays of one batch
+    assert len(table.batches) > 1 and table.sizes[:, 0].sum() > 16 * N // 2
+    bound = 5 * 8 * max(block, 3 * table.kept.max())  # five float64 arrays of one batch
     assert peak - current <= bound, (peak - current, bound)
 
 
