@@ -15,7 +15,7 @@ import numpy as np
 
 from .cloud import BoundingBox, PointCloud, bounding_box, merged_bounding_box, same_geometry
 from .colorspace import to_yuv
-from .errors import DomainError
+from .errors import DomainError, check_choice, check_integer
 
 METRIC_IDS = ("m-p2po", "m-p2pl", "h-p2po", "h-p2pl", "psnr-yuv")
 
@@ -62,11 +62,9 @@ def estimate_normals(cloud: PointCloud, k: int = 12):
         those fall back to +z. Both are read-only, computed once per cloud and k,
         from the streamed self k-NN rows block by block; no k-NN table is kept.
     """
-    if k < 1:
-        raise DomainError(f"normal estimation needs k >= 1, got {k}")
-    n = cloud.count
-    if n < k:
-        raise DomainError(f"normal estimation needs at least k={k} points, got {n}")
+    check_integer("k", k, 1)
+    if cloud.count < k:
+        raise DomainError(f"normal estimation needs at least k={k} points, got {cloud.count}")
     return cloud._cached(("normals", k), lambda: _pca_normals(cloud, k))
 
 
@@ -154,8 +152,7 @@ def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
 
 
 def _check_pair(ref: PointCloud, dist: PointCloud, normals_k: int) -> None:
-    if normals_k < 1:
-        raise DomainError(f"normals_k must be >= 1, got {normals_k}")
+    check_integer("normals_k", normals_k, 1)
     if ref.count == 0 or dist.count == 0:
         raise DomainError("both clouds must be non-empty")
 
@@ -177,10 +174,8 @@ def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
     reference point's own normal in the backward direction). agg "mse"
     averages, agg "hausdorff" keeps the maximum squared error.
     """
-    if mode not in ("point", "plane"):
-        raise DomainError(f"unknown error mode '{mode}'")
-    if agg not in ("mse", "hausdorff"):
-        raise DomainError(f"unknown aggregation '{agg}'")
+    check_choice("error mode", mode, ("point", "plane"))
+    check_choice("aggregation", agg, ("mse", "hausdorff"))
     _check_pair(ref, dist, normals_k)
     ref_normals = _cloud_normals(ref, normals_k) if mode == "plane" else None
     squared = _squared_errors(ref, dist, _match_pair(ref, dist), ref_normals)

@@ -25,12 +25,12 @@ from .baselines import METRIC_IDS, run_baselines
 from .colorspace import SPACES
 from .distort import KINDS, DistortionSpec, apply_distortion
 from .errors import DomainError, ParseError, ValidationError
-from .evaluate import evaluate_records
-from .graphsim import POOLING_PRESETS, GraphSimConfig, graphsim
+from .evaluate import FIT_SCOPES, evaluate_records
+from .graphsim import POOLING_PRESETS, TAU_SCOPES, GraphSimConfig, graphsim
 from .jsonutil import canonical_dumps, write_report
 from .mos import load_mos_csv
-from .ply_io import load_ply, save_ply
-from .resample import ResampleConfig, resample, write_keypoints_csv
+from .ply_io import PLY_FORMATS, load_ply, save_ply
+from .resample import METHODS, ResampleConfig, resample, write_keypoints_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -269,12 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--matching-k", type=int, default=50,
                        help="neighbor rank that sets the edge cutoff")
     score.add_argument("--beta", type=int, default=None, help="explicit keypoint count")
-    score.add_argument("--resample", dest="resample_method",
-                       choices=("high-pass", "random"), default="high-pass",
-                       help="keypoint selection method")
+    score.add_argument("--resample", dest="resample_method", choices=METHODS,
+                       default="high-pass", help="keypoint selection method")
     score.add_argument("--pooling", choices=sorted(POOLING_PRESETS), default="c2",
                        help="feature/channel pooling preset")
-    score.add_argument("--tau-scope", choices=("union", "per-side"), default="union")
+    score.add_argument("--tau-scope", choices=TAU_SCOPES, default="union")
     score.set_defaults(func=cmd_score)
 
     baseline = sub.add_parser("baseline", parents=[pair],
@@ -289,20 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     distort.add_argument("--level", type=float, required=True)
     distort.add_argument("--seed", type=int, default=0)
     distort.add_argument("--output", required=True, help="destination PLY path")
-    distort.add_argument("--ply-format", choices=("binary", "ascii"), default="binary")
+    distort.add_argument("--ply-format", choices=PLY_FORMATS, default="binary")
     distort.set_defaults(func=cmd_distort)
 
     res = sub.add_parser("resample", parents=[keypoints], help="select reference keypoints")
     res.add_argument("input")
     res.add_argument("--count", type=int, default=None)
-    res.add_argument("--method", choices=("high-pass", "random"), default="high-pass")
+    res.add_argument("--method", choices=METHODS, default="high-pass")
     res.add_argument("--output", required=True, help="destination CSV path")
     res.set_defaults(func=cmd_resample)
 
     ev = sub.add_parser("eval", help="correlate score reports against a MOS table")
     ev.add_argument("scores_dir")
     ev.add_argument("mos_csv")
-    ev.add_argument("--fit-scope", choices=("global", "per-group"), default="global")
+    ev.add_argument("--fit-scope", choices=FIT_SCOPES, default="global")
     ev.add_argument("--allow-partial", action="store_true",
                     help="tolerate MOS rows without a matching score")
     ev.add_argument("--output", default=None, help="also write the JSON report here")

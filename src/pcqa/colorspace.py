@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DomainError
+from .errors import DomainError, check_choice
 from .graph import SignalAttribute
 
 GCM_MATRIX = np.array([
@@ -69,8 +69,7 @@ def decompose(cloud: PointCloud, space: str = "gcm") -> SignalAttribute:
     transform. Raises DomainError for an unknown space or a cloud
     without colors.
     """
-    if space not in SPACES:
-        raise DomainError(f"unknown color space '{space}'")
+    check_choice("color space", space, SPACES)
     if not cloud.has_colors:
         raise DomainError("cloud has no colors to decompose")
     rgb = cloud.colors / 255.0

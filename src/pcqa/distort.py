@@ -22,13 +22,12 @@ proportional, which keeps quality strictly ordered.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cloud import PointCloud, bounding_box
-from .errors import DomainError
+from .errors import DomainError, check_choice, check_integer
 
 KINDS = ("cn", "ggn", "ds", "ot")
 
@@ -53,17 +52,13 @@ class DistortionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown distortion kind '{self.kind}'")
+        check_choice("distortion kind", self.kind, KINDS)
         if not math.isfinite(self.level):
             raise DomainError(f"{self.kind} level must be finite, got {self.level}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_integer("seed", self.seed, 0)
         if self.kind == "ot":
             if self.level != int(self.level) or not 1 <= self.level <= 16:
-                raise DomainError(
-                    f"ot depth must be an integer in [1, 16], got {self.level}"
-                )
+                raise DomainError(f"ot depth must be an integer in [1, 16], got {self.level}")
         elif self.kind == "ds":
             if not 0 < self.level <= 1:
                 raise DomainError(f"ds keep ratio must be in (0, 1], got {self.level}")
@@ -106,9 +101,7 @@ def _geometry_noise(cloud: PointCloud, level: float, rng) -> PointCloud:
 def _downsample(cloud: PointCloud, keep_ratio: float, rng) -> PointCloud:
     kept = int(round(keep_ratio * cloud.count))
     if kept < 1:
-        raise DomainError(
-            f"keep ratio {keep_ratio} leaves no points out of {cloud.count}"
-        )
+        raise DomainError(f"keep ratio {keep_ratio} leaves no points out of {cloud.count}")
     keep = np.sort(rng.permutation(cloud.count)[:kept])
     return PointCloud(
         positions=cloud.positions[keep],

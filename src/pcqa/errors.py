@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and its two parameter rules."""
+
+import numbers
 
 
 class Error(Exception):
@@ -34,3 +36,17 @@ class DomainError(Error):
 class DegenerateCloudWarning(UserWarning):
     """Geometry was too degenerate for the usual computation and a documented
     fallback was applied."""
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """DomainError naming `name` unless `value` is a numbers.Integral of at least `minimum`."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_choice(what: str, value, choices) -> None:
+    """DomainError "unknown `what` 'value'" unless `value` is one of `choices`."""
+    if value not in choices:
+        raise DomainError(f"unknown {what} '{value}'")

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_choice
 
 __all__ = [
     "LogisticFit",
@@ -35,6 +35,8 @@ MIN_GROUP_SIZE = 3
 #: Groups at least MIN_GROUP_SIZE but smaller than this are reported with a
 #: low-sample flag so downstream consumers can discount them.
 SMALL_GROUP_SIZE = 5
+
+FIT_SCOPES = ("global", "per-group")
 
 
 def _logistic(x: np.ndarray, b1: float, b2: float, b3: float, b4: float, b5: float) -> np.ndarray:
@@ -260,8 +262,7 @@ def evaluate_records(records: Sequence[Mapping[str, object]], *,
     Groups smaller than MIN_GROUP_SIZE are left out and named, sorted, in
     ``excluded_groups``.
     """
-    if fit_scope not in ("global", "per-group"):
-        raise DomainError(f"unknown fit scope: {fit_scope!r}")
+    check_choice("fit scope", fit_scope, FIT_SCOPES)
     if not records:
         raise DomainError("no records to evaluate")
 

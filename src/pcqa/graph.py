@@ -29,8 +29,12 @@ class GraphParams:
 
     @property
     def variance(self) -> float:
-        """Gaussian variance cutoff^2 / 2, floored to stay positive."""
-        return max(self.cutoff * self.cutoff / 2.0, _TINY)
+        return float(gaussian_variance(self.cutoff))
+
+
+def gaussian_variance(cutoff):
+    """Gaussian variance cutoff^2 / 2, floored to stay positive. Array-aware."""
+    return np.maximum(cutoff * cutoff / 2.0, _TINY)
 
 
 def edge_weight(distance, params: GraphParams):

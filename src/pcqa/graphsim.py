@@ -21,7 +21,6 @@ increasing local color/geometry disagreement.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +28,14 @@ import numpy as np
 from .baselines import estimate_normals
 from .cloud import PointCloud, bounding_box, same_geometry
 from .colorspace import CHANNEL_WEIGHTS, SPACES, decompose
-from .errors import DomainError
-from .graph import _TINY, GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight
+from .errors import DomainError, check_choice, check_integer
+from .graph import (GraphParams, SignalAttribute, WeightedNeighborhood, edge_weight,
+                    gaussian_variance)
 from .resample import KeypointSet, ResampleConfig, resample
 from .spatial import row_blocks
 
 SIGNAL_KINDS = ("color", "coordinate", "normal")
+TAU_SCOPES = ("union", "per-side")
 
 # Named pooling presets: (feature pooling, channel pooling).
 POOLING_PRESETS = {
@@ -91,23 +92,15 @@ class GraphSimConfig:
         if not 0 < self.neighborhood_fraction < math.inf:
             raise DomainError("neighborhood_fraction must be positive and finite, "
                               f"got {self.neighborhood_fraction}")
-        for name in ("matching_k", "normals_k"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise DomainError(f"{name} must be >= 1, got {value}")
-        if self.color_space not in SPACES:
-            raise DomainError(f"unknown color space '{self.color_space}'")
-        if self.pooling not in POOLING_PRESETS:
-            raise DomainError(f"unknown pooling preset '{self.pooling}'")
-        if self.tau_scope not in ("union", "per-side"):
-            raise DomainError(f"unknown tau_scope '{self.tau_scope}'")
+        check_integer("matching_k", self.matching_k, 1)
+        check_integer("normals_k", self.normals_k, 1)
+        check_choice("color space", self.color_space, SPACES)
+        check_choice("pooling preset", self.pooling, POOLING_PRESETS)
+        check_choice("tau_scope", self.tau_scope, TAU_SCOPES)
         if not self.signal_kinds:
             raise DomainError("signal_kind must name at least one signal kind")
         for i, kind in enumerate(self.signal_kinds):
-            if kind not in SIGNAL_KINDS:
-                raise DomainError(f"unknown signal kind '{kind}'")
+            check_choice("signal kind", kind, SIGNAL_KINDS)
             if kind in self.signal_kinds[:i]:
                 raise DomainError(f"signal kind '{kind}' is listed twice")
 
@@ -238,6 +231,18 @@ def _cluster(cloud: PointCloud, center: np.ndarray, radius: float):
     return idx[keep], d[keep]
 
 
+def _radius(ref: PointCloud, fraction: float) -> float:
+    """`fraction` times the smallest reference box extent; refused if it squares to 0."""
+    extent = bounding_box(ref).min_extent
+    if extent == 0:
+        raise DomainError("smallest reference bounding-box extent is 0, so the cluster radius is 0")
+    radius = fraction * extent
+    if not radius * radius > 0:
+        raise DomainError(f"cluster radius {radius!r} squares to 0: neighborhood_fraction "
+                          f"{fraction!r} times the smallest reference bounding-box extent {extent!r}")
+    return radius
+
+
 def _kept_cluster(ref: PointCloud, center_index: int, radius: float):
     """The reference's `_cluster` around its own point, indices as int32, kept on
     the reference per (radius, point): it comes from the reference alone, so
@@ -274,9 +279,7 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
     the `_kept_cluster` entry.
     """
     config = config or GraphSimConfig()
-    if radius is None:
-        radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-
+    radius = _radius(ref, config.neighborhood_fraction) if radius is None else radius
     r_idx, r_d = _kept_cluster(ref, center_index, radius)
     d_idx, d_d = _cluster(dist, ref.positions[center_index], radius)
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
@@ -443,7 +446,7 @@ def _graph_table(ref, dist, keys, radius, config, same) -> GraphTable:
                if config.tau_scope == "union" else np.maximum(top(d[0], nr), top(d[1], nd)))
         kept[rows] = np.stack([(x <= cut[:, None]).sum(axis=1) for x in d], axis=1)
         cutoffs[rows] = cut
-    variance = np.maximum(cutoffs * cutoffs / 2.0, _TINY)  # as GraphParams.variance
+    variance = gaussian_variance(cutoffs)
 
     def prefix(j, rows, field, fill=0):  # each row's kept part of side j's cluster field
         return _pad([sides[j][i][field][:m] for i, m in zip(rows, kept[rows, j].tolist())], fill)
@@ -528,9 +531,7 @@ def graphsim(ref: PointCloud, dist: PointCloud,
     if outside.any():
         raise DomainError(f"keypoint index {keypoints.indices[outside][0]} "
                           f"is outside [0, {ref.count})")
-    if bounding_box(ref).min_extent == 0:
-        raise DomainError("smallest reference bounding-box extent is 0, so the cluster radius is 0")
-    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    radius = _radius(ref, config.neighborhood_fraction)
     same = same_geometry(ref, dist)  # then its clusters and normals are the reference's
     # Normals of one kind: stored (oriented) on both sides, else estimated on both.
     stored = ref.has_normals and dist.has_normals

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ParseError, TruncationError
+from .errors import ParseError, TruncationError, check_choice
 
 # PLY scalar type name -> numpy type code
 _PLY_SCALARS = {
@@ -34,6 +34,7 @@ _PLY_SCALARS = {
 _COLOR_ALIASES = {"r": "red", "g": "green", "b": "blue"}
 _COORD_NAMES = ("x", "y", "z")
 _NORMAL_NAMES = ("nx", "ny", "nz")
+PLY_FORMATS = ("binary", "ascii")
 
 
 def _split_header(data: bytes, path: str):
@@ -235,8 +236,7 @@ def save_ply(cloud: PointCloud, path: str, format: str = "binary") -> None:
     round trip is the identity on positions. Colors are written as uchar.
     ASCII output keeps 9 significant digits.
     """
-    if format not in ("binary", "ascii"):
-        raise ValueError(f"unknown PLY format '{format}'")
+    check_choice("PLY format", format, PLY_FORMATS)
 
     # One (name, PLY type, source column) list serves the header and both bodies.
     fields = [
@@ -247,11 +247,8 @@ def save_ply(cloud: PointCloud, path: str, format: str = "binary") -> None:
         if source is not None
         for axis, name in enumerate(names)
     ]
-    header = ["ply"]
-    header.append(
-        "format ascii 1.0" if format == "ascii" else "format binary_little_endian 1.0"
-    )
-    header.append(f"element vertex {cloud.count}")
+    header = ["ply", "format ascii 1.0" if format == "ascii" else "format binary_little_endian 1.0",
+              f"element vertex {cloud.count}"]
     header.extend(f"property {'uchar' if c == 'u1' else 'double'} {n}" for n, c, _ in fields)
     header.append("end_header")
 

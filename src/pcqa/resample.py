@@ -11,14 +11,13 @@ proportional to that score (or uniformly, for the ablation method).
 from __future__ import annotations
 
 import csv
-import numbers
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DegenerateCloudWarning, DomainError
+from .errors import DegenerateCloudWarning, DomainError, check_choice, check_integer
 
 METHODS = ("high-pass", "random")
 
@@ -50,32 +49,20 @@ class ResampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("count", "filter_length", "graph_k", "seed"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.count is not None and self.count < 1:
-            raise DomainError(f"keypoint count must be >= 1, got {self.count}")
-        if self.count is None and not 0 < self.ratio <= 1:
+        if self.count is not None:
+            check_integer("keypoint count", self.count, 1)
+        elif not 0 < self.ratio <= 1:
             raise DomainError(f"keypoint ratio must be in (0, 1], got {self.ratio}")
-        if self.filter_length < 2:
-            raise DomainError(
-                f"filter length must be >= 2, got {self.filter_length}"
-            )
-        if self.graph_k < 1:
-            raise DomainError(f"graph_k must be >= 1, got {self.graph_k}")
-        if self.method not in METHODS:
-            raise DomainError(f"unknown resample method '{self.method}'")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        check_integer("filter_length", self.filter_length, 2)
+        check_integer("graph_k", self.graph_k, 1)
+        check_integer("seed", self.seed, 0)
+        check_choice("resample method", self.method, METHODS)
 
     def resolve_count(self, n: int) -> int:
         """Keypoint count for an n-point cloud; at least 1, at most n."""
         if self.count is not None:
             if self.count > n:
-                raise DomainError(
-                    f"requested {self.count} keypoints from {n} points"
-                )
+                raise DomainError(f"requested {self.count} keypoints from {n} points")
             return self.count
         return max(1, min(n, int(np.floor(self.ratio * n))))
 
@@ -100,6 +87,8 @@ class KeypointSet:
         scores = np.asarray(self.scores, dtype=np.float64)
         if indices.ndim != 1 or scores.shape != indices.shape:
             raise DomainError("keypoint indices and scores must be parallel 1-D arrays")
+        if indices.size == 0:
+            raise DomainError("keypoint set is empty: give at least one keypoint index")
         if len(np.unique(indices)) != indices.size:
             raise DomainError("keypoint indices must be unique")
         if (scores < 0).any():

@@ -11,11 +11,10 @@ a row's answer depends on that row alone, so not on the core count.
 from __future__ import annotations
 
 import itertools
-import numbers
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 # Entries, rows x (k + 1), per block of every bulk pass (k-NN queries and their tie
 # chunks, PCA normals, keypoint filter, graph matching). Measured (tracemalloc): a
@@ -111,10 +110,7 @@ class SpatialIndex:
         the one before it; others keep the tree's values. Rows go in row_blocks,
         each written straight into the outputs, which the index does not keep.
         """
-        if not isinstance(k, numbers.Integral):
-            raise DomainError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise DomainError(f"k must be >= 1, got {k}")
+        check_integer("k", k, 1)
         queries = np.atleast_2d(_checked(queries))
         kk = min(int(k), self.count)
         dist, idx = np.empty((len(queries), kk)), np.empty((len(queries), kk), np.intp)

@@ -145,6 +145,19 @@ class TestScore:
             "error": "DomainError",
             "message": "smallest reference bounding-box extent is 0, so the cluster radius is 0"}
 
+    def test_radius_that_squares_to_zero_exits_3_naming_it(self, capsys, tmp_path):
+        # A cloud 0.001 across at --theta-fraction 1e-320: a radius of ~1e-323 squares to 0.
+        rng = np.random.default_rng(4)
+        path = str(tmp_path / "tiny.ply")
+        save_ply(PointCloud(positions=rng.uniform(0, 0.001, (300, 3)),
+                            colors=rng.integers(0, 256, (300, 3))), path)
+        code, out, err = run(capsys, "score", path, path, "--theta-fraction", "1e-320")
+        assert (code, out) == (3, "")
+        diag = last_stderr_json(err)
+        assert diag["error"] == "DomainError"
+        assert diag["message"].startswith("cluster radius 1e-323 squares to 0: "
+                                          "neighborhood_fraction 1e-320 times")
+
     @pytest.mark.parametrize("damage", ["missing", "truncated"])
     def test_unreadable_distorted_exits_2_without_traceback(self, ply_pair, tmp_path, damage):
         # A real process: an exception escaping main() would print its traceback.

@@ -166,6 +166,7 @@ def test_per_channel_means_skip_empty_graphs():
     ([-1, 4], "keypoint index -1 is outside \\[0, 300\\)"),
     ([2.0, 1.7, 0.5], "keypoint index 1.7 is not a whole number"),
     ([float("nan")], "keypoint index nan is not a whole number"),
+    ([], "keypoint set is empty"),
 ])
 def test_bad_keypoint_indices_are_named(keypoints, message):
     ref = random_cloud(300, seed=2)

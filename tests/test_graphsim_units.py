@@ -191,6 +191,25 @@ def test_flat_cloud_radius_degenerates_loudly():
                 graphsim(cloud, cloud, GraphSimConfig(signal_kind=signal), keypoints=keypoints)
 
 
+def test_radius_that_squares_to_zero_is_refused_by_name():
+    # A cloud 0.001 across at neighborhood_fraction=1e-320: the radius, ~1e-323, is above
+    # 0 but its square is not, so without the check every cluster comes back empty and
+    # the call fails as "no scorable keypoint graphs". Both graph builds apply the rule.
+    rng = np.random.default_rng(22)
+    cloud = PointCloud(positions=rng.uniform(0, 0.001, (300, 3)),
+                       colors=rng.integers(0, 256, (300, 3)).astype(float))
+    config = GraphSimConfig(neighborhood_fraction=1e-320)
+    message = (r"^cluster radius 1e-323 squares to 0: neighborhood_fraction 1e-320 times the "
+               r"smallest reference bounding-box extent 0\.000\d+$")
+    with pytest.raises(DomainError, match=message):
+        graphsim(cloud, cloud, config)
+    with pytest.raises(DomainError, match=message):
+        build_local_graph_pair(0, cloud, cloud, config)
+    flat = PointCloud(positions=planar_cloud(50).positions)
+    with pytest.raises(DomainError, match="^smallest reference bounding-box extent is 0"):
+        build_local_graph_pair(0, flat, flat)
+
+
 def test_variance_is_half_squared_cutoff():
     cloud = random_cloud(300, seed=3)
     pair, _ = make_pair(cloud, cloud, 7)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcqa import ParseError, PointCloud, TruncationError, ValidationError, load_ply, save_ply
+from pcqa import (DomainError, ParseError, PointCloud, TruncationError, ValidationError,
+                  load_ply, save_ply)
 from pcqa import ply_io
 from pcqa.cli import main
 
@@ -238,6 +239,12 @@ def test_round_trip_keeps_the_colour_bytes(tmp_path, fmt):
     back = load_ply(tmp_path / "c.ply")
     assert back.colors.dtype == np.uint8 and not back.colors.flags.writeable
     assert back.colors.tobytes() == cloud.colors.tobytes()
+
+
+def test_unknown_format_is_a_domain_error(tmp_path):
+    with pytest.raises(DomainError, match="^unknown PLY format 'xml'$"):
+        save_ply(random_cloud(10, seed=0), tmp_path / "c.ply", format="xml")
+    assert not (tmp_path / "c.ply").exists()
 
 
 def test_empty_cloud_round_trip(tmp_path):

@@ -13,7 +13,9 @@ from pcqa import (
     ResampleConfig,
     estimate_normals,
     frequency_scores,
+    p2_errors,
     resample,
+    run_baselines,
 )
 from pcqa.resample import write_keypoints_csv
 
@@ -29,20 +31,30 @@ def test_count_resolution_floor_rule():
     assert ResampleConfig(count=25).resolve_count(100) == 25
 
 
+_CLOUD = random_cloud(60, seed=4)
+
+
 @pytest.mark.parametrize("field, make", [
     ("count", lambda v: ResampleConfig(count=v)),
     ("filter_length", lambda v: ResampleConfig(filter_length=v)),
     ("graph_k", lambda v: ResampleConfig(graph_k=v)),
     ("seed", lambda v: ResampleConfig(seed=v)),
     ("seed", lambda v: DistortionSpec("ggn", 0.01, seed=v)),
-], ids=["count", "filter_length", "graph_k", "seed", "distortion-seed"])
-@pytest.mark.parametrize("value", [2.5, 4.0, "4"])
+    ("k", lambda v: estimate_normals(_CLOUD, v)),
+    ("normals_k", lambda v: run_baselines(_CLOUD, _CLOUD, normals_k=v)),
+    ("normals_k", lambda v: p2_errors(_CLOUD, _CLOUD, "plane", normals_k=v)),
+    ("k", lambda v: _CLOUD.spatial_index.knn([0, 0, 0], v)),
+    ("k", lambda v: _CLOUD.spatial_index.query_array(np.zeros((2, 3)), v)),
+], ids=["count", "filter_length", "graph_k", "seed", "distortion-seed", "estimate_normals",
+        "run_baselines", "p2_errors", "knn", "query_array"])
+@pytest.mark.parametrize("value", [2.5, 3.0, 4.0, "3", "4"])
 def test_integer_fields_reject_non_integral_values(field, make, value):
-    # Caught here, not as a numpy TypeError once the draw or the noise generator runs.
+    # One rule, errors.check_integer, at every entry point: caught there, not as a
+    # TypeError once a draw, a noise generator or a neighbour query runs.
     message = rf"{field} must be an integer.*, got {re.escape(repr(value))}"
     with pytest.raises(DomainError, match=message):
         make(value)
-    make(np.int64(4))
+    make(np.int64(3))
 
 
 def test_explicit_count_cannot_exceed_cloud():
@@ -68,6 +80,8 @@ def test_keypoint_set_validation():
         KeypointSet(indices=np.array([1, 1]), scores=np.ones(2))
     with pytest.raises(DomainError):
         KeypointSet(indices=np.array([1, 2]), scores=np.array([1.0, -0.5]))
+    with pytest.raises(DomainError, match="keypoint set is empty"):
+        KeypointSet(indices=[], scores=np.ones(0))
     with pytest.raises(DomainError, match="1.7 is not a whole number"):
         KeypointSet(indices=np.array([1.0, 1.7]), scores=np.ones(2))
 
