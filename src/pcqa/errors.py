@@ -47,6 +47,6 @@ def check_integer(name: str, value, minimum: int) -> None:
 
 
 def check_choice(what: str, value, choices) -> None:
-    """DomainError "unknown `what` 'value'" unless `value` is one of `choices`."""
-    if value not in choices:
+    """DomainError "unknown `what` 'value'" unless `value` is a str in `choices`."""
+    if not isinstance(value, str) or value not in choices:
         raise DomainError(f"unknown {what} '{value}'")

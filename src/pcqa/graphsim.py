@@ -152,8 +152,10 @@ class LocalGraphPair:
 @dataclass(frozen=True, eq=False)
 class GraphTable:
     """A call's keypoint graphs, one row per keypoint in draw order: each side's
-    cluster size and kept size (n, 2), the edge-weight cutoff (n,), and the padded
-    batches of the rows with two non-empty kept sides, which `score_graph` reads."""
+    cluster size and kept size (n, 2) and the edge-weight cutoff (n,); and, for
+    `score_graph`, batches of the rows with two non-empty kept sides, each
+    (centres, kept sizes, (indices, weights) a side, [ref_order, dist_order]):
+    a side's kept points as one run per graph, the match orders offset into them."""
 
     sizes: np.ndarray
     kept: np.ndarray
@@ -255,16 +257,14 @@ def _kept_cluster(ref: PointCloud, center_index: int, radius: float):
 
 def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
                            matching_k: int, scope: str) -> float:
+    """The matching_k rule over two ascending cluster distances: a side's matching_k-th
+    (its last when shorter, 0 if empty), the larger side's ("per-side") or the union's."""
     def side(d):
-        if d.size == 0:
-            return 0.0
-        if d.size >= matching_k:
-            return float(np.partition(d, matching_k - 1)[matching_k - 1])
-        return float(d.max())
+        return float(d[min(matching_k, d.size) - 1]) if d.size else 0.0
 
     if scope == "per-side":
         return max(side(ref_d), side(dist_d))
-    return side(np.concatenate([ref_d, dist_d]))
+    return side(np.sort(np.concatenate([ref_d[:matching_k], dist_d[:matching_k]])))
 
 
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
@@ -412,79 +412,64 @@ def score_graph(table: GraphTable, ref_signal: SignalAttribute, dist_signal: Sig
     )
 
 
-def _pad(parts, fill=0):
-    """(len(parts), longest or 1, ...) stack of arrays, each `fill` past its end."""
-    out = np.full((len(parts), max(1, *map(len, parts)), *parts[0].shape[1:]), fill, parts[0].dtype)
-    for row, part in zip(out, parts):  # faster than one masked write at any batch size
-        row[:len(part)] = part
-    return out
-
-
-def _match(orders):
-    """(matched counts, valid rows, ref_order, dist_order), each pair's orders padded."""
-    ref_order, dist_order = map(_pad, zip(*orders))
-    m = np.array([len(order) for order, _ in orders])[:, None]
-    return m, np.arange(ref_order.shape[1]) < m, ref_order, dist_order
-
-
 def _graph_table(ref, dist, keys, radius, config, same) -> GraphTable:
     """The GraphTable of the graphs around `keys`: `build_local_graph_pair` and
-    `match_and_align` per keypoint without a pair object, from clusters padded per
-    row_blocks; graphs with two non-empty sides are batched."""
+    `match_and_align` per keypoint without a pair object. Each side keeps a prefix
+    of its sorted cluster; graphs with two non-empty sides are batched per
+    row_blocks, each side's kept points laid out as one run per graph."""
     sides = [[_kept_cluster(ref, c, radius) for c in keys]]
     sides.append(sides[0] if same else [_cluster(dist, ref.positions[c], radius) for c in keys])
+    cutoffs = np.array([_cutoff_from_distances(r[1], d[1], config.matching_k, config.tau_scope)
+                        for r, d in zip(*sides)])
     sizes = np.array([[len(c[0]) for c in side] for side in sides], np.intp).T
-    cutoffs, kept = np.zeros(len(keys)), np.zeros_like(sizes)
-    k = min(config.matching_k, 2 * sizes.max(initial=1))  # no union is longer; a C integer
-
-    def top(x, n):  # per sorted row its matching_k-th distance, or its largest, or 0 if none
-        return np.where(n > 0, x[np.arange(len(x)), np.minimum(k, n) - 1], 0.0)
-
-    for rows in row_blocks(len(keys), 2 * sizes.max(initial=0)):
-        d, (nr, nd) = [_pad([c[1] for c in side[rows]], np.inf) for side in sides], sizes[rows].T
-        cut = (top(np.sort(np.hstack([x[:, :k] for x in d]), axis=1), nr + nd)
-               if config.tau_scope == "union" else np.maximum(top(d[0], nr), top(d[1], nd)))
-        kept[rows] = np.stack([(x <= cut[:, None]).sum(axis=1) for x in d], axis=1)
-        cutoffs[rows] = cut
+    kept = np.array([[np.searchsorted(c[1], cut, "right") for c, cut in zip(side, cutoffs)]
+                     for side in sides], np.intp).T
     variance = gaussian_variance(cutoffs)
 
-    def prefix(j, rows, field, fill=0):  # each row's kept part of side j's cluster field
-        return _pad([sides[j][i][field][:m] for i, m in zip(rows, kept[rows, j].tolist())], fill)
+    def prefixes(j, rows, field):  # each row's kept part of side j's cluster field
+        return [sides[j][i][field][:m] for i, m in zip(rows, kept[rows, j].tolist())]
 
-    scored, batches = np.flatnonzero(kept.min(axis=1) > 0).tolist(), []
+    scored, batches = np.flatnonzero(kept.min(axis=1) > 0), []
     for rows in (scored[b] for b in row_blocks(len(scored), 3 * kept[scored].max(initial=1) - 1)):
-        # Per side the kept indices and their edge_weight, 0 at the inf past a row's end.
-        padded = [(prefix(j, rows, 0), np.exp(-prefix(j, rows, 1, np.inf) ** 2
-                                              / variance[rows, None])) for j in (0, 1)]
-        batches.append((keys[rows], *padded, _match([
-            _align(ref.positions[sides[0][i][0][:a]], dist.positions[sides[1][i][0][:b]])
-            for i, (a, b) in zip(rows, kept[rows].tolist())])))
+        n, points = kept[rows], [prefixes(j, rows, 0) for j in (0, 1)]
+        orders = [_align(ref.positions[r], dist.positions[d]) for r, d in zip(*points)]
+        runs = [(np.concatenate(points[j]), np.exp(-np.concatenate(prefixes(j, rows, 1)) ** 2
+                                                   / np.repeat(variance[rows], n[:, j])))
+                for j in (0, 1)]
+        starts = n.cumsum(axis=0) - n  # each graph's offset into its side's runs
+        match = [np.concatenate([o[j] + s for o, s in zip(orders, starts[:, j])]) for j in (0, 1)]
+        batches.append((keys[rows], n, *runs, match))
     return GraphTable(sizes, kept, cutoffs, batches)
 
 
-def _batch_similarities(centers, ref_side, dist_side, match, ref_values, dist_values):
-    """(sim_mass, sim_mean, sim_cov), one row per pair, over arrays padded per
-    pair as `match` is: zero past a side's end adds nothing to its sums (taken
-    in row order)."""
+def _batch_similarities(centers, kept, ref_side, dist_side, orders, ref_values, dist_values):
+    """(sim_mass, sim_mean, sim_cov), one row per pair, over a batch's runs. Each
+    graph's sums are np.bincount sums, taken in row order as the per-pair
+    (M, channels).sum(axis=0) is (np.add.reduceat sums pairwise)."""
     t1, t2, t3 = STABILIZERS
-    m, valid, ref_order, dist_order = match
-    centers = ref_values[centers][:, None]
-    batch, mask = np.arange(len(m))[:, None], valid[..., None]
+    m = kept.min(axis=1)
+    group = np.repeat(np.arange(len(m)), m)  # the graph of each matched row
+    centers = ref_values[centers]
 
-    def side(values, order, indices, weights):
-        gradients = np.sqrt(weights)[..., None] * (values[indices] - centers)
-        matched = gradients[batch, order] * mask
-        mean = matched.sum(axis=1) / m
-        return gradients.sum(axis=1), mean, (matched - mean[:, None]) * mask
+    def sums(graph, x):  # per graph the column sums of its rows of x
+        return np.stack([np.bincount(graph, column, len(m)) for column in x.T], axis=1)
 
-    mass_r, mean_r, dev_r = side(ref_values, ref_order, *ref_side)
-    mass_d, mean_d, dev_d = side(dist_values, dist_order, *dist_side)
+    def moment(x):  # per graph the mean of its matched rows of x
+        return sums(group, x) / m[:, None]
+
+    def side(values, n, order, indices, weights):
+        gradients = np.sqrt(weights)[:, None] * (values[indices] - np.repeat(centers, n, axis=0))
+        matched = gradients[order]
+        mean = moment(matched)
+        return sums(np.repeat(np.arange(len(m)), n), gradients), mean, matched - mean[group]
 
     def ratio(x, y, t):
         return (2.0 * x * y + t) / (x * x + y * y + t)
 
-    cov = (dev_r * dev_d).sum(axis=1) / m
-    std = np.sqrt((dev_r ** 2).sum(axis=1) / m) * np.sqrt((dev_d ** 2).sum(axis=1) / m)
+    mass_r, mean_r, dev_r = side(ref_values, kept[:, 0], orders[0], *ref_side)
+    mass_d, mean_d, dev_d = side(dist_values, kept[:, 1], orders[1], *dist_side)
+    cov = moment(dev_r * dev_d)
+    std = np.sqrt(moment(dev_r ** 2)) * np.sqrt(moment(dev_d ** 2))
     return ratio(mass_r, mass_d, t1), ratio(mean_r, mean_d, t2), (cov + t3) / (std + t3)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from pcqa import PointCloud
-from pcqa.graphsim import GraphTable, _match, _pad, match_and_align
+from pcqa.graphsim import GraphTable, match_and_align
 from pcqa.spatial import row_blocks
 
 
@@ -34,14 +34,18 @@ def streamed_self_table(index, k):
 
 def pair_table(pairs):
     """The GraphTable of built `LocalGraphPair`s, for `score_graph`: their sizes and
-    cutoffs, and their batches padded one pair at a time through `match_and_align`,
-    which refuses a pair with an empty side."""
+    cutoffs, and their batches laid out one pair at a time, a run a side per pair,
+    with each pair's `match_and_align` orders (which refuse a pair with an empty
+    side) offset into its runs."""
     width = 3 * max(max(p.ref.size, p.dist.size) for p in pairs)
-    batches = [(np.array([p.center_index for p in batch]),
-                *[(_pad([h.indices for h in hoods]), _pad([h.weights for h in hoods]))
-                  for hoods in ([p.ref for p in batch], [p.dist for p in batch])],
-                _match([match_and_align(p) for p in batch]))
-               for batch in (pairs[b] for b in row_blocks(len(pairs), width - 1))]
+    batches = []
+    for batch in (pairs[b] for b in row_blocks(len(pairs), width - 1)):
+        kept = np.array([[p.ref.size, p.dist.size] for p in batch])
+        orders, starts = [match_and_align(p) for p in batch], kept.cumsum(axis=0) - kept
+        batches.append((np.array([p.center_index for p in batch]), kept, *[
+            (np.concatenate([h.indices for h in hoods]), np.concatenate([h.weights for h in hoods]))
+            for hoods in ([p.ref for p in batch], [p.dist for p in batch])],
+            [np.concatenate([o[j] + s[j] for o, s in zip(orders, starts)]) for j in (0, 1)]))
     return GraphTable(sizes=np.array([[p.ref_cluster_size, p.dist_cluster_size] for p in pairs]),
                       kept=np.array([[p.ref.size, p.dist.size] for p in pairs]),
                       cutoffs=np.array([p.params.cutoff for p in pairs]), batches=batches)

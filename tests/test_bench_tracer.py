@@ -51,7 +51,7 @@ def test_counters_read_what_graphsim_and_the_baselines_return(spans):
     assert counts["graphsim.graphsim_calls"] == 1
     assert counts["graphsim.keypoints"] == score.keypoints.count == 6
     assert counts["graphsim.scored"] == len(score.per_graph) - score.empty_graphs
-    # The graphs are built as padded arrays, not by build_local_graph_pair, so its span
+    # The graphs are laid out as flat runs, not by build_local_graph_pair, so its span
     # and the cluster sizes read from its pairs count nothing. Each keypoint's clusters
     # are one radius query a side: the reference's kept, the stimulus's not.
     assert "graphsim.local_graph_calls" not in counts

@@ -942,3 +942,11 @@ class TestParser:
                 main(argv.split())
             assert exit_.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_canonical_json_writes_sentinels_for_numpy_and_non_finite_values():
+    # numpy arrays, scalars and bools unwrap to plain JSON; non-finite floats,
+    # numpy or not, become the "nan", "inf" and "-inf" sentinels.
+    value = {"a": np.float64("nan"), "b": np.int64(3), "c": np.array([1.5, -np.inf]),
+             "d": np.bool_(True), "e": float("inf")}
+    assert canonical_dumps(value) == '{"a":"nan","b":3,"c":[1.5,"-inf"],"d":true,"e":"inf"}'

@@ -84,6 +84,11 @@ def test_color_length_mismatch_rejected():
         PointCloud(positions=np.zeros((2, 3)), colors=np.zeros((3, 3)))
 
 
+def test_normals_length_mismatch_rejected():
+    with pytest.raises(ValidationError, match="normals length 1 does not match 2 points"):
+        PointCloud(positions=np.zeros((2, 3)), normals=[[0.0, 0.0, 1.0]])
+
+
 def test_color_range_and_integrality():
     pos = np.zeros((1, 3))
     with pytest.raises(ValidationError):

@@ -68,6 +68,12 @@ def test_signal_attribute_shapes():
         SignalAttribute(np.full((2, 1), np.nan), kind="color")
 
 
+def test_signal_attribute_needs_one_label_per_channel():
+    assert SignalAttribute(np.zeros((4, 2)), labels=("a", "b")).labels == ("a", "b")
+    with pytest.raises(ValidationError, match="one label per channel"):
+        SignalAttribute(np.zeros((4, 3)), labels=("x", "y"))
+
+
 def test_gradient_needs_center_value_when_off_cloud():
     nbhd = ring_neighborhood(4, center_index=-1)
     signal = SignalAttribute(np.ones((5, 1)), kind="color")

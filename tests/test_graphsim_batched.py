@@ -26,6 +26,7 @@ from pcqa.colorspace import CHANNEL_WEIGHTS
 from pcqa.graphsim import (POOLING_PRESETS, STABILIZERS, _graph_table, _signals, covariance,
                            gradient_moments, match_and_align, score_graph)
 
+from helpers import pair_table
 from oracles import local_graph_oracle
 
 SIGNALS = ("color", "coordinate", "normal", "mixed", ("normal", "color"))
@@ -150,7 +151,8 @@ def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus,
     per_graph, graph_keypoints, means, empty, skipped, kept, signals = _score_one_at_a_time(
         ref, dist, config, keypoints, _reference_path)
     # The call's own table: per keypoint the pair's cluster and kept sizes and its
-    # cutoff, bit for bit; batched, in order, exactly the rows with two kept sides.
+    # cutoff, bit for bit; batched, in order, exactly the rows with two kept sides,
+    # each batch's runs and match orders those of its pairs laid out one at a time.
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     table = _graph_table(ref, dist, keypoints, radius, config, same_geometry(ref, dist))
     pairs = [build_local_graph_pair(int(c), ref, dist, config, radius=radius) for c in keypoints]
@@ -159,11 +161,16 @@ def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus,
     assert table.cutoffs.tolist() == [p.params.cutoff for p in pairs]
     scored = table.kept.min(axis=1) > 0
     assert len(kept) == scored.sum() == sum(len(batch[0]) for batch in table.batches)
-    if kept:  # each batch: (centres, ref side, dist side, (matched counts, ...))
-        centres, matched = (np.concatenate(parts) for parts in zip(
-            *((batch[0], batch[3][0].ravel()) for batch in table.batches)))
-        assert np.array_equal(centres, keypoints[scored])
-        assert np.array_equal(matched, table.kept[scored].min(axis=1)) and matched.min() > 0
+    if kept:  # each batch: (centres, kept sizes, ref run, dist run, match orders)
+        assert np.array_equal(np.concatenate([b[0] for b in table.batches]), keypoints[scored])
+        def arrays(batch):  # centres, kept sizes, both runs' arrays, both orders
+            centres, sizes, ref_run, dist_run, orders = batch
+            return [centres, sizes, *ref_run, *dist_run, *orders]
+
+        want = pair_table(kept).batches
+        assert len(table.batches) == len(want)
+        for got, one in zip(table.batches, want):
+            assert all(map(np.array_equal, arrays(got), arrays(one)))
     if not per_graph:
         with pytest.raises(DomainError, match="no scorable keypoint graphs"):
             graphsim(ref, dist, config, keypoints=keypoints)
@@ -192,21 +199,20 @@ def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus,
 
 @pytest.mark.parametrize("signal", ["color", "mixed", ("color", "coordinate", "normal")])
 def test_one_matching_serves_every_signal_kind(monkeypatch, signal):
-    # Matching reads positions only, so a call matches each batch once, whatever
-    # the number of signal kinds.
+    # Matching reads positions only, so a call matches each scored graph once,
+    # whatever the number of signal kinds.
     module = importlib.import_module("pcqa.graphsim")
-    match, batches = module._match, []
-    monkeypatch.setattr(module, "_match",
-                        lambda orders: batches.append(len(orders)) or match(orders))
+    align, calls = module._align, []
+    monkeypatch.setattr(module, "_align", lambda *sides: calls.append(1) or align(*sides))
     ref, dist, void = _clouds(5, 200, False, "ggn")
     keypoints = np.arange(0, void, 20)
     score = graphsim(ref, dist, GraphSimConfig(signal_kind=signal), keypoints=keypoints)
-    assert batches == [len(score.per_graph) - score.empty_graphs] and batches[0] > 1
+    assert len(calls) == len(score.per_graph) - score.empty_graphs > 1
 
 
 @pytest.mark.parametrize("signal", ["color", "mixed"])
 def test_graphsim_builds_no_pair_object(monkeypatch, signal):
-    # The call's graphs are built as padded arrays: with the per-pair builder and its
+    # The call's graphs are built as flat runs: with the per-pair builder and its
     # pair type made to raise, the report is the same, and each signal kind is
     # scored in one score_graph call.
     module = importlib.import_module("pcqa.graphsim")

@@ -131,6 +131,31 @@ def test_covariance_shape_mismatch():
         covariance(np.ones((3, 1)), np.ones((4, 1)))
 
 
+def test_covariance_of_1d_sequences_is_the_one_column_result():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=25), rng.normal(size=25)
+    got = covariance(a, b)
+    assert got.shape == (1,)
+    assert np.array_equal(got, covariance(a[:, None], b[:, None]))
+
+
+def test_graphsim_refuses_an_empty_cloud():
+    cloud, empty = random_cloud(50, seed=4), PointCloud(positions=np.zeros((0, 3)))
+    for ref, dist in ((cloud, empty), (empty, cloud)):
+        with pytest.raises(DomainError, match="both clouds must be non-empty"):
+            graphsim(ref, dist)
+
+
+def test_match_and_align_refuses_an_empty_side():
+    # The keypoint's stimulus cluster is empty: nothing lies within the radius.
+    ref = PointCloud(positions=[[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    dist = PointCloud(positions=[[9, 0, 0]])
+    pair, _ = make_pair(ref, dist, 0, radius=2.5)
+    assert pair.ref.size == 2 and pair.dist.size == 0
+    with pytest.raises(DomainError, match="cannot match an empty neighborhood"):
+        match_and_align(pair)
+
+
 def make_pair(ref, dist, center, radius=None, **config_kwargs):
     config = GraphSimConfig(**config_kwargs)
     return build_local_graph_pair(center, ref, dist, config, radius=radius), config
@@ -298,6 +323,15 @@ def test_pooling_presets_cover_the_grid():
     assert GraphSimConfig().pooling == "c2"
     with pytest.raises(DomainError, match="unknown pooling preset 'c9'"):
         GraphSimConfig(pooling="c9")
+
+
+@pytest.mark.parametrize("field", ["color_space", "pooling", "tau_scope"])
+@pytest.mark.parametrize("value", [["c2"], ("gcm",), {"union": 1}, 2, None])
+def test_config_refuses_a_choice_that_is_not_a_string(field, value):
+    # Every choice set holds strings, and a dict (the pooling presets) cannot be
+    # searched for an unhashable value: any value but a listed str is unknown.
+    with pytest.raises(DomainError, match="^unknown "):
+        GraphSimConfig(**{field: value})
 
 
 def test_config_validation():

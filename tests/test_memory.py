@@ -108,10 +108,10 @@ def test_graphsim_keeps_24_bytes_per_point_16_per_keypoint_12_per_cluster_point(
 
 
 @pytest.mark.parametrize("block", [spatial.BLOCK_ENTRIES, 2**14])
-def test_graph_scoring_peak_is_five_padded_arrays_of_one_batch(monkeypatch, block):
+def test_graph_scoring_peak_is_five_arrays_of_one_batch(monkeypatch, block):
     # At neighborhood_fraction 1 with no matching_k cutoff, each reference graph holds
-    # about 19k points, so one pair pads to about 58k entries a scoring array: four
-    # pairs a batch at the default block, and one pair, larger than the block, at 2**14.
+    # about 19k points, so one pair counts as about 58k entries of a batch: four pairs
+    # a batch at the default block, and one pair, larger than the block, at 2**14.
     # The sparse stimulus keeps the matching short.
     monkeypatch.setattr(spatial, "BLOCK_ENTRIES", block)
     ref = random_cloud(N, seed=12)
@@ -131,12 +131,11 @@ def test_graph_scoring_peak_is_five_padded_arrays_of_one_batch(monkeypatch, bloc
 
 @pytest.mark.parametrize("block", [spatial.BLOCK_ENTRIES, 2**14])
 def test_graph_build_transients_are_one_batch(monkeypatch, block):
-    # graphsim builds a call's graphs as padded arrays. At neighborhood_fraction 1 with
+    # graphsim lays a call's graphs out as flat runs. At neighborhood_fraction 1 with
     # no matching_k cutoff each of 16 reference graphs holds about 18k points. Beside
-    # the batches it returns, the build holds one row_blocks chunk of padded cluster
-    # distances, or one batch in the making and one pair's matching: 3.3 MB at the
-    # default block and 0.9 MB at 2**14 measured. A padded or flat copy of every
-    # cluster would add 12 B a cluster point or more (3.5 MB).
+    # the batches it returns, the build holds one batch in the making and one pair's
+    # matching: 1.8 MB at the default block and 0.6 MB at 2**14 measured. A copy of
+    # every cluster would add 12 B a cluster point or more (3.5 MB).
     monkeypatch.setattr(spatial, "BLOCK_ENTRIES", block)
     ref = random_cloud(N, seed=12)
     dist = PointCloud(positions=ref.positions[::64] + 0.01, colors=ref.colors[::64])

@@ -81,7 +81,7 @@ def _graphsim_reports(pts, colors):
 
 def test_graphsim_reports_do_not_depend_on_block_edges(monkeypatch):
     # Graphs on a lattice with repeats keep up to about 50 points (the matching_k
-    # cutoff), so one pair pads to about 150 entries a scoring array. At 1000 entries
+    # cutoff), so one pair counts as about 150 entries of a scoring batch. At 1000 entries
     # a block, a call's 24 graphs are scored in several batches of several pairs; at
     # 40, every pair is a batch of its own and larger than a block, and most matching
     # and k-NN rows are blocks of their own.
