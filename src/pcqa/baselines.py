@@ -151,12 +151,6 @@ def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
     return {kind: tuple(pair) for kind, pair in squared.items() if pair}
 
 
-def _check_pair(ref: PointCloud, dist: PointCloud, normals_k: int) -> None:
-    check_integer("normals_k", normals_k, 1)
-    if ref.count == 0 or dist.count == 0:
-        raise DomainError("both clouds must be non-empty")
-
-
 def _reduce(squared, agg: str) -> ErrorPair:
     """One (forward, backward) pair of squared errors, averaged ("mse") or
     reduced to the maximum ("hausdorff")."""
@@ -176,7 +170,7 @@ def p2_errors(ref: PointCloud, dist: PointCloud, mode: str = "point",
     """
     check_choice("error mode", mode, ("point", "plane"))
     check_choice("aggregation", agg, ("mse", "hausdorff"))
-    _check_pair(ref, dist, normals_k)
+    check_integer("normals_k", normals_k, 1)
     ref_normals = _cloud_normals(ref, normals_k) if mode == "plane" else None
     squared = _squared_errors(ref, dist, _match_pair(ref, dist), ref_normals)
     return _reduce(squared["p2po" if mode == "point" else "p2pl"], agg)
@@ -248,7 +242,7 @@ def run_baselines(ref: PointCloud, dist: PointCloud,
         raise DomainError(f"unknown baseline metric(s): {', '.join(unknown)}")
     if not metrics or len(set(metrics)) < len(metrics):
         raise DomainError(f"name each baseline metric once and at least one, got {list(metrics)}")
-    _check_pair(ref, dist, normals_k)
+    check_integer("normals_k", normals_k, 1)
     matches = _match_pair(ref, dist)
     box = bounding_box(ref) if matches[0] is matches[1] else \
         merged_bounding_box(bounding_box(ref), bounding_box(dist))  # one geometry: one box

@@ -59,7 +59,7 @@ class PointCloud:
     """Immutable point set with optional per-point colors and normals.
 
     positions
-        (N, 3) float64 coordinates, each finite and at most MAX_COORDINATE in magnitude.
+        (N, 3) float64 coordinates, N >= 1, each finite with |x| <= MAX_COORDINATE.
     colors
         Optional (N, 3) integer channels in [0, 255], stored as uint8, which
         wraps: cast before arithmetic. Colour math rescales to [0, 1].
@@ -74,8 +74,10 @@ class PointCloud:
     def __post_init__(self):
         pos = _as_point_array(self.positions, "positions")
         object.__setattr__(self, "positions", pos)
-        _check_positions(pos)
         n = pos.shape[0]
+        if n == 0:
+            raise DomainError("a point cloud needs at least one point")
+        _check_positions(pos)
 
         if self.colors is not None:
             col = _as_color_array(self.colors)
@@ -114,7 +116,7 @@ class PointCloud:
     @property
     def spatial_index(self):
         """k-d tree over the positions, built on first use and kept for the
-        cloud's lifetime. Raises DomainError on an empty cloud."""
+        cloud's lifetime."""
         return self._cached(("spatial index",), lambda: SpatialIndex(self))
 
     def _cached(self, key: tuple, compute):
@@ -163,13 +165,11 @@ class BoundingBox:
 
 
 def bounding_box(cloud: PointCloud) -> BoundingBox:
-    """Axis-aligned bounding box of a non-empty cloud.
+    """Axis-aligned bounding box of a cloud.
 
-    Raises DomainError on an empty cloud. Invariant under any permutation
-    of the points. The corners are read-only, computed once per cloud.
+    Invariant under any permutation of the points. The corners are
+    read-only, computed once per cloud.
     """
-    if cloud.count == 0:
-        raise DomainError("bounding box of an empty cloud is undefined")
     return BoundingBox(*cloud._cached(
         ("box",), lambda: (cloud.positions.min(axis=0), cloud.positions.max(axis=0))))
 

@@ -70,9 +70,7 @@ class DistortionSpec:
 
 
 def apply_distortion(cloud: PointCloud, spec: DistortionSpec) -> PointCloud:
-    """Apply one distortion spec to a non-empty cloud."""
-    if cloud.count == 0:
-        raise DomainError("cannot distort an empty cloud")
+    """Apply one distortion spec to a cloud."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "cn":
         return _color_noise(cloud, spec.level, rng)

@@ -275,12 +275,11 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
     Both clusters exclude points lying exactly at the keypoint position,
     so identical clouds produce identical neighbor index sets. The shared
     edge-weight cutoff comes from the matching_k rule over the cluster
-    distances; the Gaussian variance is cutoff^2 / 2. The reference side is
-    the `_kept_cluster` entry.
+    distances; the Gaussian variance is cutoff^2 / 2. Neither cluster is kept.
     """
     config = config or GraphSimConfig()
     radius = _radius(ref, config.neighborhood_fraction) if radius is None else radius
-    r_idx, r_d = _kept_cluster(ref, center_index, radius)
+    r_idx, r_d = _cluster(ref, ref.positions[center_index], radius)
     d_idx, d_d = _cluster(dist, ref.positions[center_index], radius)
     cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
     params = GraphParams(cutoff)
@@ -503,8 +502,6 @@ def graphsim(ref: PointCloud, dist: PointCloud,
         resampling stage; useful for fixed-keypoint comparisons).
     """
     config = config or GraphSimConfig()
-    if ref.count == 0 or dist.count == 0:
-        raise DomainError("both clouds must be non-empty")
     if "color" in config.signal_kinds and not (ref.has_colors and dist.has_colors):
         raise DomainError("color signal requested but a cloud has no colors")
 

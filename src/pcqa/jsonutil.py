@@ -19,7 +19,7 @@ __all__ = ["sanitize", "canonical_dumps", "write_report"]
 
 
 def sanitize(value: Any) -> Any:
-    """Recursively convert a report tree into plain JSON-safe types."""
+    """Recursively convert a report tree into plain JSON-safe types; TypeError on any other."""
     if isinstance(value, dict):
         return {str(k): sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -40,7 +40,7 @@ def sanitize(value: Any) -> Any:
         return bool(value)
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    return str(value)
+    raise TypeError(f"cannot write a {type(value).__name__} into a report")
 
 
 def canonical_dumps(value: Any) -> str:

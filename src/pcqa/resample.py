@@ -173,8 +173,6 @@ def resample(cloud: PointCloud, config: ResampleConfig | None = None) -> Keypoin
     """
     config = config or ResampleConfig()
     n = cloud.count
-    if n == 0:
-        raise DomainError("cannot resample an empty cloud")
     beta = config.resolve_count(n)
 
     weighted = False

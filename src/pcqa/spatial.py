@@ -41,7 +41,7 @@ def row_blocks(n: int, k: int):
 
 
 class SpatialIndex:
-    """kd-tree over the frozen positions of a non-empty PointCloud, built
+    """kd-tree over the frozen positions of a PointCloud, built
     through cloud.spatial_index.
 
     Duplicate points are allowed and keep their own indices. Queries cost
@@ -52,8 +52,6 @@ class SpatialIndex:
 
     def __init__(self, cloud):
         from scipy.spatial import cKDTree
-        if cloud.count == 0:
-            raise DomainError("cannot index an empty cloud")
         self._positions = cloud.positions  # checked, copied and frozen by the cloud
         self._tree = cKDTree(self._positions)
         self._site_table = None

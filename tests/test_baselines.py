@@ -253,11 +253,6 @@ class TestRunBaselines:
         with pytest.raises(DomainError, match="name each baseline metric once and at least one"):
             run_baselines(cloud, cloud, metrics)
 
-    def test_empty_cloud_rejected(self):
-        cloud = random_cloud(50, seed=22)
-        with pytest.raises(DomainError, match="non-empty"):
-            run_baselines(cloud, PointCloud(positions=np.empty((0, 3))))
-
 
 def test_geometry_psnr_steps_in_decades():
     box = bounding_box(PointCloud(positions=np.array(

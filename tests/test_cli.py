@@ -272,6 +272,28 @@ def test_overflowing_filter_exits_3(capsys, ply_pair, tmp_path, argv):
     assert "filter_length" in diag["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("score", "{empty}", "{ref}", "--beta", "4"),
+    ("score", "{ref}", "{empty}", "--beta", "4"),
+    ("baseline", "{empty}", "{ref}"),
+    ("baseline", "{ref}", "{empty}"),
+    ("distort", "{empty}", "--kind", "ggn", "--level", "0.01", "--output", "{out}"),
+    ("resample", "{empty}", "--count", "4", "--output", "{out}"),
+], ids=["score-ref", "score-stimulus", "baseline-ref", "baseline-stimulus", "distort",
+        "resample"])
+def test_a_ply_with_no_vertices_exits_3(capsys, ply_pair, tmp_path, argv):
+    empty = tmp_path / "empty.ply"
+    empty.write_text("ply\nformat ascii 1.0\nelement vertex 0\n"
+                     "property float x\nproperty float y\nproperty float z\nend_header\n")
+    argv = [a.format(empty=empty, ref=ply_pair[0], out=tmp_path / "out") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "a point cloud needs at least one point"}
+    assert not (tmp_path / "out").exists()
+
+
 def write_ascii_ply(path, positions):
     header = ["ply", "format ascii 1.0", f"element vertex {len(positions)}",
               "property double x", "property double y", "property double z", "end_header"]
@@ -950,3 +972,11 @@ def test_canonical_json_writes_sentinels_for_numpy_and_non_finite_values():
     value = {"a": np.float64("nan"), "b": np.int64(3), "c": np.array([1.5, -np.inf]),
              "d": np.bool_(True), "e": float("inf")}
     assert canonical_dumps(value) == '{"a":"nan","b":3,"c":[1.5,"-inf"],"d":true,"e":"inf"}'
+
+
+@pytest.mark.parametrize("value, name", [(object(), "object"), ({"a": [b"x"]}, "bytes"),
+                                         ({1, 2}, "set")])
+def test_canonical_json_refuses_a_type_it_does_not_know(value, name):
+    # str() of such a value could carry a memory address, so report bytes would vary.
+    with pytest.raises(TypeError, match=f"^cannot write a {name} into a report$"):
+        canonical_dumps(value)

@@ -136,11 +136,6 @@ def test_bounding_box_degenerate_and_unit():
     assert np.array_equal(box.extents, [1.0, 1.0, 1.0])
 
 
-def test_bounding_box_of_empty_cloud_is_rejected():
-    with pytest.raises(DomainError):
-        bounding_box(PointCloud(positions=np.empty((0, 3))))
-
-
 def test_bounding_box_permutation_invariant():
     cloud = random_cloud(200, seed=5)
     perm = np.random.default_rng(1).permutation(200)

@@ -213,13 +213,6 @@ class TestQuantize:
         assert _lattice_step(4.0, 2) == 1.0
 
 
-class TestComposites:
-    def test_empty_cloud_rejected(self):
-        empty = PointCloud(positions=np.empty((0, 3)))
-        with pytest.raises(DomainError, match="empty"):
-            apply_distortion(empty, DistortionSpec(kind="ggn", level=0.01))
-
-
 def test_preset_table_shape_and_ordering():
     assert tuple(LEVEL_PRESETS) == KINDS
     for kind, levels in LEVEL_PRESETS.items():

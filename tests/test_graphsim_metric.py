@@ -213,6 +213,15 @@ def test_kept_reference_clusters_are_keyed_and_isolated():
     assert not any(_kept_clusters(stim) for stim in stimuli)
 
 
+def test_the_per_pair_reference_path_keeps_no_cluster():
+    # The batched build's kept clusters are checked against this path, so it
+    # queries both sides afresh and writes no entry of its own.
+    ref, dist = random_cloud(400, seed=18), random_cloud(400, seed=19)
+    assert build_local_graph_pair(5, ref, dist).ref_cluster_size > 0
+    assert set(ref._results) == {("box",), ("spatial index",)}
+    assert set(dist._results) == {("spatial index",)}
+
+
 def test_a_call_that_fails_before_the_keypoint_loop_keeps_nothing():
     ref = random_cloud(400, seed=16)
     with pytest.raises(DomainError, match="no colors"):

@@ -139,13 +139,6 @@ def test_covariance_of_1d_sequences_is_the_one_column_result():
     assert np.array_equal(got, covariance(a[:, None], b[:, None]))
 
 
-def test_graphsim_refuses_an_empty_cloud():
-    cloud, empty = random_cloud(50, seed=4), PointCloud(positions=np.zeros((0, 3)))
-    for ref, dist in ((cloud, empty), (empty, cloud)):
-        with pytest.raises(DomainError, match="both clouds must be non-empty"):
-            graphsim(ref, dist)
-
-
 def test_match_and_align_refuses_an_empty_side():
     # The keypoint's stimulus cluster is empty: nothing lies within the radius.
     ref = PointCloud(positions=[[0, 0, 0], [1, 0, 0], [2, 0, 0]])

@@ -10,6 +10,7 @@ reference's YUV table); what a loaded coloured cloud keeps, 27 B per point.
 Peaks are read with tracemalloc, which numpy reports its buffers to, so the
 figures are deterministic. Every module a pass imports is loaded first."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,7 @@ def test_graphsim_keeps_24_bytes_per_point_16_per_keypoint_12_per_cluster_point(
     try:
         before = tracemalloc.get_traced_memory()[0]
         graphsim(ref, dist, config)
+        gc.collect()  # empties the free lists, so only what is reachable is counted
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -231,12 +233,13 @@ def test_same_geometry_run_baselines_keeps_32_bytes_per_point():
     try:
         before = tracemalloc.get_traced_memory()[0]
         run_baselines(ref, stim)
+        gc.collect()  # empties the free lists, so only what is reachable is counted
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     # The self-match, one intp per point, and the reference's 0-255 YUV table, one
     # (N, 3) float64 array, with their array headers; beside them only numpy's and
-    # the worker threads' small bookkeeping (1.1-1.5 kB measured). A stimulus tree
+    # the worker threads' small bookkeeping (0.7 kB measured). A stimulus tree
     # or a second match array would add 8 B a point or more.
     bound = (8 + ROW3) * N + 2048
     assert kept <= bound, (kept, bound)
@@ -252,11 +255,12 @@ def test_a_loaded_coloured_cloud_keeps_27_bytes_per_point(tmp_path):
     try:
         before = tracemalloc.get_traced_memory()[0]
         cloud = load_ply(path)
+        gc.collect()  # empties the free lists, so only what is reachable is counted
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     # float64 positions and uint8 colours, plus two array headers and the cloud
-    # object (496 B measured); float64 colours would keep 21 B a point more.
+    # object (376 B measured); float64 colours would keep 21 B a point more.
     bound = (ROW3 + 3) * n + 2048
     assert kept <= bound, (kept, bound)
     assert cloud.colors.dtype == np.uint8

@@ -247,11 +247,14 @@ def test_unknown_format_is_a_domain_error(tmp_path):
     assert not (tmp_path / "c.ply").exists()
 
 
-def test_empty_cloud_round_trip(tmp_path):
-    cloud = PointCloud(positions=np.empty((0, 3)))
+@pytest.mark.parametrize("format", ["ascii", "binary_little_endian"])
+def test_a_cloud_with_no_points_cannot_be_built_or_loaded(tmp_path, format):
+    with pytest.raises(DomainError, match="^a point cloud needs at least one point$"):
+        PointCloud(positions=np.empty((0, 3)))
     path = tmp_path / "empty.ply"
-    save_ply(cloud, path)
-    assert load_ply(path).count == 0
+    path.write_bytes(f"ply\nformat {format} 1.0\nelement vertex 0\n{_XYZ}end_header\n".encode())
+    with pytest.raises(DomainError, match="^a point cloud needs at least one point$"):
+        load_ply(path)
 
 
 def test_vertex_must_be_first_element(tmp_path):
@@ -307,7 +310,7 @@ def test_ascii_fast_path_reads_as_the_loop(tmp_path, monkeypatch, name):
     def outcome():
         try:
             cloud = load_ply(path)
-        except (ParseError, ValidationError) as exc:
+        except (DomainError, ParseError, ValidationError) as exc:
             return type(exc), str(exc)
         return tuple(None if a is None else (a.dtype.str, a.tobytes())
                      for a in (cloud.positions, cloud.colors, cloud.normals))
@@ -323,8 +326,9 @@ def test_ascii_fast_path_reads_as_the_loop(tmp_path, monkeypatch, name):
     fast = outcome()
     monkeypatch.setattr(ply_io, "_read_ascii_rows", loop)
     assert fast == outcome()
-    # Plain text that reads cleanly never reaches the loop; anything else does.
-    failed = isinstance(fast[0], type)
+    # Plain text that reads cleanly never reaches the loop; anything else does. A
+    # DomainError is the cloud's own (no points), raised after a clean read.
+    failed = isinstance(fast[0], type) and fast[0] is not DomainError
     assert bool(loop_calls) == (failed or not plain)
 
 

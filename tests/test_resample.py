@@ -62,11 +62,6 @@ def test_explicit_count_cannot_exceed_cloud():
         ResampleConfig(count=11).resolve_count(10)
 
 
-def test_empty_cloud_cannot_be_resampled():
-    with pytest.raises(DomainError, match="cannot resample an empty cloud"):
-        resample(PointCloud(positions=np.zeros((0, 3))))
-
-
 @pytest.mark.parametrize("indices, scores", [([0, 1], [1.0]), ([[0, 1]], [[1.0, 1.0]])])
 def test_keypoint_set_needs_parallel_1d_arrays(indices, scores):
     with pytest.raises(DomainError, match="parallel 1-D arrays"):

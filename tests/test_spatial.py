@@ -353,10 +353,6 @@ class TestCloudOwnsItsTree:
         _, idx = streamed_self_table(ref.spatial_index, 11)
         assert np.array_equal(idx, original(ref.spatial_index, ref.positions, 11)[1])
 
-    def test_empty_cloud_has_no_tree(self):
-        with pytest.raises(DomainError):
-            PointCloud(positions=np.empty((0, 3))).spatial_index
-
 
 def _recording_tree(calls, **forced):
     """A cKDTree subclass that records each query in `calls` as (method, k, keyword
