@@ -155,7 +155,8 @@ class GraphTable:
     cluster size and kept size (n, 2) and the edge-weight cutoff (n,); and, for
     `score_graph`, batches of the rows with two non-empty kept sides, each
     (centres, kept sizes, (indices, weights) a side, [ref_order, dist_order]):
-    a side's kept points as one run per graph, the match orders offset into them."""
+    a side's kept points as one run per graph, the match orders offset into them.
+    A stimulus size may count only its vouched prefix, which holds every kept point."""
 
     sizes: np.ndarray
     kept: np.ndarray
@@ -256,15 +257,34 @@ def _kept_cluster(ref: PointCloud, center_index: int, radius: float):
 
 
 def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
-                           matching_k: int, scope: str) -> float:
-    """The matching_k rule over two ascending cluster distances: a side's matching_k-th
-    (its last when shorter, 0 if empty), the larger side's ("per-side") or the union's."""
+                           matching_k: int, scope: str) -> np.ndarray:
+    """The matching_k rule per row of ascending distances, +inf past the row's size: a side's
+    matching_k-th (its last when shorter, 0 if empty), the larger side's ("per-side") or union's."""
+    k = min(matching_k, ref_d.shape[1] + dist_d.shape[1])  # the union's longest row
     def side(d):
-        return float(d[min(matching_k, d.size) - 1]) if d.size else 0.0
+        n = np.minimum(np.isfinite(d).sum(axis=1), k)
+        return np.where(n > 0, d[np.arange(len(d)), n - 1] if d.shape[1] else 0.0, 0.0)
 
     if scope == "per-side":
-        return max(side(ref_d), side(dist_d))
-    return side(np.sort(np.concatenate([ref_d[:matching_k], dist_d[:matching_k]])))
+        return np.maximum(side(ref_d), side(dist_d))
+    return side(np.sort(np.concatenate([ref_d[:, :k], dist_d[:, :k]], axis=1), axis=1))
+
+
+def _stimulus_clusters(dist, centres, largest, radius, matching_k, floor):
+    """Per centre, the prefix of the stimulus `_cluster` that one k-NN query of min(matching_k,
+    `largest`, stimulus size) + 2 columns vouches for. Every point nearer than a row's reach (its
+    last tree distance, less 1e-12 of it) was fetched; the row keeps those, measured and sorted
+    as `radius_query` does. A row whose reach is within the radius, the stimulus not all fetched,
+    is asked again if it keeps under matching_k points or reaches only `floor`."""
+    tree_d, idx = dist.spatial_index.query_array(centres, min(matching_k, largest, dist.count) + 2)
+    d = np.linalg.norm(dist.positions[idx] - centres[:, None], axis=2)
+    reach = np.where(idx.shape[1] < dist.count, tree_d[:, -1] * (1 - 1e-12) - 1e-300, np.inf)
+    keep = (d > 0) & (d <= radius) & (d < reach[:, None])
+    order = np.lexsort((idx, np.where(keep, d, np.inf)), axis=1)
+    idx, d, sizes = np.take_along_axis(idx, order, 1), np.take_along_axis(d, order, 1), keep.sum(1)
+    again = (reach <= radius) & ((sizes < matching_k) | (reach <= floor))
+    return [_cluster(dist, c, radius) if a else (i[:m], r[:m])
+            for c, a, i, r, m in zip(centres, again, idx, d, sizes.tolist())]
 
 
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
@@ -281,7 +301,8 @@ def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
     radius = _radius(ref, config.neighborhood_fraction) if radius is None else radius
     r_idx, r_d = _cluster(ref, ref.positions[center_index], radius)
     d_idx, d_d = _cluster(dist, ref.positions[center_index], radius)
-    cutoff = _cutoff_from_distances(r_d, d_d, config.matching_k, config.tau_scope)
+    cutoff = float(_cutoff_from_distances(r_d[None], d_d[None], config.matching_k,
+                                          config.tau_scope)[0])
     params = GraphParams(cutoff)
 
     def build_side(cloud, idx, d, center_idx):
@@ -413,16 +434,33 @@ def score_graph(table: GraphTable, ref_signal: SignalAttribute, dist_signal: Sig
 
 def _graph_table(ref, dist, keys, radius, config, same) -> GraphTable:
     """The GraphTable of the graphs around `keys`: `build_local_graph_pair` and
-    `match_and_align` per keypoint without a pair object. Each side keeps a prefix
-    of its sorted cluster; graphs with two non-empty sides are batched per
-    row_blocks, each side's kept points laid out as one run per graph."""
+    `match_and_align` per keypoint without a pair object, cutoffs and kept sizes read
+    from +inf-padded rows per row_blocks. Each side keeps a prefix of its sorted cluster;
+    graphs with two non-empty sides are batched per row_blocks, each side's kept points
+    laid out as one run per graph."""
+    matching_k = min(config.matching_k, ref.count + dist.count)
     sides = [[_kept_cluster(ref, c, radius) for c in keys]]
-    sides.append(sides[0] if same else [_cluster(dist, ref.positions[c], radius) for c in keys])
-    cutoffs = np.array([_cutoff_from_distances(r[1], d[1], config.matching_k, config.tau_scope)
-                        for r, d in zip(*sides)])
+    sides.append(sides[0] if same else [None] * len(keys))
+    largest = max(len(c[1]) for c in sides[0])
+    cutoffs, kept = np.empty(len(keys)), np.empty((len(keys), 2), np.intp)
+
+    def padded(side, block):  # the block's cluster distances as rows, +inf past each end
+        d = [c[1] for c in side[block]]
+        rows = np.full((len(d), max(map(len, d))), np.inf)
+        rows[np.arange(rows.shape[1]) < np.array([len(r) for r in d])[:, None]] = np.concatenate(d)
+        return rows
+
+    for block in row_blocks(len(keys), largest + 2):
+        ref_d = padded(sides[0], block)
+        if not same:  # "per-side" keeps stimulus points up to the reference side's cutoff
+            floor = (_cutoff_from_distances(ref_d, ref_d[:, :0], matching_k, "per-side")
+                     if config.tau_scope == "per-side" else 0.0)
+            sides[1][block] = _stimulus_clusters(dist, ref.positions[keys[block]], largest,
+                                                 radius, matching_k, floor)
+        dist_d = ref_d if same else padded(sides[1], block)
+        cutoffs[block] = _cutoff_from_distances(ref_d, dist_d, matching_k, config.tau_scope)
+        kept[block] = np.stack([(d <= cutoffs[block, None]).sum(1) for d in (ref_d, dist_d)], 1)
     sizes = np.array([[len(c[0]) for c in side] for side in sides], np.intp).T
-    kept = np.array([[np.searchsorted(c[1], cut, "right") for c, cut in zip(side, cutoffs)]
-                     for side in sides], np.intp).T
     variance = gaussian_variance(cutoffs)
 
     def prefixes(j, rows, field):  # each row's kept part of side j's cluster field

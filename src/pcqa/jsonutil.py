@@ -21,7 +21,7 @@ __all__ = ["sanitize", "canonical_dumps", "write_report"]
 def sanitize(value: Any) -> Any:
     """Recursively convert a report tree into plain JSON-safe types; TypeError on any other."""
     if isinstance(value, dict):
-        return {str(k): sanitize(v) for k, v in value.items()}
+        return {_key(k): sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [sanitize(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -41,6 +41,13 @@ def sanitize(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str)):
         return value
     raise TypeError(f"cannot write a {type(value).__name__} into a report")
+
+
+def _key(key: Any) -> str:
+    """A dict key as written: a str as it is, an integer as its decimal; TypeError on any other."""
+    if isinstance(key, (str, int, np.integer)) and not isinstance(key, bool):
+        return key if isinstance(key, str) else str(int(key))
+    raise TypeError(f"cannot write a {type(key).__name__} key into a report")
 
 
 def canonical_dumps(value: Any) -> str:

@@ -3,9 +3,10 @@
 A thin layer over scipy's cKDTree. Every query, single or bulk, orders
 neighbors by (distance, index) as a brute-force float64 scan does: where
 a distance tie could let the tree's order show, candidates are re-measured
-in plain numpy and sorted by that rule. Bulk queries run on every core,
-within a bound from pilot rows of their block that only prunes the search:
-a row's answer depends on that row alone, so not on the core count.
+in plain numpy and sorted by that rule. Bulk queries of more than PILOT_STRIDE
+rows run on every core, within a bound from pilot rows of their block that only
+prunes the search: a row's answer depends on that row alone, so not on the core
+count.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ def _checked(queries) -> np.ndarray:
     if not all(-MAX_COORDINATE <= x <= MAX_COORDINATE for x in ends):  # NaN fails it too
         raise DomainError(f"query coordinates must be finite with |x| <= {MAX_COORDINATE:g}")
     return queries
+
+
+def _cores(rows) -> int:
+    """cKDTree's workers for a query of `rows`: one core up to PILOT_STRIDE rows, else all."""
+    return 1 if len(rows) <= PILOT_STRIDE else -1
 
 
 def row_blocks(n: int, k: int):
@@ -131,12 +137,14 @@ class SpatialIndex:
         # inf (kk + 1)-th distance lies past it, so past the tie test's margin: no row moves.
         bound = np.inf
         if len(queries) > PILOT_STRIDE:
-            pilot = self._tree.query(queries[::PILOT_STRIDE], k=[kk], workers=-1)[0]
-            bound = 1.25 * pilot.max() + 1e-140
-        dist, idx = self._tree.query(queries, k=kk + 1, distance_upper_bound=bound, workers=-1)
+            pilot = queries[::PILOT_STRIDE]
+            bound = 1.25 * self._tree.query(pilot, k=[kk], workers=_cores(pilot))[0].max() + 1e-140
+        dist, idx = self._tree.query(queries, k=kk + 1, distance_upper_bound=bound,
+                                     workers=_cores(queries))
         again = np.flatnonzero(dist[:, kk - 1] * (1 + 1e-9) + 1e-300 >= bound)
         if again.size:
-            dist[again], idx[again] = self._tree.query(queries[again], k=kk + 1, workers=-1)
+            dist[again], idx[again] = self._tree.query(queries[again], k=kk + 1,
+                                                       workers=_cores(again))
         tied = np.nonzero((dist[:, 1:] <= dist[:, :-1] * (1 + 1e-12) + 1e-300).any(axis=1))[0]
         dist, idx = dist[:, :kk], idx[:, :kk]
         # _resolve holds ~150 B a candidate, 1.5-2.7 kk a lattice row: ~7.5 MiB a chunk.
@@ -151,7 +159,7 @@ class SpatialIndex:
         cost O(kk) per row, not O(m)."""
         tree, order, start, size = self._sites()
         balls = tree.query_ball_point(queries, radius * (1 + 1e-12) + 1e-300,
-                                      workers=-1, return_sorted=False)
+                                      workers=_cores(queries), return_sorted=False)
         per_row = np.fromiter(map(len, balls), np.intp, len(balls))
         site = np.fromiter(itertools.chain.from_iterable(balls), np.intp, per_row.sum())
         take = np.minimum(size[site], kk)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 from pcqa import PointCloud
@@ -21,6 +23,16 @@ def random_cloud(n, seed=0, span=10.0, colored=True, normals=False):
         raw = rng.normal(size=(n, 3))
         cloud_normals = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return PointCloud(positions=positions, colors=colors, normals=cloud_normals)
+
+
+def stimulus_refetches(monkeypatch, stimulus):
+    """A list that gains an entry per graphsim `_cluster` call on `stimulus`: one per
+    row that a call's bulk stimulus cluster query could not vouch for."""
+    module = importlib.import_module("pcqa.graphsim")
+    cluster, calls = module._cluster, []
+    monkeypatch.setattr(module, "_cluster", lambda cloud, *args: (
+        calls.append(1) if cloud is stimulus else None) or cluster(cloud, *args))
+    return calls
 
 
 def streamed_self_table(index, k):

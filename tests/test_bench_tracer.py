@@ -12,7 +12,7 @@ import pcqa
 from pcqa import DistortionSpec, GraphSimConfig, ResampleConfig, apply_distortion
 from pcqa.spatial import SpatialIndex
 
-from helpers import smooth_cloud
+from helpers import smooth_cloud, stimulus_refetches
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -38,10 +38,17 @@ def test_every_traced_name_resolves_and_is_put_back(spans):
     assert not hasattr(pcqa.graphsim, "__wrapped__")
 
 
-def test_counters_read_what_graphsim_and_the_baselines_return(spans):
+def _graphsim_queries(tracer):
+    """The query_array spans that graphsim asks itself, not through a stage it calls."""
+    return [s for s in tracer.spans if s["name"] == "spatial.query_array"
+            and s["parent"] is not None and tracer.spans[s["parent"]]["name"] == "graphsim.graphsim"]
+
+
+def test_counters_read_what_graphsim_and_the_baselines_return(spans, monkeypatch):
     ref = smooth_cloud(400, seed=2)
     dist = apply_distortion(ref, DistortionSpec("ggn", 0.01, seed=3))
     config = GraphSimConfig(resample=ResampleConfig(count=6))
+    refetched = stimulus_refetches(monkeypatch, dist)
     with spans.Tracer() as tracer:
         tracer.unit = "pair"
         # Looked up on the package while the tracer is active, as the benchmark does.
@@ -52,12 +59,13 @@ def test_counters_read_what_graphsim_and_the_baselines_return(spans):
     assert counts["graphsim.keypoints"] == score.keypoints.count == 6
     assert counts["graphsim.scored"] == len(score.per_graph) - score.empty_graphs
     # The graphs are laid out as flat runs, not by build_local_graph_pair, so its span
-    # and the cluster sizes read from its pairs count nothing. Each keypoint's clusters
-    # are one radius query a side: the reference's kept, the stimulus's not.
+    # and the cluster sizes read from its pairs count nothing. Each keypoint's reference
+    # cluster is one radius query, then kept; the stimulus's come from one bulk query,
+    # and only the rows it cannot vouch for are asked again with a radius query.
     assert "graphsim.local_graph_calls" not in counts
     assert "graphsim.cluster_points" not in counts
-    assert counts["spatial.radius_query_calls"] == \
-        2 * (len(score.per_graph) + score.skipped_keypoints)
+    assert len(_graphsim_queries(tracer)) == 1
+    assert counts["spatial.radius_query_calls"] == score.keypoints.count + len(refetched)
     # All of a call's graphs are scored in one score_graph call per signal kind.
     assert counts["graphsim.score_graph_calls"] == len(config.signal_kinds) == 1
     assert counts["baselines.run_calls"] == 1
@@ -66,10 +74,11 @@ def test_counters_read_what_graphsim_and_the_baselines_return(spans):
     assert totals["graphsim.graphsim_s"] >= totals["graphsim.score_graph_s"] > 0
 
 
-def test_graphsim_scores_its_graphs_in_one_call_per_signal_kind(spans):
+def test_graphsim_scores_its_graphs_in_one_call_per_signal_kind(spans, monkeypatch):
     ref = smooth_cloud(400, seed=2)
     dist = apply_distortion(ref, DistortionSpec("ds", 0.5, seed=3))
     config = GraphSimConfig(signal_kind="mixed", resample=ResampleConfig(count=6))
+    refetched = stimulus_refetches(monkeypatch, dist)
     with spans.Tracer() as tracer:
         tracer.unit = "pair"
         score = pcqa.graphsim(ref, dist, config)
@@ -79,5 +88,7 @@ def test_graphsim_scores_its_graphs_in_one_call_per_signal_kind(spans):
     assert counts["graphsim.graphsim_calls"] == 2
     assert counts["graphsim.score_graph_calls"] == 2 * len(config.signal_kinds) == 4
     assert "graphsim.local_graph_calls" not in counts
-    # The second call reads the reference's kept clusters and queries the stimulus only.
-    assert counts["spatial.radius_query_calls"] == 3 * score.keypoints.count
+    # The second call reads the reference's kept clusters and queries the stimulus only:
+    # one bulk query a call, and a radius query per row it cannot vouch for.
+    assert len(_graphsim_queries(tracer)) == 2
+    assert counts["spatial.radius_query_calls"] == score.keypoints.count + len(refetched)

@@ -980,3 +980,14 @@ def test_canonical_json_refuses_a_type_it_does_not_know(value, name):
     # str() of such a value could carry a memory address, so report bytes would vary.
     with pytest.raises(TypeError, match=f"^cannot write a {name} into a report$"):
         canonical_dumps(value)
+
+
+@pytest.mark.parametrize("key, name", [(None, "NoneType"), (True, "bool"), (1.5, "float"),
+                                       (object(), "object"), ((1, 2), "tuple")])
+def test_canonical_json_keys_take_the_value_rule(key, name):
+    # A str key stays as it is and an integer key, numpy or not, is written as its
+    # decimal, as json.dumps writes it; any other key is refused, so no report holds
+    # "None" where json.dumps writes "null", or a memory address.
+    assert canonical_dumps({"a": 1, 2: 2, np.int64(3): {4: 4}}) == '{"2":2,"3":{"4":4},"a":1}'
+    with pytest.raises(TypeError, match=f"^cannot write a {name} key into a report$"):
+        canonical_dumps({"a": {key: 1}})

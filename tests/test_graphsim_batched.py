@@ -9,7 +9,8 @@ The clouds are integer lattices with repeated sites (every match ties) or
 continuous boxes, each with a void around its centre that holds one point:
 that point's reference cluster is empty until the radius reaches the void's
 edge, so its graph is skipped. Cropped stimuli and a matching_k of 1 leave
-graphs empty on the distorted or on the reference side.
+graphs empty on the distorted or on the reference side. Fixed cases reach each
+row that the call's bulk stimulus cluster query cannot vouch for.
 """
 
 import importlib
@@ -26,7 +27,7 @@ from pcqa.colorspace import CHANNEL_WEIGHTS
 from pcqa.graphsim import (POOLING_PRESETS, STABILIZERS, _graph_table, _signals, covariance,
                            gradient_moments, match_and_align, score_graph)
 
-from helpers import pair_table
+from helpers import pair_table, stimulus_refetches
 from oracles import local_graph_oracle
 
 SIGNALS = ("color", "coordinate", "normal", "mixed", ("normal", "color"))
@@ -130,6 +131,34 @@ def _oracle(ref, dist, config):
     return similarities
 
 
+def _table_rows_are_the_pairs(table, ref, dist, config, keypoints):
+    """Assert that a call's table is its pairs': per keypoint the pair's reference
+    cluster size, kept sizes and cutoff, bit for bit, and a stimulus size between the
+    pair's kept and cluster sizes (the bulk query vouches for a prefix of the cluster
+    that holds every kept point); batched, in order, exactly the rows with two kept
+    sides, each batch's runs and match orders those of its pairs laid out one at a
+    time. Returns the number of batched rows."""
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    pairs = [build_local_graph_pair(int(c), ref, dist, config, radius=radius) for c in keypoints]
+    assert table.sizes[:, 0].tolist() == [p.ref_cluster_size for p in pairs]
+    assert all(p.dist.size <= size <= p.dist_cluster_size
+               for size, p in zip(table.sizes[:, 1].tolist(), pairs))
+    assert table.kept.tolist() == [[p.ref.size, p.dist.size] for p in pairs]
+    assert table.cutoffs.tolist() == [p.params.cutoff for p in pairs]
+    kept = [p for p in pairs if p.ref.size and p.dist.size]
+    assert len(kept) == sum(len(batch[0]) for batch in table.batches)
+    if kept:  # each batch: (centres, kept sizes, ref run, dist run, match orders)
+        def arrays(batch):  # centres, kept sizes, both runs' arrays, both orders
+            centres, sizes, ref_run, dist_run, orders = batch
+            return [centres, sizes, *ref_run, *dist_run, *orders]
+
+        want = pair_table(kept).batches
+        assert len(table.batches) == len(want)
+        for got, one in zip(table.batches, want):
+            assert all(map(np.array_equal, arrays(got), arrays(one)))
+    return len(kept)
+
+
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 240), lattice=st.booleans(),
        stimulus=st.sampled_from(STIMULI), signal=st.sampled_from(SIGNALS),
@@ -150,27 +179,9 @@ def test_graphsim_equals_the_per_pair_reference_path(seed, n, lattice, stimulus,
     keypoints = rng.permutation(np.append(rng.choice(void, count, replace=False), void))
     per_graph, graph_keypoints, means, empty, skipped, kept, signals = _score_one_at_a_time(
         ref, dist, config, keypoints, _reference_path)
-    # The call's own table: per keypoint the pair's cluster and kept sizes and its
-    # cutoff, bit for bit; batched, in order, exactly the rows with two kept sides,
-    # each batch's runs and match orders those of its pairs laid out one at a time.
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     table = _graph_table(ref, dist, keypoints, radius, config, same_geometry(ref, dist))
-    pairs = [build_local_graph_pair(int(c), ref, dist, config, radius=radius) for c in keypoints]
-    assert table.sizes.tolist() == [[p.ref_cluster_size, p.dist_cluster_size] for p in pairs]
-    assert table.kept.tolist() == [[p.ref.size, p.dist.size] for p in pairs]
-    assert table.cutoffs.tolist() == [p.params.cutoff for p in pairs]
-    scored = table.kept.min(axis=1) > 0
-    assert len(kept) == scored.sum() == sum(len(batch[0]) for batch in table.batches)
-    if kept:  # each batch: (centres, kept sizes, ref run, dist run, match orders)
-        assert np.array_equal(np.concatenate([b[0] for b in table.batches]), keypoints[scored])
-        def arrays(batch):  # centres, kept sizes, both runs' arrays, both orders
-            centres, sizes, ref_run, dist_run, orders = batch
-            return [centres, sizes, *ref_run, *dist_run, *orders]
-
-        want = pair_table(kept).batches
-        assert len(table.batches) == len(want)
-        for got, one in zip(table.batches, want):
-            assert all(map(np.array_equal, arrays(got), arrays(one)))
+    assert _table_rows_are_the_pairs(table, ref, dist, config, keypoints) == len(kept)
     if not per_graph:
         with pytest.raises(DomainError, match="no scorable keypoint graphs"):
             graphsim(ref, dist, config, keypoints=keypoints)
@@ -233,3 +244,68 @@ def test_graphsim_builds_no_pair_object(monkeypatch, signal):
     assert got.to_report(config) == want
     assert got.skipped_keypoints == 1 and 0 < got.empty_graphs < len(got.per_graph)
     assert kinds == list(config.signal_kinds)
+
+
+def _fallback_case(case):
+    """(reference, stimulus, config, keypoints) whose stimulus rows the bulk cluster
+    query cannot all vouch for, so some are asked again with `_cluster`."""
+    rng = np.random.default_rng(7)
+
+    def cloud(positions):
+        return PointCloud(positions=positions, colors=rng.integers(0, 256, positions.shape))
+
+    if case == "lattice-ties":  # ties at 1 and sqrt(2) straddle the 7 columns fetched
+        lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+        config = GraphSimConfig(neighborhood_fraction=0.5, matching_k=5)
+        return cloud(lattice[1:]), cloud(lattice), config, np.arange(0, 215, 7)
+    dense = cloud(rng.uniform(0.0, 4.0, (3000, 3)))
+    if case == "denser-stimulus":  # matching_k above the reference's widest cluster
+        config = GraphSimConfig(neighborhood_fraction=0.2, matching_k=40)
+    elif case == "per-side":  # the reference's 5th distance past the stimulus's reach
+        config = GraphSimConfig(neighborhood_fraction=0.3, matching_k=5, tau_scope="per-side")
+    else:  # "k-past-both": matching_k above both clouds' sizes together
+        ref = cloud(rng.uniform(0.0, 4.0, (20, 3)))
+        config = GraphSimConfig(neighborhood_fraction=0.4, matching_k=10**4)
+        return ref, cloud(rng.uniform(0.0, 4.0, (50, 3))), config, np.arange(20)
+    return cloud(rng.uniform(0.0, 4.0, (300, 3))), dense, config, np.arange(0, 300, 10)
+
+
+@pytest.mark.parametrize("case", ["denser-stimulus", "per-side", "lattice-ties", "k-past-both"])
+def test_rows_the_bulk_query_cannot_vouch_for_are_asked_again(monkeypatch, case):
+    # Each case reaches a fallback of the stimulus's bulk cluster query, and every
+    # table row still equals its pair's, bit for bit.
+    ref, dist, config, keypoints = _fallback_case(case)
+    assert not same_geometry(ref, dist)
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    refetched = stimulus_refetches(monkeypatch, dist)
+    table = _graph_table(ref, dist, keypoints, radius, config, False)
+    assert 0 < len(refetched) <= len(keypoints)
+    monkeypatch.undo()
+    assert _table_rows_are_the_pairs(table, ref, dist, config, keypoints) > 0
+    if case == "per-side":  # the union's cutoff lies within the fetched points
+        union = GraphSimConfig(neighborhood_fraction=0.3, matching_k=5)
+        refetched = stimulus_refetches(monkeypatch, dist)
+        table = _graph_table(ref, dist, keypoints, radius, union, False)
+        assert not refetched
+        assert _table_rows_are_the_pairs(table, ref, dist, union, keypoints) > 0
+
+
+def test_the_stimulus_query_is_no_wider_than_the_largest_reference_cluster(monkeypatch):
+    # A huge matching_k fetches the reference's largest cluster + 2 columns a keypoint,
+    # not the whole stimulus.
+    ref, dist, _, keypoints = _fallback_case("denser-stimulus")
+    config = GraphSimConfig(neighborhood_fraction=0.2, matching_k=10**6)
+    widths, query = [], type(dist.spatial_index).query_array
+
+    def recording(index, queries, k):
+        if index is dist.spatial_index:
+            widths.append(k)
+        return query(index, queries, k)
+
+    monkeypatch.setattr(type(dist.spatial_index), "query_array", recording)
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    table = _graph_table(ref, dist, keypoints, radius, config, False)
+    largest = max(v[0].size for key, v in ref._results.items() if key[0] == "graphsim cluster")
+    assert widths == [largest + 2] and largest + 2 < dist.count
+    monkeypatch.undo()
+    assert _table_rows_are_the_pairs(table, ref, dist, config, keypoints) > 0

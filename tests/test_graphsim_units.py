@@ -557,7 +557,10 @@ def _prepared_case(name):
 
 
 @pytest.mark.parametrize("name", ["continuous", "lattice", "slab", "lattice-cn"])
-def test_kept_reference_clusters_build_the_per_pair_graphs(name):
+def test_kept_reference_clusters_are_int32_clusters_and_pairs_agree_with_the_oracle(name):
+    # A kept reference cluster equals a fresh `_cluster`, indices as int32, and is
+    # the entry kept under its key; each pair's graphs agree with the plain-loop
+    # oracle, on duplicated lattice sites (the keypoint's twins dropped) too.
     from pcqa.cloud import bounding_box, same_geometry
     from pcqa.colorspace import decompose
     from pcqa.graphsim import _cluster, _kept_cluster
@@ -568,37 +571,24 @@ def test_kept_reference_clusters_build_the_per_pair_graphs(name):
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     ref_signal = decompose(ref, config.color_space).values
     dist_signal = decompose(dist, config.color_space).values
-    same = same_geometry(ref, dist)
-    assert same == (name == "lattice-cn")
-    # Copies keep nothing yet: each side of their graphs queries its own tree.
-    fresh_ref, fresh_dist = (PointCloud(positions=c.positions.copy(), colors=c.colors)
-                             for c in (ref, dist))
+    assert same_geometry(ref, dist) == (name == "lattice-cn")
     twins = 0
     for center in keypoints:
         kept = _kept_cluster(ref, int(center), radius)
         idx, d = _cluster(ref, ref.positions[center], radius)
         assert kept[0].dtype == np.int32 and np.array_equal(kept[0], idx)
         assert kept[1].tobytes() == d.tobytes()
-        fast = build_local_graph_pair(int(center), ref, dist, config, radius=radius)
         assert ref._results[("graphsim cluster", radius, int(center))] is kept
-        slow = build_local_graph_pair(int(center), fresh_ref, fresh_dist, config,
-                                      radius=radius)
-        assert (fast.ref_cluster_size, fast.dist_cluster_size) == \
-            (slow.ref_cluster_size, slow.dist_cluster_size)
-        assert fast.params == slow.params
-        for side in ("ref", "dist"):
-            for field in ("indices", "positions", "distances", "weights"):
-                a, b = getattr(getattr(fast, side), field), getattr(getattr(slow, side), field)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (center, side, field)
+        pair = build_local_graph_pair(int(center), ref, dist, config, radius=radius)
         twins += ref.spatial_index.radius_query(ref.positions[center], 0.0)[0].size - 1
 
         oracle = local_graph_oracle(ref.positions, dist.positions, ref_signal, dist_signal,
                                     int(center), radius, matching_k=12)
         if oracle is None:
-            assert fast.ref_cluster_size == 0
+            assert pair.ref_cluster_size == 0
             continue
         # The oracle measures with math.dist, which may differ from numpy by an ulp.
-        assert fast.params.cutoff == pytest.approx(oracle["cutoff"], rel=1e-12)
-        assert np.allclose(fast.ref.weights, oracle["ref_weights"], rtol=1e-10, atol=0)
-        assert np.allclose(fast.dist.weights, oracle["dist_weights"], rtol=1e-10, atol=0)
+        assert pair.params.cutoff == pytest.approx(oracle["cutoff"], rel=1e-12)
+        assert np.allclose(pair.ref.weights, oracle["ref_weights"], rtol=1e-10, atol=0)
+        assert np.allclose(pair.dist.weights, oracle["dist_weights"], rtol=1e-10, atol=0)
     assert (twins > 0) == name.startswith("lattice")

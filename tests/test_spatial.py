@@ -328,12 +328,14 @@ class TestCloudOwnsItsTree:
         ref = random_cloud(400, seed=10)
         a, b = (PointCloud(positions=ref.positions + np.random.default_rng(s).normal(
             0, 0.05, ref.positions.shape), colors=ref.colors) for s in (11, 12))
-        asked = {}
+        asked, clusters = {}, []
         original = SpatialIndex.query_array
 
         def recording(index, queries, k):
             if index is ref.spatial_index and k > 1:  # k = 1: the baselines' matches
                 asked.setdefault(k, []).append(queries)
+            elif len(queries) == 8:  # a graphsim call's stimulus clusters, a row a keypoint
+                clusters.append(k)
             return original(index, queries, k)
 
         monkeypatch.setattr(SpatialIndex, "query_array", recording)
@@ -352,22 +354,26 @@ class TestCloudOwnsItsTree:
                                   ref.positions[np.lexsort(ref.positions.T)])
         _, idx = streamed_self_table(ref.spatial_index, 11)
         assert np.array_equal(idx, original(ref.spatial_index, ref.positions, 11)[1])
+        # Each graphsim call asks its stimulus's clusters in one query, as wide as
+        # matching_k, the reference's largest kept cluster and the stimulus allow, + 2.
+        largest = max(v[0].size for key, v in ref._results.items() if key[0] == "graphsim cluster")
+        assert clusters == [min(50, largest, 400) + 2] * 3
 
 
 def _recording_tree(calls, **forced):
     """A cKDTree subclass that records each query in `calls` as (method, k, keyword
-    arguments); keyword arguments in `forced`, such as workers=1, replace the
+    arguments, rows); keyword arguments in `forced`, such as workers=1, replace the
     query's own."""
     from scipy.spatial import cKDTree
 
     class RecordingTree(cKDTree):
         def query(self, x, k=1, **kwargs):
-            calls.append(("query", k, kwargs))
+            calls.append(("query", k, kwargs, len(np.atleast_2d(x))))
             return super().query(x, k, **dict(kwargs, **forced))
 
-        def query_ball_point(self, *args, **kwargs):
-            calls.append(("query_ball_point", None, kwargs))
-            return super().query_ball_point(*args, **dict(kwargs, **forced))
+        def query_ball_point(self, x, *args, **kwargs):
+            calls.append(("query_ball_point", None, kwargs, len(np.atleast_2d(x))))
+            return super().query_ball_point(x, *args, **dict(kwargs, **forced))
 
     return RecordingTree
 
@@ -376,7 +382,7 @@ def _knn_passes(calls):
     """The recorded k-NN queries of _query_rows as (pilots, bounds, re-asks): a
     pilot asks a list of columns, a block's main pass states its bound (inf
     without a pilot) and a re-ask does neither."""
-    knn = [(k, kwargs) for method, k, kwargs in calls if method == "query"]
+    knn = [(k, kwargs) for method, k, kwargs, _ in calls if method == "query"]
     pilots = sum(isinstance(k, list) for k, _ in knn)
     bounds = [kwargs["distance_upper_bound"] for _, kwargs in knn if "distance_upper_bound" in kwargs]
     return pilots, bounds, len(knn) - pilots - len(bounds)
@@ -402,9 +408,10 @@ def _worker_reports(reference, kind, level):
 @pytest.mark.parametrize("kind,level", [("ggn", 0.008), ("ot", 6), ("outlier", 0.008)])
 @pytest.mark.parametrize("shape", ["lattice", "continuous"])
 def test_reports_do_not_depend_on_the_worker_count(monkeypatch, shape, kind, level):
-    # Bulk queries ask cKDTree for every core; each row is answered on its own,
-    # within a bound from its block's pilot rows that only prunes, so one thread
-    # must give the same bytes: ties on a lattice and re-asked rows included.
+    # Bulk queries of more than PILOT_STRIDE rows ask cKDTree for every core; each
+    # row is answered on its own, within a bound from its block's pilot rows that
+    # only prunes, so one thread must give the same bytes: ties on a lattice and
+    # re-asked rows included.
     rng = np.random.default_rng(17)
     if shape == "lattice":  # 1,728 sites for 2,500 points: repeated points and ties
         positions = rng.integers(0, 12, (2500, 3)).astype(np.float64)
@@ -416,9 +423,25 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch, shape, kind, lev
     monkeypatch.setattr("scipy.spatial.cKDTree", _recording_tree(calls, workers=1))
     assert _worker_reports(reference, kind, level) == default
     pilots, bounds, again = _knn_passes(calls)
-    assert pilots and any(method == "query_ball_point" for method, _, _ in calls)
+    assert pilots and any(method == "query_ball_point" for method, *_ in calls)
+    # graphsim's stimulus clusters: one k-NN query, a row per keypoint.
+    assert [rows for method, _, _, rows in calls if method == "query"].count(24) == 1
     if kind == "outlier":
         assert again
+
+
+@pytest.mark.parametrize("rows", [1, 12, spatial.PILOT_STRIDE, spatial.PILOT_STRIDE + 1, 1500])
+def test_small_queries_run_on_one_core(rows):
+    # A tree query of at most PILOT_STRIDE rows asks one core, a larger one every
+    # core: each pilot, main pass, re-ask and tie ball query by its own row count.
+    rng = np.random.default_rng(rows)
+    points = rng.integers(0, 9, (3000, 3)).astype(np.float64)  # ties: the ball query runs
+    calls = []
+    with mock.patch("scipy.spatial.cKDTree", _recording_tree(calls)):
+        PointCloud(positions=points).spatial_index.query_array(points[:rows], 5)
+    assert {method for method, *_ in calls} == {"query", "query_ball_point"}
+    for method, _, kwargs, n in calls:
+        assert kwargs["workers"] == (1 if n <= spatial.PILOT_STRIDE else -1), (method, n)
 
 
 # Each case of test_bounded_rows_equal_unbounded_rows, and what it must reach.
@@ -473,7 +496,7 @@ def test_bounded_rows_equal_unbounded_rows(case, seed, n, m, k):
 
     assert (pilots == 0) == (case == "small-block")
     if case == "lattice":  # rows tied, so _resolve asked its ball query
-        assert any(method == "query_ball_point" for method, _, _ in calls)
+        assert any(method == "query_ball_point" for method, *_ in calls)
     elif case == "coincident":
         assert bounds == [1e-140]
     elif case == "scaled":  # the widest squared distance, so the squared bound, is finite
