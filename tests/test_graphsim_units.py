@@ -557,7 +557,7 @@ def _prepared_case(name):
 
 
 @pytest.mark.parametrize("name", ["continuous", "lattice", "slab", "lattice-cn"])
-def test_kept_reference_clusters_are_int32_clusters_and_pairs_agree_with_the_oracle(name):
+def test_kept_reference_clusters_build_the_per_pair_graphs(name):
     # A kept reference cluster equals a fresh `_cluster`, indices as int32, and is
     # the entry kept under its key; each pair's graphs agree with the plain-loop
     # oracle, on duplicated lattice sites (the keypoint's twins dropped) too.
