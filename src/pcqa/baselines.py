@@ -124,7 +124,7 @@ def _nearest(target: PointCloud, query: PointCloud) -> np.ndarray:
     own leaf order (its tree serves the other direction) and scattered back."""
     order = query.spatial_index.order
     matches = np.empty(query.count, dtype=np.intp)
-    matches[order] = target.spatial_index.nearest(query.positions[order])
+    matches[order] = target.spatial_index.nearest(np.take(query.positions, order, axis=0))
     return matches
 
 
@@ -142,9 +142,9 @@ def _squared_errors(ref: PointCloud, dist: PointCloud, matches,
     squared = {"p2po": [], "p2pl": []}
     for backward, match in enumerate(matches):
         query, target = (ref, dist) if backward else (dist, ref)
-        e0, e1, e2 = (query.positions[:, c] - target.positions[match, c] for c in range(3))
+        e0, e1, e2 = (query.positions[:, c] - target.positions[:, c][match] for c in range(3))
         if plane_normals is not None:  # the match's normal forward, the query's own backward
-            n0, n1, n2 = (plane_normals[:, c] if backward else plane_normals[match, c]
+            n0, n1, n2 = (plane_normals[:, c] if backward else plane_normals[:, c][match]
                           for c in range(3))
             squared["p2pl"].append((n0 * e0 + n1 * e1 + n2 * e2) ** 2)
         squared["p2po"].append(e0 * e0 + e1 * e1 + e2 * e2)
@@ -204,7 +204,7 @@ def _color_psnr(ref: PointCloud, dist: PointCloud, matches) -> BaselineResult:
     dist_yuv = to_yuv(dist.colors / 255.0) * 255.0
 
     def direction(from_yuv, to_yuv_values, matches):
-        diff = to_yuv_values[matches]
+        diff = np.take(to_yuv_values, matches, axis=0)
         np.subtract(from_yuv, diff, out=diff)
         diff *= diff
         np.add.accumulate(diff, out=diff)  # mean(axis=0)'s row-order sums, at half its cost

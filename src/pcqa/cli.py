@@ -320,6 +320,8 @@ def main(argv=None) -> int:
             code, error = 2, exc
         except DomainError as exc:
             code, error = 3, exc
+        except MemoryError as exc:  # numpy's subclass; its message names the size and shape
+            code, error = 3, MemoryError(str(exc))
     # A failed command's warnings often explain it: they come first, then the error.
     for w in caught:
         _diag({"warning": w.category.__name__, "message": str(w.message)})

@@ -36,6 +36,7 @@ from .spatial import row_blocks
 
 SIGNAL_KINDS = ("color", "coordinate", "normal")
 TAU_SCOPES = ("union", "per-side")
+WIDTH = 256 + 2  # a first reference cluster query's columns at most; rows past it ask twice as many
 
 # Named pooling presets: (feature pooling, channel pooling).
 POOLING_PRESETS = {
@@ -156,7 +157,7 @@ class GraphTable:
     `score_graph`, batches of the rows with two non-empty kept sides, each
     (centres, kept sizes, (indices, weights) a side, [ref_order, dist_order]):
     a side's kept points as one run per graph, the match orders offset into them.
-    A stimulus size may count only its vouched prefix, which holds every kept point."""
+    A size may count only its side's vouched prefix, which holds every kept point."""
 
     sizes: np.ndarray
     kept: np.ndarray
@@ -246,14 +247,13 @@ def _radius(ref: PointCloud, fraction: float) -> float:
     return radius
 
 
-def _kept_cluster(ref: PointCloud, center_index: int, radius: float):
-    """The reference's `_cluster` around its own point, indices as int32, kept on
-    the reference per (radius, point): it comes from the reference alone, so
-    every stimulus scored against it reuses it."""
-    def compute():
-        idx, d = _cluster(ref, ref.positions[center_index], radius)
-        return idx.astype(np.int32 if ref.count <= 2**31 else np.intp), d
-    return ref._cached(("graphsim cluster", radius, int(center_index)), compute)
+def _kept_clusters(ref: PointCloud, keys: np.ndarray, radius: float, matching_k: int):
+    """`_clusters` of the reference around its own points `keys` at matching_k + 2 columns (at most
+    WIDTH), kept on the reference per (radius, matching_k, keypoint set): it comes from the
+    reference alone, so every stimulus scored against it reuses it."""
+    key = ("graphsim clusters", radius, matching_k, keys.tobytes())
+    return ref._cached(key, lambda: _clusters(ref, ref.positions[keys], min(matching_k + 2, WIDTH),
+                                              radius, matching_k, np.zeros(len(keys))))
 
 
 def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
@@ -270,21 +270,30 @@ def _cutoff_from_distances(ref_d: np.ndarray, dist_d: np.ndarray,
     return side(np.sort(np.concatenate([ref_d[:, :k], dist_d[:, :k]], axis=1), axis=1))
 
 
-def _stimulus_clusters(dist, centres, largest, radius, matching_k, floor):
-    """Per centre, the prefix of the stimulus `_cluster` that one k-NN query of min(matching_k,
-    `largest`, stimulus size) + 2 columns vouches for. Every point nearer than a row's reach (its
-    last tree distance, less 1e-12 of it) was fetched; the row keeps those, measured and sorted
-    as `radius_query` does. A row whose reach is within the radius, the stimulus not all fetched,
-    is asked again if it keeps under matching_k points or reaches only `floor`."""
-    tree_d, idx = dist.spatial_index.query_array(centres, min(matching_k, largest, dist.count) + 2)
-    d = np.linalg.norm(dist.positions[idx] - centres[:, None], axis=2)
-    reach = np.where(idx.shape[1] < dist.count, tree_d[:, -1] * (1 - 1e-12) - 1e-300, np.inf)
-    keep = (d > 0) & (d <= radius) & (d < reach[:, None])
-    order = np.lexsort((idx, np.where(keep, d, np.inf)), axis=1)
-    idx, d, sizes = np.take_along_axis(idx, order, 1), np.take_along_axis(d, order, 1), keep.sum(1)
-    again = (reach <= radius) & ((sizes < matching_k) | (reach <= floor))
-    return [_cluster(dist, c, radius) if a else (i[:m], r[:m])
-            for c, a, i, r, m in zip(centres, again, idx, d, sizes.tolist())]
+def _clusters(cloud, centres, width, radius, k, floor, fetched=None):
+    """Per centre, the prefix of its `_cluster` that a k-NN query of `width` columns (capped at the
+    cloud size) vouches for, as rows (int32 indices, distances, +inf past each prefix) and each
+    row's reach, its last tree distance less 1e-12 of it: every point nearer was fetched and kept,
+    measured as `radius_query` does, in the query's (distance, index) order. A row whose reach is
+    within the radius, the cloud not all fetched, is asked again at twice the width while it keeps
+    under k (matching_k) points or reaches only its `floor`; `fetched` rows skip a query."""
+    if fetched is None:
+        tree_d, idx = cloud.spatial_index.query_array(centres, width)
+        d = np.linalg.norm(np.take(cloud.positions, idx, axis=0) - centres[:, None], axis=2)
+        reach = np.where(idx.shape[1] < cloud.count, tree_d[:, -1] * (1 - 1e-12) - 1e-300, np.inf)
+        d[(d == 0) | (d > radius) | (d >= reach[:, None])] = np.inf
+        order = np.argsort(d, axis=1, kind="stable")[:, :np.isfinite(d).sum(1).max()]
+        index_type = np.int32 if cloud.count <= 2**31 else np.intp
+        fetched = (np.take_along_axis(idx, order, 1).astype(index_type),
+                   np.take_along_axis(d, order, 1), reach)
+    idx, d, reach = fetched
+    again = np.flatnonzero((reach <= radius) & ((np.isfinite(d).sum(1) < k) | (reach <= floor)))
+    if again.size:  # widened to the longest prefix, each row a superset of the one it replaces
+        wider = _clusters(cloud, centres[again], 2 * width, radius, k, floor[again])
+        pad = ((0, 0), (0, max(0, wider[1].shape[1] - d.shape[1])))
+        idx, d, reach = np.pad(idx, pad), np.pad(d, pad, constant_values=np.inf), reach.copy()
+        idx[again, :wider[0].shape[1]], d[again, :wider[1].shape[1]], reach[again] = wider
+    return idx, d, reach
 
 
 def build_local_graph_pair(center_index: int, ref: PointCloud, dist: PointCloud,
@@ -434,46 +443,37 @@ def score_graph(table: GraphTable, ref_signal: SignalAttribute, dist_signal: Sig
 
 def _graph_table(ref, dist, keys, radius, config, same) -> GraphTable:
     """The GraphTable of the graphs around `keys`: `build_local_graph_pair` and
-    `match_and_align` per keypoint without a pair object, cutoffs and kept sizes read
-    from +inf-padded rows per row_blocks. Each side keeps a prefix of its sorted cluster;
-    graphs with two non-empty sides are batched per row_blocks, each side's kept points
-    laid out as one run per graph."""
+    `match_and_align` per keypoint without a pair object, each side's cluster a vouched
+    prefix in +inf-padded rows from `_clusters`, cutoffs and kept sizes read per
+    row_blocks. Each side keeps a prefix of its sorted cluster; graphs with two non-empty
+    sides are batched per row_blocks, each side's kept points laid out as one run per graph."""
     matching_k = min(config.matching_k, ref.count + dist.count)
-    sides = [[_kept_cluster(ref, c, radius) for c in keys]]
-    sides.append(sides[0] if same else [None] * len(keys))
-    largest = max(len(c[1]) for c in sides[0])
+    sides = [_kept_clusters(ref, keys, radius, config.matching_k)] * 2
+    if not same:
+        def floor(side):  # under "per-side" a side keeps points up to the other's own cutoff
+            return (_cutoff_from_distances(side[1], side[1][:, :0], matching_k, "per-side")
+                    if config.tau_scope == "per-side" else np.zeros(len(keys)))
+        centres, width = ref.positions[keys], min(matching_k, sides[0][1].shape[1], dist.count) + 2
+        sides[1] = _clusters(dist, centres, width, radius, matching_k, floor(sides[0]))
+        sides[0] = _clusters(ref, centres, min(config.matching_k + 2, WIDTH), radius, matching_k,
+                             floor(sides[1]), sides[0])  # the kept rows and their width
+    (ref_idx, ref_d, _), (dist_idx, dist_d, _) = sides
     cutoffs, kept = np.empty(len(keys)), np.empty((len(keys), 2), np.intp)
-
-    def padded(side, block):  # the block's cluster distances as rows, +inf past each end
-        d = [c[1] for c in side[block]]
-        rows = np.full((len(d), max(map(len, d))), np.inf)
-        rows[np.arange(rows.shape[1]) < np.array([len(r) for r in d])[:, None]] = np.concatenate(d)
-        return rows
-
-    for block in row_blocks(len(keys), largest + 2):
-        ref_d = padded(sides[0], block)
-        if not same:  # "per-side" keeps stimulus points up to the reference side's cutoff
-            floor = (_cutoff_from_distances(ref_d, ref_d[:, :0], matching_k, "per-side")
-                     if config.tau_scope == "per-side" else 0.0)
-            sides[1][block] = _stimulus_clusters(dist, ref.positions[keys[block]], largest,
-                                                 radius, matching_k, floor)
-        dist_d = ref_d if same else padded(sides[1], block)
-        cutoffs[block] = _cutoff_from_distances(ref_d, dist_d, matching_k, config.tau_scope)
-        kept[block] = np.stack([(d <= cutoffs[block, None]).sum(1) for d in (ref_d, dist_d)], 1)
-    sizes = np.array([[len(c[0]) for c in side] for side in sides], np.intp).T
+    for b in row_blocks(len(keys), ref_d.shape[1] + dist_d.shape[1]):
+        cutoffs[b] = _cutoff_from_distances(ref_d[b], dist_d[b], matching_k, config.tau_scope)
+        kept[b] = np.stack([(d[b] <= cutoffs[b, None]).sum(1) for d in (ref_d, dist_d)], 1)
+    sizes = np.stack([np.isfinite(d).sum(1) for d in (ref_d, dist_d)], 1)
     variance = gaussian_variance(cutoffs)
-
-    def prefixes(j, rows, field):  # each row's kept part of side j's cluster field
-        return [sides[j][i][field][:m] for i, m in zip(rows, kept[rows, j].tolist())]
 
     scored, batches = np.flatnonzero(kept.min(axis=1) > 0), []
     for rows in (scored[b] for b in row_blocks(len(scored), 3 * kept[scored].max(initial=1) - 1)):
-        n, points = kept[rows], [prefixes(j, rows, 0) for j in (0, 1)]
-        orders = [_align(ref.positions[r], dist.positions[d]) for r, d in zip(*points)]
-        runs = [(np.concatenate(points[j]), np.exp(-np.concatenate(prefixes(j, rows, 1)) ** 2
-                                                   / np.repeat(variance[rows], n[:, j])))
-                for j in (0, 1)]
+        n = kept[rows]
+        runs = [(idx[rows][prefix], np.exp(-d[rows][prefix] ** 2 / np.repeat(variance[rows], m)))
+                for idx, d, m in ((ref_idx, ref_d, n[:, 0]), (dist_idx, dist_d, n[:, 1]))
+                for prefix in [np.arange(d.shape[1]) < m[:, None]]]
         starts = n.cumsum(axis=0) - n  # each graph's offset into its side's runs
+        orders = [_align(ref.positions[r], dist.positions[d]) for r, d in
+                  zip(np.split(runs[0][0], starts[1:, 0]), np.split(runs[1][0], starts[1:, 1]))]
         match = [np.concatenate([o[j] + s for o, s in zip(orders, starts[:, j])]) for j in (0, 1)]
         batches.append((keys[rows], n, *runs, match))
     return GraphTable(sizes, kept, cutoffs, batches)
@@ -495,10 +495,12 @@ def _batch_similarities(centers, kept, ref_side, dist_side, orders, ref_values, 
         return sums(group, x) / m[:, None]
 
     def side(values, n, order, indices, weights):
-        gradients = np.sqrt(weights)[:, None] * (values[indices] - np.repeat(centers, n, axis=0))
-        matched = gradients[order]
+        gradients = np.sqrt(weights)[:, None] * (np.take(values, indices, axis=0)
+                                                 - np.repeat(centers, n, axis=0))
+        matched = np.take(gradients, order, axis=0)
         mean = moment(matched)
-        return sums(np.repeat(np.arange(len(m)), n), gradients), mean, matched - mean[group]
+        deviations = matched - np.take(mean, group, axis=0)
+        return sums(np.repeat(np.arange(len(m)), n), gradients), mean, deviations
 
     def ratio(x, y, t):
         return (2.0 * x * y + t) / (x * x + y * y + t)

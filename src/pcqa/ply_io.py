@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ParseError, TruncationError, check_choice
+from .errors import DomainError, ParseError, TruncationError, ValidationError, check_choice
 
 # PLY scalar type name -> numpy type code
 _PLY_SCALARS = {
@@ -55,7 +55,8 @@ def load_ply(path: str) -> PointCloud:
 
     Raises ParseError (with the offending header/body line number) for
     malformed input, TruncationError when the body is shorter than the
-    declared vertex count, and ValidationError for non-finite coordinates.
+    declared vertex count, and PointCloud's ValidationError or DomainError
+    (a non-finite coordinate, no points) with the path in front.
     """
     path = str(path)
     with open(path, "rb") as handle:
@@ -171,9 +172,12 @@ def load_ply(path: str) -> PointCloud:
         out = np.column_stack([column(c) for c in names])
         out.setflags(write=False)
         return out
-    return PointCloud(positions=stack(_COORD_NAMES),
-                      colors=stack(("red", "green", "blue")) if has_colors else None,
-                      normals=stack(_NORMAL_NAMES) if has_normals else None)
+    try:
+        return PointCloud(positions=stack(_COORD_NAMES),
+                          colors=stack(("red", "green", "blue")) if has_colors else None,
+                          normals=stack(_NORMAL_NAMES) if has_normals else None)
+    except (DomainError, ValidationError) as exc:  # the same class, so the same exit code
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_ascii_rows(path, body, count, width, header_lines):

@@ -95,7 +95,7 @@ class SpatialIndex:
             self._tree.query_ball_point(query, margin), dtype=np.intp
         )
         # Distances recomputed in plain numpy, sorted by (distance, index).
-        d = np.linalg.norm(self._positions[candidates] - query, axis=1)
+        d = np.linalg.norm(np.take(self._positions, candidates, axis=0) - query, axis=1)
         keep = np.flatnonzero(d <= radius)
         order = keep[np.lexsort((candidates[keep], d[keep]))]
         return candidates[order], d[order]
@@ -128,7 +128,7 @@ class SpatialIndex:
         leaf order, rows being point indices. Nothing is kept between blocks."""
         for block in row_blocks(self.count, entries_per_row):
             rows = self.order[block]
-            yield (rows, *self.query_array(self._positions[rows], k))
+            yield (rows, *self.query_array(np.take(self._positions, rows, axis=0), k))
 
     def _query_rows(self, queries, kk: int):
         # Past PILOT_STRIDE rows, a block is searched within 1.25 times its pilot rows'
@@ -166,7 +166,8 @@ class SpatialIndex:
         ends = np.cumsum(take)
         cand = order[np.repeat(start[site] - ends + take, take) + np.arange(ends[-1])]
         row = np.repeat(np.repeat(np.arange(len(queries)), per_row), take)
-        d = np.linalg.norm(self._positions[cand] - queries[row], axis=1)
+        d = np.linalg.norm(np.take(self._positions, cand, axis=0) - np.take(queries, row, axis=0),
+                           axis=1)
         # Sorting by row first leaves each row's segment where it was.
         seg = np.r_[0, ends][np.cumsum(per_row) - per_row]
         first = np.lexsort((cand, d, row))[seg[:, None] + np.arange(kk)]

@@ -25,14 +25,24 @@ def random_cloud(n, seed=0, span=10.0, colored=True, normals=False):
     return PointCloud(positions=positions, colors=colors, normals=cloud_normals)
 
 
-def stimulus_refetches(monkeypatch, stimulus):
-    """A list that gains an entry per graphsim `_cluster` call on `stimulus`: one per
-    row that a call's bulk stimulus cluster query could not vouch for."""
+def cluster_refetches(monkeypatch, cloud=None):
+    """A list that gains the row count of each bulk query that graphsim's `_clusters` asks
+    again, at a wider width, for the rows it could not vouch for: on either side, or on
+    `cloud` only when it is given."""
     module = importlib.import_module("pcqa.graphsim")
-    cluster, calls = module._cluster, []
-    monkeypatch.setattr(module, "_cluster", lambda cloud, *args: (
-        calls.append(1) if cloud is stimulus else None) or cluster(cloud, *args))
-    return calls
+    clusters, rows, depth = module._clusters, [], []
+
+    def recording(asked, centres, *args):
+        if depth and cloud in (None, asked):
+            rows.append(len(centres))
+        depth.append(asked)
+        try:
+            return clusters(asked, centres, *args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(module, "_clusters", recording)
+    return rows
 
 
 def streamed_self_table(index, k):

@@ -12,7 +12,7 @@ import pcqa
 from pcqa import DistortionSpec, GraphSimConfig, ResampleConfig, apply_distortion
 from pcqa.spatial import SpatialIndex
 
-from helpers import smooth_cloud, stimulus_refetches
+from helpers import cluster_refetches, smooth_cloud
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -48,7 +48,7 @@ def test_counters_read_what_graphsim_and_the_baselines_return(spans, monkeypatch
     ref = smooth_cloud(400, seed=2)
     dist = apply_distortion(ref, DistortionSpec("ggn", 0.01, seed=3))
     config = GraphSimConfig(resample=ResampleConfig(count=6))
-    refetched = stimulus_refetches(monkeypatch, dist)
+    refetched = cluster_refetches(monkeypatch)
     with spans.Tracer() as tracer:
         tracer.unit = "pair"
         # Looked up on the package while the tracer is active, as the benchmark does.
@@ -59,13 +59,13 @@ def test_counters_read_what_graphsim_and_the_baselines_return(spans, monkeypatch
     assert counts["graphsim.keypoints"] == score.keypoints.count == 6
     assert counts["graphsim.scored"] == len(score.per_graph) - score.empty_graphs
     # The graphs are laid out as flat runs, not by build_local_graph_pair, so its span
-    # and the cluster sizes read from its pairs count nothing. Each keypoint's reference
-    # cluster is one radius query, then kept; the stimulus's come from one bulk query,
-    # and only the rows it cannot vouch for are asked again with a radius query.
+    # and the cluster sizes read from its pairs count nothing. Each side's clusters come
+    # from one bulk query (the reference's then kept), and only the rows a query cannot
+    # vouch for are asked again, in bulk: no radius query is asked.
     assert "graphsim.local_graph_calls" not in counts
     assert "graphsim.cluster_points" not in counts
-    assert len(_graphsim_queries(tracer)) == 1
-    assert counts["spatial.radius_query_calls"] == score.keypoints.count + len(refetched)
+    assert len(_graphsim_queries(tracer)) == 2 + len(refetched)
+    assert "spatial.radius_query_calls" not in counts
     # All of a call's graphs are scored in one score_graph call per signal kind.
     assert counts["graphsim.score_graph_calls"] == len(config.signal_kinds) == 1
     assert counts["baselines.run_calls"] == 1
@@ -78,7 +78,7 @@ def test_graphsim_scores_its_graphs_in_one_call_per_signal_kind(spans, monkeypat
     ref = smooth_cloud(400, seed=2)
     dist = apply_distortion(ref, DistortionSpec("ds", 0.5, seed=3))
     config = GraphSimConfig(signal_kind="mixed", resample=ResampleConfig(count=6))
-    refetched = stimulus_refetches(monkeypatch, dist)
+    refetched = cluster_refetches(monkeypatch)
     with spans.Tracer() as tracer:
         tracer.unit = "pair"
         score = pcqa.graphsim(ref, dist, config)
@@ -89,6 +89,6 @@ def test_graphsim_scores_its_graphs_in_one_call_per_signal_kind(spans, monkeypat
     assert counts["graphsim.score_graph_calls"] == 2 * len(config.signal_kinds) == 4
     assert "graphsim.local_graph_calls" not in counts
     # The second call reads the reference's kept clusters and queries the stimulus only:
-    # one bulk query a call, and a radius query per row it cannot vouch for.
-    assert len(_graphsim_queries(tracer)) == 2
-    assert counts["spatial.radius_query_calls"] == score.keypoints.count + len(refetched)
+    # one bulk query a call, and one a round of the rows asked again on either side.
+    assert len(_graphsim_queries(tracer)) == 3 + len(refetched)
+    assert "spatial.radius_query_calls" not in counts

@@ -282,6 +282,7 @@ def test_overflowing_filter_exits_3(capsys, ply_pair, tmp_path, argv):
 ], ids=["score-ref", "score-stimulus", "baseline-ref", "baseline-stimulus", "distort",
         "resample"])
 def test_a_ply_with_no_vertices_exits_3(capsys, ply_pair, tmp_path, argv):
+    # The error line names the file that holds no point.
     empty = tmp_path / "empty.ply"
     empty.write_text("ply\nformat ascii 1.0\nelement vertex 0\n"
                      "property float x\nproperty float y\nproperty float z\nend_header\n")
@@ -290,8 +291,33 @@ def test_a_ply_with_no_vertices_exits_3(capsys, ply_pair, tmp_path, argv):
     assert code == 3
     assert out == "" and len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "DomainError",
-                               "message": "a point cloud needs at least one point"}
+                               "message": f"{empty}: a point cloud needs at least one point"}
     assert not (tmp_path / "out").exists()
+
+
+def test_a_filter_past_the_address_space_exits_3(tmp_path):
+    # A real process limited to 2 GiB of address space: the keypoint filter's
+    # (n, graph_k) table for 20k points at --graph-k 19999 does not fit, and numpy's
+    # MemoryError ends the command with one error line, not a traceback.
+    import resource
+
+    path = tmp_path / "cloud.ply"
+    save_ply(random_cloud(20_000, seed=3), path)
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "pcqa.cli", "resample", str(path),
+                           "--graph-k", "19999", "--output", str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, preexec_fn=limited,
+                          timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    diag = last_stderr_json(proc.stderr)
+    assert diag["error"] == "MemoryError" and "Unable to allocate" in diag["message"]
+    assert not (tmp_path / "out.csv").exists()
 
 
 def write_ascii_ply(path, positions):

@@ -10,7 +10,7 @@ continuous boxes, each with a void around its centre that holds one point:
 that point's reference cluster is empty until the radius reaches the void's
 edge, so its graph is skipped. Cropped stimuli and a matching_k of 1 leave
 graphs empty on the distorted or on the reference side. Fixed cases reach each
-row that the call's bulk stimulus cluster query cannot vouch for.
+row that a call's bulk cluster query cannot vouch for, on either side.
 """
 
 import importlib
@@ -24,10 +24,10 @@ from pcqa import (DistortionSpec, DomainError, GraphSimConfig, PointCloud, apply
                   bounding_box, build_local_graph_pair, graphsim)
 from pcqa.cloud import same_geometry
 from pcqa.colorspace import CHANNEL_WEIGHTS
-from pcqa.graphsim import (POOLING_PRESETS, STABILIZERS, _graph_table, _signals, covariance,
-                           gradient_moments, match_and_align, score_graph)
+from pcqa.graphsim import (POOLING_PRESETS, STABILIZERS, WIDTH, _graph_table, _kept_clusters,
+                           _signals, covariance, gradient_moments, match_and_align, score_graph)
 
-from helpers import pair_table, stimulus_refetches
+from helpers import cluster_refetches, pair_table
 from oracles import local_graph_oracle
 
 SIGNALS = ("color", "coordinate", "normal", "mixed", ("normal", "color"))
@@ -132,17 +132,18 @@ def _oracle(ref, dist, config):
 
 
 def _table_rows_are_the_pairs(table, ref, dist, config, keypoints):
-    """Assert that a call's table is its pairs': per keypoint the pair's reference
-    cluster size, kept sizes and cutoff, bit for bit, and a stimulus size between the
-    pair's kept and cluster sizes (the bulk query vouches for a prefix of the cluster
-    that holds every kept point); batched, in order, exactly the rows with two kept
-    sides, each batch's runs and match orders those of its pairs laid out one at a
-    time. Returns the number of batched rows."""
+    """Assert that a call's table is its pairs': per keypoint the pair's kept sizes and
+    cutoff, bit for bit, and each side's size between the pair's kept and cluster sizes
+    (the bulk query vouches for a prefix of the cluster that holds every kept point),
+    and empty only with its cluster, so the graphed keypoints are the pairs'; batched,
+    in order, exactly the rows with two kept sides, each batch's runs and match orders
+    those of its pairs laid out one at a time. Returns the number of batched rows."""
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     pairs = [build_local_graph_pair(int(c), ref, dist, config, radius=radius) for c in keypoints]
-    assert table.sizes[:, 0].tolist() == [p.ref_cluster_size for p in pairs]
-    assert all(p.dist.size <= size <= p.dist_cluster_size
-               for size, p in zip(table.sizes[:, 1].tolist(), pairs))
+    for j, side in enumerate(("ref", "dist")):
+        assert all(getattr(p, side).size <= size <= getattr(p, f"{side}_cluster_size")
+                   and (size > 0) == (getattr(p, f"{side}_cluster_size") > 0)
+                   for size, p in zip(table.sizes[:, j].tolist(), pairs))
     assert table.kept.tolist() == [[p.ref.size, p.dist.size] for p in pairs]
     assert table.cutoffs.tolist() == [p.params.cutoff for p in pairs]
     kept = [p for p in pairs if p.ref.size and p.dist.size]
@@ -248,7 +249,7 @@ def test_graphsim_builds_no_pair_object(monkeypatch, signal):
 
 def _fallback_case(case):
     """(reference, stimulus, config, keypoints) whose stimulus rows the bulk cluster
-    query cannot all vouch for, so some are asked again with `_cluster`."""
+    query cannot all vouch for, so some are asked again at a wider width."""
     rng = np.random.default_rng(7)
 
     def cloud(positions):
@@ -277,14 +278,14 @@ def test_rows_the_bulk_query_cannot_vouch_for_are_asked_again(monkeypatch, case)
     ref, dist, config, keypoints = _fallback_case(case)
     assert not same_geometry(ref, dist)
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    refetched = stimulus_refetches(monkeypatch, dist)
+    refetched = cluster_refetches(monkeypatch, dist)
     table = _graph_table(ref, dist, keypoints, radius, config, False)
-    assert 0 < len(refetched) <= len(keypoints)
+    assert refetched and all(rows <= len(keypoints) for rows in refetched)
     monkeypatch.undo()
     assert _table_rows_are_the_pairs(table, ref, dist, config, keypoints) > 0
     if case == "per-side":  # the union's cutoff lies within the fetched points
         union = GraphSimConfig(neighborhood_fraction=0.3, matching_k=5)
-        refetched = stimulus_refetches(monkeypatch, dist)
+        refetched = cluster_refetches(monkeypatch, dist)
         table = _graph_table(ref, dist, keypoints, radius, union, False)
         assert not refetched
         assert _table_rows_are_the_pairs(table, ref, dist, union, keypoints) > 0
@@ -292,7 +293,8 @@ def test_rows_the_bulk_query_cannot_vouch_for_are_asked_again(monkeypatch, case)
 
 def test_the_stimulus_query_is_no_wider_than_the_largest_reference_cluster(monkeypatch):
     # A huge matching_k fetches the reference's largest cluster + 2 columns a keypoint,
-    # not the whole stimulus.
+    # not the whole stimulus; rows it cannot vouch for are asked again at twice the
+    # width each time, up to the stimulus size.
     ref, dist, _, keypoints = _fallback_case("denser-stimulus")
     config = GraphSimConfig(neighborhood_fraction=0.2, matching_k=10**6)
     widths, query = [], type(dist.spatial_index).query_array
@@ -305,7 +307,60 @@ def test_the_stimulus_query_is_no_wider_than_the_largest_reference_cluster(monke
     monkeypatch.setattr(type(dist.spatial_index), "query_array", recording)
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
     table = _graph_table(ref, dist, keypoints, radius, config, False)
-    largest = max(v[0].size for key, v in ref._results.items() if key[0] == "graphsim cluster")
-    assert widths == [largest + 2] and largest + 2 < dist.count
+    (_, kept, _), = (v for key, v in ref._results.items() if key[0] == "graphsim clusters")
+    largest = kept.shape[1]  # the reference's clusters are whole: WIDTH columns pass the radius
+    assert largest == table.sizes[:, 0].max() and largest + 2 < dist.count
+    assert widths == [min((largest + 2) * 2**i, dist.count) for i in range(len(widths))]
     monkeypatch.undo()
+    assert _table_rows_are_the_pairs(table, ref, dist, config, keypoints) > 0
+
+
+def _reference_case(case):
+    """(reference, stimulus, config, keypoints) whose reference rows matching_k + 2
+    columns (at most WIDTH) cannot all vouch for, or hold whole."""
+    if case == "lattice-ties":  # ties at 1 and sqrt(2) straddle the 7 columns fetched
+        return _fallback_case(case)
+    rng = np.random.default_rng(8)
+
+    def cloud(n):
+        return PointCloud(positions=rng.uniform(0.0, 4.0, (n, 3)),
+                          colors=rng.integers(0, 256, (n, 3)))
+
+    if case == "per-side":  # a stimulus ten times sparser: its 5th distance is past the 7th
+        config = GraphSimConfig(neighborhood_fraction=0.3, matching_k=5, tau_scope="per-side")
+        return cloud(3000), cloud(300), config, np.arange(0, 3000, 100)
+    if case == "k-past-width":  # balls of about 340 points, past the first WIDTH columns
+        config = GraphSimConfig(neighborhood_fraction=0.3, matching_k=10**6)
+        return cloud(3000), cloud(3000), config, np.arange(0, 3000, 100)
+    # "k-past-cloud": matching_k + 2 columns capped at the reference's 20 points
+    return cloud(20), cloud(50), GraphSimConfig(neighborhood_fraction=0.4, matching_k=30), \
+        np.arange(20)
+
+
+@pytest.mark.parametrize("case", ["per-side", "lattice-ties", "k-past-cloud", "k-past-width"])
+def test_reference_rows_the_bulk_query_cannot_vouch_for_are_asked_again(monkeypatch, case):
+    # Each case reaches a path of the reference's bulk cluster query past its first
+    # matching_k + 2 columns, and every table row still equals its pair's, bit for bit.
+    # What the reference keeps comes from it alone: a stimulus's cutoff widens rows
+    # for one call. A huge matching_k asks WIDTH columns first, then twice as many.
+    ref, dist, config, keypoints = _reference_case(case)
+    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
+    refetched = cluster_refetches(monkeypatch, ref)
+    table = _graph_table(ref, dist, keypoints, radius, config, False)
+    monkeypatch.undo()
+    kept = _kept_clusters(ref, keypoints, radius, config.matching_k)
+    fresh = _kept_clusters(PointCloud(positions=ref.positions), keypoints, radius,
+                           config.matching_k)
+    assert all(map(np.array_equal, kept, fresh))
+    if case == "k-past-cloud":  # each row its whole cluster, asked once
+        assert not refetched and np.isinf(kept[2]).all()
+    else:
+        assert refetched and all(rows <= len(keypoints) for rows in refetched)
+    if case == "per-side":  # kept at matching_k + 1 points, widened for the call
+        assert kept[1].shape[1] <= config.matching_k + 1 < table.sizes[:, 0].max()
+    if case == "k-past-width":  # every row its whole cluster; the rows past WIDTH - 1
+        # points, and only they, are asked once more, at twice the width
+        assert len(refetched) == 1 and (kept[2] > radius).all()
+        assert refetched[0] == (table.sizes[:, 0] >= WIDTH - 1).sum()
+        assert WIDTH - 1 <= kept[1].shape[1] < 2 * WIDTH - 1
     assert _table_rows_are_the_pairs(table, ref, dist, config, keypoints) > 0

@@ -184,7 +184,7 @@ def test_whole_float_keypoints_score_as_integers():
 def _kept_clusters(cloud):
     """The reference clusters graphsim keeps on a cloud, by cache key."""
     return {key: value for key, value in cloud.__dict__.get("_results", {}).items()
-            if key[0] == "graphsim cluster"}
+            if key[0] == "graphsim clusters"}
 
 
 def test_kept_reference_clusters_are_keyed_and_isolated():
@@ -205,11 +205,12 @@ def test_kept_reference_clusters_are_keyed_and_isolated():
                 assert result.to_report() == \
                     graphsim(fresh, stim, config, keypoints=keypoints).to_report()
                 radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-                keys |= {("graphsim cluster", radius, int(i)) for i in result.keypoints.indices}
+                keys.add(("graphsim clusters", radius, config.matching_k,
+                          result.keypoints.indices.tobytes()))
     kept = _kept_clusters(ref)
-    assert set(kept) == keys  # one entry per (radius, keypoint), shared by the stimuli
+    assert set(kept) == keys  # one entry per (radius, keypoint set), shared by the stimuli
     assert all(not a.flags.writeable for arrays in kept.values() for a in arrays)
-    assert all(idx.dtype == np.int32 for idx, _ in kept.values())
+    assert all(idx.dtype == np.int32 for idx, _, _ in kept.values())
     assert not any(_kept_clusters(stim) for stim in stimuli)
 
 

@@ -558,12 +558,13 @@ def _prepared_case(name):
 
 @pytest.mark.parametrize("name", ["continuous", "lattice", "slab", "lattice-cn"])
 def test_kept_reference_clusters_build_the_per_pair_graphs(name):
-    # A kept reference cluster equals a fresh `_cluster`, indices as int32, and is
-    # the entry kept under its key; each pair's graphs agree with the plain-loop
-    # oracle, on duplicated lattice sites (the keypoint's twins dropped) too.
+    # A keypoint set's kept reference clusters are the entry kept under its key, one
+    # row per keypoint, indices as int32: each row a prefix of a fresh `_cluster`, the
+    # whole cluster or at least matching_k points of it. Each pair's graphs agree with
+    # the plain-loop oracle, on duplicated lattice sites (the keypoint's twins dropped) too.
     from pcqa.cloud import bounding_box, same_geometry
     from pcqa.colorspace import decompose
-    from pcqa.graphsim import _cluster, _kept_cluster
+    from pcqa.graphsim import _cluster, _kept_clusters
 
     ref, dist, keypoints = _prepared_case(name)
     keypoints = np.asarray(keypoints, dtype=np.intp)
@@ -573,12 +574,15 @@ def test_kept_reference_clusters_build_the_per_pair_graphs(name):
     dist_signal = decompose(dist, config.color_space).values
     assert same_geometry(ref, dist) == (name == "lattice-cn")
     twins = 0
-    for center in keypoints:
-        kept = _kept_cluster(ref, int(center), radius)
+    kept = _kept_clusters(ref, keypoints, radius, 12)
+    assert ref._results[("graphsim clusters", radius, 12, keypoints.tobytes())] is kept
+    assert kept[0].dtype == np.int32
+    for row, center in enumerate(keypoints):
         idx, d = _cluster(ref, ref.positions[center], radius)
-        assert kept[0].dtype == np.int32 and np.array_equal(kept[0], idx)
-        assert kept[1].tobytes() == d.tobytes()
-        assert ref._results[("graphsim cluster", radius, int(center))] is kept
+        m = int(np.isfinite(kept[1][row]).sum())
+        assert m == idx.size or 12 <= m < idx.size
+        assert np.array_equal(kept[0][row, :m], idx[:m])
+        assert kept[1][row, :m].tobytes() == d[:m].tobytes()
         pair = build_local_graph_pair(int(center), ref, dist, config, radius=radius)
         twins += ref.spatial_index.radius_query(ref.positions[center], 0.0)[0].size - 1
 

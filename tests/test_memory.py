@@ -2,8 +2,8 @@
 the baselines keep at most one cloud-sized temporary beyond what they need,
 the tie path of the k-NN queries stays block-sized on a lattice, and a nearest
 pass holds one block beside its result, plus the rows it asks again. What
-graphsim keeps on a reference is 12 B per reference cluster point, 16 B per
-keypoint and 24 B per point for its colour signal; what the baselines keep for a
+graphsim keeps on a reference is 12 B per column of matching_k + 2 for each
+keypoint's clusters, 16 B per keypoint and 24 B per point for its colour signal; what the baselines keep for a
 stimulus of the reference's geometry, 32 B per point (the self-match and the
 reference's YUV table); what a loaded coloured cloud keeps, 27 B per point.
 
@@ -19,8 +19,7 @@ import pytest
 from pcqa import (DistortionSpec, GraphSimConfig, PointCloud, ResampleConfig, apply_distortion,
                   bounding_box, build_local_graph_pair, graphsim, load_ply, save_ply, spatial)
 from pcqa.baselines import _match_pair, estimate_normals, run_baselines
-from pcqa.graphsim import (POOLING_PRESETS, _cluster, _graph_table, _kept_cluster, _signals,
-                           score_graph)
+from pcqa.graphsim import POOLING_PRESETS, _graph_table, _kept_clusters, _signals, score_graph
 from pcqa.resample import frequency_scores, resample
 
 from helpers import pair_table, random_cloud
@@ -89,8 +88,6 @@ def test_graphsim_keeps_24_bytes_per_point_16_per_keypoint_12_per_cluster_point(
     frequency_scores(ref, config.resample)  # the filter scores, kept first
     keypoints = resample(PointCloud(positions=ref.positions), config.resample).indices
     dist.spatial_index
-    radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    points = sum(_cluster(ref, ref.positions[i], radius)[0].size for i in keypoints)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -99,13 +96,14 @@ def test_graphsim_keeps_24_bytes_per_point_16_per_keypoint_12_per_cluster_point(
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # Per cluster point int32 indices and float64 distances, and per keypoint one kept
-    # entry: its key, value tuple and two array headers (about 380 B measured); intp
-    # indices would exceed it by 4 B a point. Per reference point the kept colour
-    # signal, one (N, 3) float64 table; per keypoint its kept intp index and float64
-    # score; and the two entries' objects and headers.
-    bound = 12 * points + 512 * len(keypoints) + ROW3 * N + 16 * len(keypoints) + 2048
-    assert kept <= bound, (kept, bound, points)
+    # Per keypoint, whatever the radius, its row of the keypoint set's reference
+    # clusters: matching_k + 1 int32 indices and float64 distances at most, its reach
+    # and its index in the entry's key, 12 B a column of matching_k + 2; intp indices
+    # would exceed it. Per reference point the kept colour signal, one (N, 3) float64
+    # table; per keypoint its kept intp index and float64 score; and the entries'
+    # objects and headers.
+    bound = 12 * (config.matching_k + 2) * len(keypoints) + ROW3 * N + 16 * len(keypoints) + 2048
+    assert kept <= bound, (kept, bound)
     assert set(dist._results) == {("spatial index",)}  # the stimulus keeps only its tree
 
 
@@ -144,8 +142,7 @@ def test_graph_build_transients_are_one_batch(monkeypatch, block):
     config = GraphSimConfig(neighborhood_fraction=1.0, matching_k=10**6)
     keys = np.arange(0, N, N // 16)
     radius = config.neighborhood_fraction * bounding_box(ref).min_extent
-    for key in keys:  # the reference's kept clusters and the stimulus tree, made first
-        _kept_cluster(ref, int(key), radius)
+    _kept_clusters(ref, keys, radius, config.matching_k)  # kept, as the stimulus tree, first
     dist.spatial_index
     tracemalloc.start()
     try:

@@ -332,10 +332,10 @@ class TestCloudOwnsItsTree:
         original = SpatialIndex.query_array
 
         def recording(index, queries, k):
-            if index is ref.spatial_index and k > 1:  # k = 1: the baselines' matches
+            if len(queries) == 8:  # a graphsim call's clusters, a row a keypoint
+                clusters.append((index is ref.spatial_index, k))
+            elif index is ref.spatial_index and k > 1:  # k = 1: the baselines' matches
                 asked.setdefault(k, []).append(queries)
-            elif len(queries) == 8:  # a graphsim call's stimulus clusters, a row a keypoint
-                clusters.append(k)
             return original(index, queries, k)
 
         monkeypatch.setattr(SpatialIndex, "query_array", recording)
@@ -354,10 +354,11 @@ class TestCloudOwnsItsTree:
                                   ref.positions[np.lexsort(ref.positions.T)])
         _, idx = streamed_self_table(ref.spatial_index, 11)
         assert np.array_equal(idx, original(ref.spatial_index, ref.positions, 11)[1])
-        # Each graphsim call asks its stimulus's clusters in one query, as wide as
-        # matching_k, the reference's largest kept cluster and the stimulus allow, + 2.
-        largest = max(v[0].size for key, v in ref._results.items() if key[0] == "graphsim cluster")
-        assert clusters == [min(50, largest, 400) + 2] * 3
+        # The reference's clusters are asked once, matching_k + 2 wide, and kept. Each
+        # graphsim call asks its stimulus's in one query, as wide as matching_k, the
+        # reference's widest kept cluster and the stimulus allow, + 2.
+        (_, kept, _), = (v for key, v in ref._results.items() if key[0] == "graphsim clusters")
+        assert clusters == [(True, 52)] + [(False, min(50, kept.shape[1], 400) + 2)] * 3
 
 
 def _recording_tree(calls, **forced):
@@ -423,9 +424,12 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch, shape, kind, lev
     monkeypatch.setattr("scipy.spatial.cKDTree", _recording_tree(calls, workers=1))
     assert _worker_reports(reference, kind, level) == default
     pilots, bounds, again = _knn_passes(calls)
-    assert pilots and any(method == "query_ball_point" for method, *_ in calls)
-    # graphsim's stimulus clusters: one k-NN query, a row per keypoint.
-    assert [rows for method, _, _, rows in calls if method == "query"].count(24) == 1
+    assert pilots
+    # Only ties, on a lattice reference or a voxelised stimulus, ask ball queries.
+    tied = shape == "lattice" or kind == "ot"
+    assert any(method == "query_ball_point" for method, *_ in calls) == tied
+    # graphsim's clusters: one k-NN query a side, a row per keypoint.
+    assert [rows for method, _, _, rows in calls if method == "query"].count(24) == 2
     if kind == "outlier":
         assert again
 
