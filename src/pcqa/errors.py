@@ -38,12 +38,14 @@ class DegenerateCloudWarning(UserWarning):
     fallback was applied."""
 
 
-def check_integer(name: str, value, minimum: int) -> None:
-    """DomainError naming `name` unless `value` is a numbers.Integral of at least `minimum`."""
+def check_integer(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """DomainError naming `name` unless `value` is a numbers.Integral in [minimum, maximum]."""
     if not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}, got {value}")
 
 
 def check_choice(what: str, value, choices) -> None:

@@ -20,6 +20,7 @@ from .cloud import PointCloud
 from .errors import DegenerateCloudWarning, DomainError, check_choice, check_integer
 
 METHODS = ("high-pass", "random")
+MAX_FILTER_LENGTH = 1000  # 999 sparse products; bench contents overflow from L = 1128
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class ResampleConfig:
     ratio
         Keypoint fraction used when count is None.
     filter_length
-        High-pass filter length L; (I - A) is applied L - 1 times.
+        High-pass filter length L, 2 to MAX_FILTER_LENGTH; (I - A) is applied L - 1 times.
     graph_k
         Neighbor count of the shift-operator graph.
     method
@@ -53,7 +54,7 @@ class ResampleConfig:
             check_integer("keypoint count", self.count, 1)
         elif not 0 < self.ratio <= 1:
             raise DomainError(f"keypoint ratio must be in (0, 1], got {self.ratio}")
-        check_integer("filter_length", self.filter_length, 2)
+        check_integer("filter_length", self.filter_length, 2, MAX_FILTER_LENGTH)
         check_integer("graph_k", self.graph_k, 1)
         check_integer("seed", self.seed, 0)
         check_choice("resample method", self.method, METHODS)
@@ -106,9 +107,9 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
 
     Scores are non-negative, invariant under rigid translation, and scale
     linearly with a uniform scaling of the cloud. A fully degenerate cloud
-    (all points coincident) yields all-zero scores plus a warning. Scores are
-    read-only, computed once per cloud, graph_k and filter_length; the shift
-    operator's CSR arrays are written in row blocks, with no whole-cloud COO.
+    (all points coincident) yields all-zero scores plus a warning. Each point sums
+    its neighbours in distance order, so without tied distances the scores do not
+    depend on point labels. Read-only, computed once per cloud, graph_k and filter_length.
     """
     config = config or ResampleConfig()
     n = cloud.count
@@ -125,8 +126,8 @@ def frequency_scores(cloud: PointCloud, config: ResampleConfig | None = None) ->
 
 
 def _filtered_norms(cloud: PointCloud, k: int, filter_length: int) -> np.ndarray:
-    """Norms of the filtered positions. The shift operator's CSR rows are
-    written from the streamed self k-NN rows, one block at a time."""
+    """Norms of the filtered positions. Each CSR row of the shift operator is a
+    streamed self k-NN row, written block by block in (distance, index) order."""
     from scipy.sparse import csr_matrix
     n = cloud.count
     weights, columns = np.empty((n, k)), np.empty((n, k), np.int32 if n <= 2**31 else np.intp)
@@ -141,11 +142,8 @@ def _filtered_norms(cloud: PointCloud, k: int, filter_length: int) -> np.ndarray
         np.exp(np.negative(w, out=w), out=w)
         w[flat] = 1.0
         w /= w.sum(axis=1)[:, None]
-        # Ascending 32-bit columns, as csr_matrix makes of COO input: same sums, no index copy.
-        ascending = np.argsort(idx[:, 1:], axis=1)
-        columns[rows] = np.take_along_axis(idx[:, 1:], ascending, axis=1)
-        weights[rows] = np.take_along_axis(w, ascending, axis=1)
-        del dist, idx, w, ascending  # before the next block is asked
+        columns[rows], weights[rows] = idx[:, 1:], w
+        del dist, idx, w  # before the next block is asked
     shift = csr_matrix((weights.ravel(), columns.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
 
     filtered = cloud.positions.copy()

@@ -15,6 +15,7 @@ from pcqa import evaluate as evaluate_module
 from pcqa.cli import build_parser, main
 from pcqa.evaluate import MIN_GROUP_SIZE, logistic_fit, plcc, rmse, srocc
 from pcqa.jsonutil import canonical_dumps
+from pcqa.resample import MAX_FILTER_LENGTH
 
 from helpers import planar_cloud, random_cloud
 
@@ -261,15 +262,39 @@ def test_zero_normals_k_exits_3(capsys, ply_pair, tmp_path, argv, stored_normals
     ("resample", "{ref}", "--count", "3", "--output", "{out}"),
     ("score", "{ref}", "{ref}", "--beta", "3"),
 ], ids=["resample", "score"])
-def test_overflowing_filter_exits_3(capsys, ply_pair, tmp_path, argv):
-    ref, _ = ply_pair
+def test_overflowing_filter_exits_3(capsys, tmp_path, argv):
+    # Coordinates near MAX_COORDINATE overflow the scores well inside the
+    # filter_length limit.
+    ref = tmp_path / "huge.ply"
+    save_ply(random_cloud(400, seed=0, span=1e149), ref)
     argv = [a.format(ref=ref, out=tmp_path / "keys.csv") for a in argv]
-    code, out, err = run(capsys, *argv, "--filter-length", "100000")
+    code, out, err = run(capsys, *argv, "--filter-length", "100")
     assert code == 3
     assert out == ""
     diag = last_stderr_json(err)
     assert diag["error"] == "DomainError"
-    assert "filter_length" in diag["message"]
+    assert diag["message"] == "high-pass filter overflowed at filter_length=100"
+
+
+@pytest.mark.parametrize("argv", [
+    ("resample", "{ref}", "--output", "{out}"),
+    ("score", "{ref}", "{ref}"),
+], ids=["resample", "score"])
+def test_filter_length_past_its_limit_exits_3_at_once(ply_pair, tmp_path, argv):
+    # A real process: without the limit, a billion sparse products would run
+    # for about a day. The limit refuses the length before any filter runs.
+    argv = [a.format(ref=ply_pair[0], out=tmp_path / "keys.csv") for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pcqa.cli", *argv,
+                           "--filter-length", "1000000000"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr) == {"error": "DomainError",
+                                       "message": f"filter_length must be <= {MAX_FILTER_LENGTH}, "
+                                                  "got 1000000000"}
+    assert not (tmp_path / "keys.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -154,6 +154,19 @@ def test_distorted_point_order_leaves_quality_bit_identical(preset, signal, seed
     assert result.skipped_keypoints == base.skipped_keypoints
 
 
+@settings(max_examples=20)
+@given(seed=seeds, n=sizes)
+def test_reference_point_order_leaves_filter_scores_bit_identical(seed, n):
+    # Each filter row sums its neighbours in (distance, index) order, and a
+    # continuous cloud has no tied distances, so relabelling the points only
+    # permutes the scores. Lattices and "ot" inputs are left out: their tied
+    # rows are still ordered by index, which is ROADMAP item 2.
+    ref = smooth_cloud(n, seed=seed)
+    order = np.random.default_rng(seed).permutation(n)
+    shuffled = PointCloud(positions=ref.positions[order], colors=ref.colors[order])
+    assert np.array_equal(frequency_scores(shuffled), frequency_scores(ref)[order])
+
+
 @settings(max_examples=30)
 @given(seed=seeds, n=sizes, matching_k=matching_ks,
        preset=st.sampled_from(sorted(POOLING_PRESETS)),

@@ -17,7 +17,7 @@ from pcqa import (
     resample,
     run_baselines,
 )
-from pcqa.resample import write_keypoints_csv
+from pcqa.resample import MAX_FILTER_LENGTH, write_keypoints_csv
 
 from helpers import random_cloud
 from oracles import dense_frequency_scores
@@ -77,6 +77,9 @@ def test_config_validation():
         ResampleConfig(count=0)
     with pytest.raises(DomainError):
         ResampleConfig(filter_length=1)
+    with pytest.raises(DomainError, match=f"filter_length must be <= {MAX_FILTER_LENGTH}"):
+        ResampleConfig(filter_length=MAX_FILTER_LENGTH + 1)
+    ResampleConfig(filter_length=MAX_FILTER_LENGTH)
     with pytest.raises(DomainError):
         ResampleConfig(method="sobol")
 
@@ -290,9 +293,11 @@ def test_degenerate_warning_fires_on_every_call():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_filter_overflow_raises_on_every_call_and_is_not_stored(monkeypatch):
+    # Coordinates near MAX_COORDINATE overflow the scores well inside the
+    # filter_length limit (this cloud at L = 59), so the post-loop check stays.
     built = count_filter_builds(monkeypatch)
-    cloud = random_cloud(300, seed=33, colored=False)
+    cloud = random_cloud(300, seed=33, span=1e149, colored=False)
     for _ in range(2):
-        with pytest.raises(DomainError, match="filter_length=5000"):
-            frequency_scores(cloud, ResampleConfig(filter_length=5000))
+        with pytest.raises(DomainError, match="filter_length=100"):
+            frequency_scores(cloud, ResampleConfig(filter_length=100))
     assert len(built) == 2
